@@ -188,3 +188,206 @@ def test_output_deterministic(capsys):
     f1 = run(capsys, "fuzz", "--rounds", "10", "--seed", "7", "--json")
     f2 = run(capsys, "fuzz", "--rounds", "10", "--seed", "7", "--json")
     assert f1 == f2
+
+
+# Golden outputs: the exact bytes of `lts` unfolds deeper than one step
+# (each term reaches some state twice) and of seed traces with a B1
+# deletion inside a replicated body, a nested path and a B2 step.
+
+def _lts_json(mode, depth, states, edges):
+    doc = {"verb": "lts", "mode": mode, "process": states[0], "depth": depth,
+           "states": states,
+           "transitions": [{"source": s, "label": l, "destination": d}
+                           for s, l, d in edges]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+LTS_DIAMOND_STATES = ["a.b.0 | b.a.0", "b.0 | b.a.0", "a.0 | a.b.0",
+                      "a.0 | b.0", "b.a.0", "a.b.0", "b.0", "a.0"]
+LTS_DIAMOND_EDGES = [
+    ("a.b.0 | b.a.0", "a", "b.0 | b.a.0"),
+    ("a.b.0 | b.a.0", "b", "a.0 | a.b.0"),
+    ("b.0 | b.a.0", "b", "a.0 | b.0"),
+    ("b.0 | b.a.0", "b", "b.a.0"),
+    ("a.0 | a.b.0", "a", "a.0 | b.0"),
+    ("a.0 | a.b.0", "a", "a.b.0"),
+    ("a.0 | b.0", "a", "b.0"),
+    ("a.0 | b.0", "b", "a.0"),
+    ("b.a.0", "b", "a.0"),
+    ("a.b.0", "a", "b.0"),
+]
+
+LTS_SYNC_STATES = ["a.b.0 | ~a.~b.0", "b.0 | ~a.~b.0", "~b.0 | a.b.0",
+                   "b.0 | ~b.0", "~a.~b.0", "a.b.0", "~b.0", "b.0", "0"]
+LTS_SYNC_EDGES = [
+    ("a.b.0 | ~a.~b.0", "a", "b.0 | ~a.~b.0"),
+    ("a.b.0 | ~a.~b.0", "~a", "~b.0 | a.b.0"),
+    ("a.b.0 | ~a.~b.0", "tau", "b.0 | ~b.0"),
+    ("b.0 | ~a.~b.0", "~a", "b.0 | ~b.0"),
+    ("b.0 | ~a.~b.0", "b", "~a.~b.0"),
+    ("~b.0 | a.b.0", "a", "b.0 | ~b.0"),
+    ("~b.0 | a.b.0", "~b", "a.b.0"),
+    ("b.0 | ~b.0", "b", "~b.0"),
+    ("b.0 | ~b.0", "~b", "b.0"),
+    ("b.0 | ~b.0", "tau", "0"),
+    ("~a.~b.0", "~a", "~b.0"),
+    ("a.b.0", "a", "b.0"),
+    ("~b.0", "~b", "0"),
+    ("b.0", "b", "0"),
+]
+
+
+def test_lts_golden_text_base(capsys):
+    code, out, _ = run(capsys, "lts", "a.b.0|b.a.0", "--depth", "3")
+    assert code == 0
+    assert out == """\
+state: a.b.0 | b.a.0
+  a -> b.0 | b.a.0
+  b -> a.0 | a.b.0
+state: b.0 | b.a.0
+  b -> a.0 | b.0
+  b -> b.a.0
+state: a.0 | a.b.0
+  a -> a.0 | b.0
+  a -> a.b.0
+state: a.0 | b.0
+  a -> b.0
+  b -> a.0
+state: b.a.0
+  b -> a.0
+state: a.b.0
+  a -> b.0
+"""
+
+
+def test_lts_golden_text_replicated_revisits_start(capsys):
+    code, out, _ = run(capsys, "lts", "!a.b.0|b.0", "--depth", "3")
+    assert code == 0
+    assert out == """\
+state: !a.b.0 | b.0
+  a -> !a.b.0 | b.0 | b.0
+  b -> !a.b.0
+state: !a.b.0 | b.0 | b.0
+  a -> !a.b.0 | b.0 | b.0 | b.0
+  b -> !a.b.0 | b.0
+state: !a.b.0
+  a -> !a.b.0 | b.0
+state: !a.b.0 | b.0 | b.0 | b.0
+  a -> !a.b.0 | b.0 | b.0 | b.0 | b.0
+  b -> !a.b.0 | b.0 | b.0
+"""
+
+
+def test_lts_golden_text_sync(capsys):
+    code, out, _ = run(capsys, "lts", "a.b.0|~a.~b.0", "--sync",
+                       "--depth", "3")
+    assert code == 0
+    lines = []
+    for state in LTS_SYNC_STATES[:-1]:
+        lines.append(f"state: {state}")
+        lines.extend(f"  {l} -> {d}" for s, l, d in LTS_SYNC_EDGES
+                     if s == state)
+    assert out == "\n".join(lines) + "\n"
+
+
+def test_lts_golden_json_base(capsys):
+    code, out, _ = run(capsys, "lts", "a.b.0|b.a.0", "--depth", "3", "--json")
+    assert code == 0
+    assert out == _lts_json("base", 3, LTS_DIAMOND_STATES, LTS_DIAMOND_EDGES)
+
+
+def test_lts_golden_json_sync(capsys):
+    code, out, _ = run(capsys, "lts", "a.b.0|~a.~b.0", "--sync",
+                       "--depth", "4", "--json")
+    assert code == 0
+    assert out == _lts_json("sync", 4, LTS_SYNC_STATES, LTS_SYNC_EDGES)
+
+
+def test_lts_depth_zero_prints_the_start_state(capsys):
+    code, out, _ = run(capsys, "lts", "a.0|a.0", "--depth", "0")
+    assert code == 0
+    assert out == "state: a.0 | a.0\n"
+
+
+def test_lts_negative_depth_exits_2(capsys):
+    code, out, err = run(capsys, "lts", "a.0", "--depth", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: depth must be non-negative\n"
+
+
+def _path(area, rep_index, steps):
+    return {"area": area, "replicatedIndex": rep_index, "steps": steps}
+
+
+def test_seed_trace_json_golden_b1_in_replicated_body_then_b2(capsys):
+    code, out, _ = run(capsys, "seed", "!a.(b.0|a.b.0)|!a.b.0", "--trace",
+                       "--json")
+    assert code == 0
+    assert out == json.dumps({
+        "verb": "seed", "mode": "base",
+        "input": "!a.b.0 | !a.(b.0 | a.b.0)", "seed": "!a.b.0",
+        "sizeBefore": 6, "sizeAfter": 2, "candidatesChecked": 1,
+        "trace": [
+            {"axiom": "B1", "before": "!a.b.0 | !a.(b.0 | a.b.0)",
+             "after": "!a.b.0 | !a.b.0",
+             "path": _path("replicated", 1, [1]), "matched": "a.b.0"},
+            {"axiom": "B2", "before": "!a.b.0 | !a.b.0", "after": "!a.b.0",
+             "path": None, "dropped": "a.b.0"},
+        ]}, indent=2) + "\n"
+
+
+def test_seed_trace_golden_nested_paths(capsys):
+    code, out, _ = run(capsys, "seed", "!a.(b.0|a.b.0)|!b.0|!b.0|b.0",
+                       "--trace")
+    assert code == 0
+    trace = [
+        {"axiom": "B1", "before": "!b.0 | !b.0 | !a.(b.0 | a.b.0) | b.0",
+         "after": "!b.0 | !b.0 | !a.(b.0 | a.b.0)",
+         "path": _path("finite", None, [0]), "matched": "b.0"},
+        {"axiom": "B1", "before": "!b.0 | !b.0 | !a.(b.0 | a.b.0)",
+         "after": "!b.0 | !b.0 | !a.a.b.0",
+         "path": _path("replicated", 2, [0]), "matched": "b.0"},
+        {"axiom": "B1", "before": "!b.0 | !b.0 | !a.a.b.0",
+         "after": "!b.0 | !b.0 | !a.a.0",
+         "path": _path("replicated", 2, [0, 0]), "matched": "b.0"},
+        {"axiom": "B1", "before": "!b.0 | !b.0 | !a.a.0",
+         "after": "!a.0 | !b.0 | !b.0",
+         "path": _path("replicated", 2, [0]), "matched": "a.0"},
+        {"axiom": "B2", "before": "!a.0 | !b.0 | !b.0",
+         "after": "!a.0 | !b.0", "path": None, "dropped": "b.0"},
+    ]
+    assert out == f"!a.0 | !b.0\ntrace: {json.dumps(trace)}\n"
+
+
+def test_check_golden_distinguisher_attacks_from_the_right(capsys):
+    code, out, _ = run(capsys, "check", "a.0", "a.0|b.0")
+    assert code == 1
+    assert out == """\
+not bisimilar
+left seed: a.0
+right seed: a.0 | b.0
+distinguisher (depth 1):
+  1. right fires b -> a.0
+"""
+
+
+def test_check_golden_distinguisher_switches_sides(capsys):
+    code, out, _ = run(capsys, "check", "!a.a.b.0", "!a.b.0")
+    assert code == 1
+    assert out == """\
+not bisimilar
+left seed: !a.a.b.0
+right seed: !a.b.0
+distinguisher (depth 2):
+  1. left fires a -> !a.a.b.0 | a.b.0
+  2. right fires b -> !a.b.0
+"""
+    code, out, _ = run(capsys, "check", "!a.a.b.0", "!a.b.0", "--json")
+    assert code == 1
+    assert json.loads(out)["distinguisher"] == {
+        "depth": 2,
+        "moves": [
+            {"side": "left", "label": "a", "successor": "!a.a.b.0 | a.b.0"},
+            {"side": "right", "label": "b", "successor": "!a.b.0"},
+        ]}
