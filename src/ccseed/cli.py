@@ -2,19 +2,21 @@
 
 Verbs: check, seed, normalize, lts, fuzz.  Exit codes are a function of the
 verdict alone: 0 for bisimilar / success, 1 for not bisimilar (or a fuzz
-counterexample), 2 for usage, parse, or bound errors.  Output is
-deterministic: byte-identical across runs for the same inputs and flags.
+counterexample), 2 for usage, parse, or bound errors; a term nested too
+deeply to process is a bound error.  Output is deterministic: byte-identical
+across runs for the same inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import List, Optional
 
 from .congruence import canonicalize, process_of
-from .lts import DEFAULT_DEPTH_CAP, DepthExceeded, successors
+from .lts import DEFAULT_DEPTH_CAP, DepthExceeded, unfold
 from .oracle import (Distinguisher, GameConfig, bounded_bisim,
                      lemma_suite_sharded)
 from .rewrite import compute_seed, convertible
@@ -65,12 +67,6 @@ def _distinguisher_json(dist: Distinguisher) -> dict:
         "moves": [{"side": mv.side, "label": str(mv.label),
                    "successor": render(mv.successor)} for mv in dist.moves],
     }
-
-
-def _print_distinguisher(dist: Distinguisher) -> None:
-    print(f"distinguisher (depth {len(dist.moves)}):")
-    for i, mv in enumerate(dist.moves, 1):
-        print(f"  {i}. {mv.side} fires {mv.label} -> {render(mv.successor)}")
 
 
 def _emit(doc: dict, as_json: bool, text_lines: List[str]) -> None:
@@ -169,48 +165,23 @@ def cmd_normalize(args, stdin_lines: List[str]) -> int:
 
 def cmd_lts(args, stdin_lines: List[str]) -> int:
     mode = "sync" if args.sync else "base"
-    if args.depth < 0:
-        raise DepthExceeded("depth must be non-negative")
-    if args.depth > DEFAULT_DEPTH_CAP:
-        raise DepthExceeded(
-            f"depth {args.depth} exceeds cap {DEFAULT_DEPTH_CAP}")
-    p = canonicalize(process_of(parse(_read_term(args.term, stdin_lines),
-                                      mode)))
-    level = [p]
-    seen = {p}
-    order = [p]
-    edges = []
-    for _ in range(args.depth):
-        nxt = []
-        for state in level:
-            for label, dest in successors(state, mode):
-                edges.append((state, label, dest))
-                if dest not in seen:
-                    seen.add(dest)
-                    order.append(dest)
-                    nxt.append(dest)
-        level = nxt
+    order, edges = unfold(parse(_read_term(args.term, stdin_lines), mode),
+                          args.depth, mode)
     doc = {
         "verb": "lts",
         "mode": mode,
-        "process": render(p),
+        "process": render(order[0]),
         "depth": args.depth,
         "states": [render(s) for s in order],
         "transitions": [{"source": render(s), "label": str(l),
                          "destination": render(d)} for s, l, d in edges],
     }
     lines = []
-    by_source: dict = {}
-    for s, l, d in edges:
-        by_source.setdefault(s, []).append((l, d))
-    for state in order:
-        if state in by_source:
-            lines.append(f"state: {render(state)}")
-            for l, d in by_source[state]:
-                lines.append(f"  {l} -> {render(d)}")
-    if not lines:
-        lines = [f"state: {render(p)}"]
-    _emit(doc, args.json, lines)
+    # unfold lists each state's transitions together, in discovery order
+    for state, out in itertools.groupby(edges, key=lambda e: e[0]):
+        lines.append(f"state: {render(state)}")
+        lines.extend(f"  {l} -> {render(d)}" for _s, l, d in out)
+    _emit(doc, args.json, lines or [f"state: {render(order[0])}"])
     return EXIT_OK
 
 
@@ -218,6 +189,13 @@ def cmd_fuzz(args, stdin_lines: List[str]) -> int:
     mode = "sync" if args.sync else "base"
     if args.max_size > 8:
         raise DepthExceeded(f"max-size {args.max_size} exceeds cap 8")
+    if args.max_size < 1:
+        raise ValueError("max-size must be positive")
+    if args.rounds < 1:
+        raise ValueError("rounds must be positive")
+    names = 26 if mode == "base" else 52  # sync mode pairs a and ~a
+    if not 1 <= args.alphabet <= names:
+        raise ValueError(f"alphabet {args.alphabet} outside 1..{names}")
     report = lemma_suite_sharded(seed=args.seed, rounds=args.rounds,
                                  shards=args.shards, max_size=args.max_size,
                                  action_count=args.alphabet, mode=mode)
@@ -312,6 +290,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     except (DepthExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: term nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

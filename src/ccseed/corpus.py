@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from .syntax import (INPUT, OUTPUT, Action, FiniteProcess,
-                     PrefixedTerm, Process, occurrences)
+                     PrefixedTerm, Process, edit_multiset, occurrences)
 
 __all__ = [
     "default_actions", "enumerate_finite", "enumerate_processes",
@@ -159,25 +159,9 @@ class Context:
         return self.base.is_finite() and self.area == "finite"
 
 
-def _insert_fin(fp: FiniteProcess, steps: tuple, terms: tuple) -> FiniteProcess:
-    if not steps:
-        return FiniteProcess(fp.components + terms)
-    comps = list(fp.components)
-    t = comps[steps[0]]
-    comps[steps[0]] = PrefixedTerm(t.action,
-                                   _insert_fin(t.body, steps[1:], terms))
-    return FiniteProcess(comps)
-
-
 def insert_at(p: Process, slot: tuple, terms: tuple) -> Process:
-    area, rep_index, steps = slot
-    if area == "finite":
-        return Process(p.replicated, _insert_fin(p.finite, steps, terms))
-    reps = list(p.replicated)
-    t = reps[rep_index]
-    reps[rep_index] = PrefixedTerm(t.action,
-                                   _insert_fin(t.body, steps, terms))
-    return Process(reps, p.finite)
+    """p with ``terms`` added to the multiset ``slot`` addresses."""
+    return edit_multiset(p, *slot, lambda comps: comps.extend(terms))
 
 
 def multiset_slots(p: Process, finite_area_only: bool = False) -> List[tuple]:
@@ -242,13 +226,14 @@ def make_redundant(rng: random.Random, p: Process, ops: int = 2) -> Process:
             if not folds:
                 continue
             slot, c = rng.choice(folds)
-            fp = _multiset_at(q, slot)
-            kept = list(fp.components)
-            kept.remove(c)
-            kept.remove(c)
-            folded = PrefixedTerm(c.action,
-                                  FiniteProcess(c.body.components + (c,)))
-            q = _replace_multiset(q, slot, FiniteProcess(kept + [folded]))
+
+            def fold(comps: list):
+                comps.remove(c)
+                comps.remove(c)
+                comps.append(PrefixedTerm(
+                    c.action, FiniteProcess(c.body.components + (c,))))
+
+            q = edit_multiset(q, *slot, fold)
     return q
 
 
@@ -258,22 +243,3 @@ def _multiset_at(p: Process, slot: tuple) -> FiniteProcess:
     for i in steps:
         fp = fp.components[i].body
     return fp
-
-
-def _replace_multiset(p: Process, slot: tuple, new: FiniteProcess) -> Process:
-    area, rep_index, steps = slot
-
-    def rebuild(fp: FiniteProcess, steps: tuple) -> FiniteProcess:
-        if not steps:
-            return new
-        comps = list(fp.components)
-        t = comps[steps[0]]
-        comps[steps[0]] = PrefixedTerm(t.action, rebuild(t.body, steps[1:]))
-        return FiniteProcess(comps)
-
-    if area == "finite":
-        return Process(p.replicated, rebuild(p.finite, steps))
-    reps = list(p.replicated)
-    t = reps[rep_index]
-    reps[rep_index] = PrefixedTerm(t.action, rebuild(t.body, steps))
-    return Process(reps, p.finite)

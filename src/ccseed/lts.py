@@ -20,7 +20,7 @@ from .syntax import (INPUT, OUTPUT, Action, PrefixedTerm,
 
 __all__ = [
     "Label", "TAU", "Transition", "DepthExceeded", "DEFAULT_DEPTH_CAP",
-    "transitions", "successors", "reduct_k", "reachable_within",
+    "transitions", "successors", "reduct_k", "reachable_within", "unfold",
 ]
 
 DEFAULT_DEPTH_CAP = 12
@@ -169,24 +169,39 @@ def reduct_k(p: Process, q: Process, k: int) -> bool:
     return target in level
 
 
-def reachable_within(p: Process, depth: int, mode: str = "base",
-                     cap: int = DEFAULT_DEPTH_CAP) -> frozenset:
-    """Canonical processes reachable in at most ``depth`` steps."""
+def unfold(p: Process, depth: int, mode: str = "base",
+           cap: int = DEFAULT_DEPTH_CAP) -> tuple:
+    """Breadth-first unfolding: (states, edges) within ``depth`` steps.
+
+    ``states`` are canonical, in discovery order, p first; ``edges`` are the
+    (source, label, destination) transitions out of every state reached in
+    fewer than ``depth`` steps, grouped by source in that same order.
+    """
     if depth > cap:
         raise DepthExceeded(f"depth {depth} exceeds cap {cap}")
     if depth < 0:
         raise ValueError("depth must be non-negative")
     start = canonicalize(p)
+    states = [start]
     seen = {start}
+    edges = []
     frontier = [start]
     for _ in range(depth):
         nxt = []
         for x in frontier:
-            for _label, dest in successors(x, mode):
+            for label, dest in successors(x, mode):
+                edges.append((x, label, dest))
                 if dest not in seen:
                     seen.add(dest)
                     nxt.append(dest)
         if not nxt:
             break
+        states.extend(nxt)
         frontier = nxt
-    return frozenset(seen)
+    return states, edges
+
+
+def reachable_within(p: Process, depth: int, mode: str = "base",
+                     cap: int = DEFAULT_DEPTH_CAP) -> frozenset:
+    """Canonical processes reachable in at most ``depth`` steps."""
+    return frozenset(unfold(p, depth, mode, cap)[0])

@@ -167,36 +167,31 @@ def _game_eq(p: Process, q: Process, d: int, mode: str) -> bool:
 
 def _witness(single: Process, others: tuple, d: int, single_side: str,
              mode: str, memo: dict):
-    """Moves forcing every process in ``others`` stuck within d rounds."""
+    """Moves forcing every process in ``others`` stuck within d rounds.
+
+    The attacker moves on the single side first; against a lone other
+    process it may also move there, with ``single`` as the defender.
+    """
     if d == 0:
         return None
     key = (single, others, d, single_side)
     if key in memo:
         return memo[key]
-    result = None
-    for lab, succ in successors(single, mode):
-        alive = sorted({y for o in others
-                        for l, y in successors(o, mode) if l == lab})
-        if not alive:
-            result = (Move(single_side, lab, succ),)
-            break
-        sub = _witness(succ, tuple(alive), d - 1, single_side, mode, memo)
-        if sub is not None:
-            result = (Move(single_side, lab, succ),) + sub
-            break
-    if result is None and len(others) == 1:
+    attacks = [(single, others, single_side)]
+    if len(others) == 1:
         other_side = "right" if single_side == "left" else "left"
-        for lab, succ in successors(others[0], mode):
-            alive = sorted({y for l, y in successors(single, mode) if l == lab})
-            if not alive:
-                result = (Move(other_side, lab, succ),)
-                break
-            sub = _witness(succ, tuple(alive), d - 1, other_side, mode, memo)
+        attacks.append((others[0], (single,), other_side))
+    for attacker, defenders, side in attacks:
+        for lab, succ in successors(attacker, mode):
+            alive = sorted({y for o in defenders
+                            for l, y in successors(o, mode) if l == lab})
+            sub = _witness(succ, tuple(alive), d - 1, side, mode,
+                           memo) if alive else ()
             if sub is not None:
-                result = (Move(other_side, lab, succ),) + sub
-                break
-    memo[key] = result
-    return result
+                memo[key] = result = (Move(side, lab, succ),) + sub
+                return result
+    memo[key] = None
+    return None
 
 
 def bounded_bisim(p: Process, q: Process,

@@ -68,56 +68,50 @@ def _b1_match_table(target: Process) -> dict:
     return table
 
 
-def step_b1(p: Process, target: Process) -> tuple:
-    """All single B1 steps from p guided by target."""
-    before = canonicalize(p)
-    table = _b1_match_table(target)
-    if not table:
-        return ()
-    steps = []
-    for path, occ in occurrences(before):
-        just = table.get(occ)
-        if just is not None:
-            after = canonicalize(delete_at(before, path))
-            steps.append(RewriteStep("B1", before, after,
-                                     path=path, matched=just))
-    return tuple(steps)
+def _deletions(state: Process, table: Optional[dict]):
+    """Every B1, then every B2 deletion from a canonical state.
 
-
-def step_b2(p: Process) -> tuple:
-    """All single B2 steps from p (one per duplicated replicated component)."""
-    before = canonicalize(p)
-    reps = before.replicated
-    steps = []
-    for i, t in enumerate(reps):
-        if i and t == reps[i - 1]:
-            continue
-        if reps.count(t) >= 2:
-            remaining = list(reps)
-            remaining.remove(t)
-            after = canonicalize(Process(remaining, before.finite))
-            steps.append(RewriteStep("B2", before, after, dropped=t))
-    return tuple(steps)
-
-
-def _steps_from(state: Process, table: dict) -> list:
-    """All B1 (per prebuilt match table) and B2 steps from a canonical state."""
-    steps = []
-    if table:
+    Yields (axiom, after, path, justification) with ``after`` canonical:
+    for B1 the deleted occurrence's path and the replicated component of
+    the target that justifies it, for B2 no path and the dropped component.
+    ``table`` is a ``_b1_match_table``; ``None`` deletes every occurrence
+    unguided.
+    """
+    if table is None:
+        for path, _occ in occurrences(state):
+            yield "B1", canonicalize(delete_at(state, path)), path, None
+    elif table:
         for path, occ in occurrences(state):
             just = table.get(occ)
             if just is not None:
-                after = canonicalize(delete_at(state, path))
-                steps.append(RewriteStep("B1", state, after,
-                                         path=path, matched=just))
+                yield "B1", canonicalize(delete_at(state, path)), path, just
     reps = state.replicated
     for i, t in enumerate(reps):
         if (not i or t != reps[i - 1]) and reps.count(t) >= 2:
             remaining = list(reps)
             remaining.remove(t)
-            after = canonicalize(Process(remaining, state.finite))
-            steps.append(RewriteStep("B2", state, after, dropped=t))
-    return steps
+            yield "B2", canonicalize(Process(remaining, state.finite)), None, t
+
+
+def _step(before: Process, axiom: str, after: Process, path,
+          just) -> RewriteStep:
+    if axiom == "B1":
+        return RewriteStep("B1", before, after, path=path, matched=just)
+    return RewriteStep("B2", before, after, dropped=just)
+
+
+def step_b1(p: Process, target: Process) -> tuple:
+    """All single B1 steps from p guided by target."""
+    before = canonicalize(p)
+    table = _b1_match_table(target)
+    return tuple(_step(before, *d) for d in _deletions(before, table)
+                 if d[0] == "B1")
+
+
+def step_b2(p: Process) -> tuple:
+    """All single B2 steps from p (one per duplicated replicated component)."""
+    before = canonicalize(p)
+    return tuple(_step(before, *d) for d in _deletions(before, {}))
 
 
 # Audit trail for termination checks: one (start size, states visited)
@@ -140,19 +134,20 @@ def _guided_search(p: Process, target: Process):
         while frontier:
             nxt = []
             for state in frontier:
-                for step in _steps_from(state, table):
-                    after = step.after
+                # Expanded in full before the goal test, so perfbench's traced
+                # counts stay comparable; stopping early is a separate change.
+                for axiom, after, path, just in tuple(
+                        _deletions(state, table)):
                     if after in parents or after.size < goal.size:
                         continue
-                    parents[after] = (state, step)
+                    parents[after] = (state, axiom, path, just)
                     visited += 1
                     if after == goal:
                         trace = []
-                        cur = after
-                        while parents[cur] is not None:
-                            prev, st = parents[cur]
-                            trace.append(st)
-                            cur = prev
+                        while parents[after] is not None:
+                            prev, axiom, path, just = parents[after]
+                            trace.append(_step(prev, axiom, after, path, just))
+                            after = prev
                         return tuple(reversed(trace)), visited
                     nxt.append(after)
             frontier = nxt
@@ -203,15 +198,7 @@ def _deletion_descendants(p: Process) -> dict:
     while frontier:
         nxt = []
         for state in frontier:
-            results = [canonicalize(delete_at(state, path))
-                       for path, _occ in occurrences(state)]
-            reps = state.replicated
-            for i, t in enumerate(reps):
-                if (not i or t != reps[i - 1]) and reps.count(t) >= 2:
-                    remaining = list(reps)
-                    remaining.remove(t)
-                    results.append(canonicalize(Process(remaining, state.finite)))
-            for r in results:
+            for _axiom, r, _path, _just in _deletions(state, None):
                 if r.key not in out:
                     out[r.key] = r
                     nxt.append(r)

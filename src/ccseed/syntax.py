@@ -34,7 +34,8 @@ __all__ = [
     "Action", "PrefixedTerm", "FiniteProcess", "Process", "Path",
     "ParseError", "StructureError",
     "parse", "render", "size", "alphabet", "apply_substitution",
-    "occurrences", "delete_at", "resolve", "NIL_FINITE", "NIL",
+    "occurrences", "delete_at", "resolve", "edit_multiset",
+    "NIL_FINITE", "NIL",
 ]
 
 PLAIN = 0
@@ -198,10 +199,6 @@ class Process:
     @property
     def key(self):
         return self._key
-
-    @staticmethod
-    def from_finite(finite: FiniteProcess) -> "Process":
-        return Process((), finite)
 
     def is_finite(self) -> bool:
         return not self.replicated
@@ -470,46 +467,54 @@ def occurrences(p: Process) -> Iterator[tuple]:
         yield from walk(t.body, "replicated", r, ())
 
 
-def _edit_finite(fp: FiniteProcess, steps: tuple,
-                 edit: Callable[[list, int], None]) -> FiniteProcess:
-    comps = list(fp.components)
-    i = steps[0]
-    if not 0 <= i < len(comps):
+def _at(items, i: int):
+    if not 0 <= i < len(items):
         raise IndexError("path does not match process")
-    if len(steps) == 1:
-        edit(comps, i)
+    return items[i]
+
+
+def _edit_finite(fp: FiniteProcess, steps: tuple,
+                 edit: Callable[[list], None]) -> FiniteProcess:
+    comps = list(fp.components)
+    if not steps:
+        edit(comps)
     else:
-        t = comps[i]
+        i = steps[0]
+        t = _at(comps, i)
         comps[i] = PrefixedTerm(t.action, _edit_finite(t.body, steps[1:], edit))
     return FiniteProcess(comps)
 
 
-def _apply_edit(p: Process, path: Path,
-                edit: Callable[[list, int], None]) -> Process:
-    if path.area == "finite":
-        return Process(p.replicated, _edit_finite(p.finite, path.steps, edit))
+def edit_multiset(p: Process, area: str, rep_index: Optional[int],
+                  steps: tuple, edit: Callable[[list], None]) -> Process:
+    """Rebuild p after ``edit`` mutates the component list of one multiset.
+
+    The multiset is the finite part or replicated body ``rep_index``, then
+    the body picked by each index of ``steps``.  IndexError if none matches.
+    """
+    if area == "finite":
+        return Process(p.replicated, _edit_finite(p.finite, steps, edit))
     reps = list(p.replicated)
-    t = reps[path.rep_index]
-    reps[path.rep_index] = PrefixedTerm(
-        t.action, _edit_finite(t.body, path.steps, edit))
+    t = _at(reps, rep_index)
+    reps[rep_index] = PrefixedTerm(t.action, _edit_finite(t.body, steps, edit))
     return Process(reps, p.finite)
 
 
 def resolve(p: Process, path: Path) -> PrefixedTerm:
-    """The occurrence a path addresses in ``p``."""
-    if path.area == "finite":
-        fp = p.finite
-    else:
-        fp = p.replicated[path.rep_index].body
+    """The occurrence a path addresses in ``p``; IndexError if none."""
+    fp = (p.finite if path.area == "finite"
+          else _at(p.replicated, path.rep_index).body)
     for i in path.steps[:-1]:
-        fp = fp.components[i].body
-    return fp.components[path.steps[-1]]
+        fp = _at(fp.components, i).body
+    return _at(fp.components, path.steps[-1])
 
 
 def delete_at(p: Process, path: Path) -> Process:
     """Replace the addressed occurrence by nil (drop it from its multiset)."""
+    i = path.steps[-1]
 
-    def drop(comps: list, i: int):
+    def drop(comps: list):
+        _at(comps, i)
         del comps[i]
 
-    return _apply_edit(p, path, drop)
+    return edit_multiset(p, path.area, path.rep_index, path.steps[:-1], drop)

@@ -391,3 +391,38 @@ distinguisher (depth 2):
             {"side": "left", "label": "a", "successor": "!a.a.b.0 | a.b.0"},
             {"side": "right", "label": "b", "successor": "!a.b.0"},
         ]}
+
+
+DEEP_PREFIXES = "a." * 3000 + "0"
+DEEP_GROUPS = "(" * 2000 + "a.0" + ")" * 2000
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", DEEP_PREFIXES, "a.0"),
+    ("check", "a.0", DEEP_GROUPS),
+    ("seed", DEEP_GROUPS),
+    ("seed", DEEP_PREFIXES),
+    ("normalize", DEEP_PREFIXES),
+    ("lts", DEEP_GROUPS),
+])
+def test_deep_nesting_is_a_bound_error_not_a_verdict(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: term nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--alphabet", "0"), "alphabet 0 outside 1..26"),
+    (("--alphabet", "27"), "alphabet 27 outside 1..26"),
+    (("--alphabet", "53", "--sync"), "alphabet 53 outside 1..52"),
+    (("--max-size", "0"), "max-size must be positive"),
+    (("--max-size", "-1"), "max-size must be positive"),
+    (("--rounds", "0"), "rounds must be positive"),
+    (("--rounds", "-1"), "rounds must be positive"),
+])
+def test_fuzz_rejects_bad_arguments(capsys, argv, message):
+    code, out, err = run(capsys, "fuzz", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from ccseed import corpus
 from ccseed.congruence import canonicalize, congruent
 from ccseed.lts import (DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU,
-                        reachable_within, reduct_k, successors, transitions)
+                        reachable_within, reduct_k, successors, transitions,
+                        unfold)
 from ccseed.syntax import Action, Process, parse, render
 
 
@@ -108,6 +109,38 @@ def test_reachable_within():
     assert {render(s) for s in states} == {"a.b.0", "b.0", "0"}
     assert reachable_within(parse("a.b.0"), 0) == frozenset(
         {canonicalize(parse("a.b.0"))})
+
+
+def test_unfold_discovery_order_and_edges():
+    states, edges = unfold(parse("a.b.0|b.a.0"), 2)
+    assert [render(s) for s in states] == [
+        "a.b.0 | b.a.0", "b.0 | b.a.0", "a.0 | a.b.0", "a.0 | b.0",
+        "b.a.0", "a.b.0"]
+    assert [(render(s), str(l), render(d)) for s, l, d in edges] == [
+        ("a.b.0 | b.a.0", "a", "b.0 | b.a.0"),
+        ("a.b.0 | b.a.0", "b", "a.0 | a.b.0"),
+        ("b.0 | b.a.0", "b", "a.0 | b.0"),
+        ("b.0 | b.a.0", "b", "b.a.0"),
+        ("a.0 | a.b.0", "a", "a.0 | b.0"),
+        ("a.0 | a.b.0", "a", "a.b.0"),
+    ]
+    assert reachable_within(parse("a.b.0|b.a.0"), 2) == frozenset(states)
+
+
+def test_unfold_stops_when_nothing_is_left():
+    states, edges = unfold(parse("a.0"), 5)
+    assert [render(s) for s in states] == ["a.0", "0"]
+    assert len(edges) == 1
+    assert unfold(parse("a.a.0"), 0) == ([canonicalize(parse("a.0|a.0"))], [])
+
+
+def test_unfold_validates_depth():
+    with pytest.raises(DepthExceeded):
+        unfold(parse("a.0"), DEFAULT_DEPTH_CAP + 1)
+    with pytest.raises(DepthExceeded):
+        unfold(parse("a.0"), 3, cap=2)
+    with pytest.raises(ValueError):
+        unfold(parse("a.0"), -1)
 
 
 def test_reachable_within_cap():

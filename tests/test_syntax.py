@@ -7,8 +7,8 @@ from ccseed import corpus
 from ccseed.syntax import (INPUT, OUTPUT, PLAIN, Action, FiniteProcess,
                            ParseError, Path, PrefixedTerm, Process,
                            StructureError, alphabet, apply_substitution,
-                           delete_at, occurrences, parse, render, resolve,
-                           size)
+                           delete_at, edit_multiset, occurrences, parse,
+                           render, resolve, size)
 
 
 def test_action_basics():
@@ -154,6 +154,52 @@ def test_delete_at_inside_replicated_body():
     targets = {render(t): path for path, t in occurrences(p)}
     q = delete_at(p, targets["b.0"])
     assert render(q) == "!a.c.0"
+
+
+@pytest.mark.parametrize("area,rep_index,steps", [
+    ("finite", None, (2,)),          # past the end of the finite part
+    ("finite", None, (-1,)),         # negative index
+    ("finite", None, (0, 0, 0)),     # a.(b.0|c.0) has no grandchild there
+    ("finite", None, (0, -1)),
+    ("replicated", 1, (0,)),         # only one replicated component
+    ("replicated", -1, (0,)),
+    ("replicated", 0, (1,)),
+])
+def test_mismatched_path_raises_index_error(area, rep_index, steps):
+    p = parse("!e.f.0 | a.(b.0|c.0) | d.0")
+    path = Path(area, rep_index, steps)
+    with pytest.raises(IndexError):
+        resolve(p, path)
+    with pytest.raises(IndexError):
+        delete_at(p, path)
+    with pytest.raises(IndexError):
+        corpus.insert_at(p, (area, rep_index, steps), (PrefixedTerm(
+            Action("g")),))
+
+
+def test_insert_at_slot_without_steps_rejects_bad_replicated_index():
+    p = parse("!e.f.0 | d.0")
+    for rep_index in (-1, 1):
+        with pytest.raises(IndexError):
+            corpus.insert_at(p, ("replicated", rep_index, ()), ())
+
+
+def test_edit_multiset_at_each_level():
+    p = parse("!e.f.0 | a.(b.0|c.0) | d.0")
+    g = PrefixedTerm(Action("g"))
+
+    def add(comps):
+        comps.append(g)
+
+    assert render(edit_multiset(p, "finite", None, (), add)) == (
+        "!e.f.0 | d.0 | g.0 | a.(b.0 | c.0)")
+    assert render(edit_multiset(p, "finite", None, (1,), add)) == (
+        "!e.f.0 | d.0 | a.(b.0 | c.0 | g.0)")
+    assert render(edit_multiset(p, "replicated", 0, (), add)) == (
+        "!e.(f.0 | g.0) | d.0 | a.(b.0 | c.0)")
+    assert render(edit_multiset(p, "replicated", 0, (0,), add)) == (
+        "!e.f.g.0 | d.0 | a.(b.0 | c.0)")
+    assert render(p) == "!e.f.0 | d.0 | a.(b.0 | c.0)"
 
 
 def test_path_validation():
