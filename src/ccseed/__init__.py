@@ -22,14 +22,14 @@ from .rewrite import (ConvertibilityResult, RewriteStep, SeedResult,
                       seed_of, step_b1, step_b2)
 from .syntax import (Action, FiniteProcess, ParseError, Path, PrefixedTerm,
                      Process, StructureError, alphabet, apply_substitution,
-                     occurrences, parse, render, size)
+                     clear_caches, occurrences, parse, render, size)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Action", "FiniteProcess", "PrefixedTerm", "Process", "Path",
     "ParseError", "StructureError", "parse", "render", "size", "alphabet",
-    "apply_substitution", "occurrences",
+    "apply_substitution", "occurrences", "clear_caches",
     "canonicalize", "canonical_finite", "canonical_key", "congruent",
     "process_of",
     "Label", "TAU", "Transition", "successors", "transitions", "reduct_k",

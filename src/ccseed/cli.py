@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional
 
 from .congruence import canonicalize, process_of
-from .lts import DEFAULT_DEPTH_CAP, DepthExceeded, unfold
+from .lts import DEFAULT_DEPTH_CAP, DepthExceeded, check_depth, unfold
 from .oracle import (Distinguisher, GameConfig, bounded_bisim,
                      lemma_suite_sharded)
 from .rewrite import compute_seed, convertible
@@ -81,6 +81,7 @@ def cmd_check(args, stdin_lines: List[str]) -> int:
     mode = "sync" if args.sync else "base"
     p = parse(_read_term(args.left, stdin_lines), mode)
     q = parse(_read_term(args.right, stdin_lines), mode)
+    check_depth(args.oracle_depth)  # exits 2 whatever the verdict would be
     result = convertible(p, q)
     doc: dict = {
         "verb": "check",

@@ -26,16 +26,16 @@ from __future__ import annotations
 from collections import Counter
 from typing import Union
 
-from .syntax import FiniteProcess, PrefixedTerm, Process
+from .syntax import FiniteProcess, PrefixedTerm, Process, memo_table
 
 __all__ = [
     "canonicalize", "canonical_finite", "canonical_components",
-    "congruent", "canonical_key", "process_of", "clear_caches",
+    "congruent", "canonical_key", "process_of",
 ]
 
-_CANON_COMPS: dict = {}
-_CANON_FIN: dict = {}
-_CANON_PROC: dict = {}
+_CANON_COMPS = memo_table()
+_CANON_FIN = memo_table()
+_CANON_PROC = memo_table()
 
 
 def canonical_components(t: PrefixedTerm) -> tuple:
@@ -62,7 +62,7 @@ def canonical_components(t: PrefixedTerm) -> tuple:
         want = Counter(c.body.components)
         want[c] += n
         if want == counts:
-            if fired is None or c._key < fired[0]._key:
+            if fired is None or c.key < fired[0].key:
                 fired = (c, n)
 
     if fired is None:
@@ -119,9 +119,3 @@ def congruent(p: Process, q: Process) -> bool:
 
 def canonical_key(p) -> tuple:
     return canonicalize(process_of(p)).key
-
-
-def clear_caches() -> None:
-    _CANON_COMPS.clear()
-    _CANON_FIN.clear()
-    _CANON_PROC.clear()

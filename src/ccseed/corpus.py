@@ -121,15 +121,9 @@ def random_process(rng: random.Random, size: int, actions: Sequence[Action],
     return Process(reps, random_finite(rng, size - rep_total, actions))
 
 
-def random_substitution(rng: random.Random, names: Sequence[str],
-                        injective_only: bool = False) -> dict:
+def random_substitution(rng: random.Random, names: Sequence[str]) -> dict:
     """A renaming of the given names; non-injective collapses allowed."""
-    if injective_only:
-        targets = list(names)
-        rng.shuffle(targets)
-    else:
-        targets = [rng.choice(names) for _ in names]
-    return dict(zip(names, targets))
+    return dict(zip(names, [rng.choice(names) for _ in names]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,48 +15,46 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .congruence import canonicalize
-from .syntax import (INPUT, OUTPUT, Action, PrefixedTerm,
-                     Process)
+from .syntax import (INPUT, OUTPUT, Action, Keyed, PrefixedTerm, Process,
+                     memo_table)
 
 __all__ = [
     "Label", "TAU", "Transition", "DepthExceeded", "DEFAULT_DEPTH_CAP",
-    "transitions", "successors", "reduct_k", "reachable_within", "unfold",
+    "check_depth", "transitions", "successors", "reduct_k",
+    "reachable_within", "unfold", "bounded_class",
 ]
 
 DEFAULT_DEPTH_CAP = 12
 
 
 class DepthExceeded(Exception):
-    """A reachability or game request went beyond the configured cap."""
+    """A reachability or game request went beyond the depth cap."""
 
 
-class Label:
+def check_depth(depth: int) -> None:
+    """Reject a depth outside 0..DEFAULT_DEPTH_CAP."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    if depth > DEFAULT_DEPTH_CAP:
+        raise DepthExceeded(
+            f"depth {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
+
+
+class Label(Keyed):
     """A visible action or the silent label tau."""
 
-    __slots__ = ("action", "_key")
+    __slots__ = ("action",)
 
     def __init__(self, action: Optional[Action]):
         self.action = action
         if action is None:
-            self._key = (1, "", 0)
+            self.key = (1, "", 0)
         else:
-            self._key = (0, action.name, action.polarity)
-
-    @property
-    def key(self):
-        return self._key
+            self.key = (0, action.name, action.polarity)
+        self._hash = hash(self.key)
 
     def is_tau(self) -> bool:
         return self.action is None
-
-    def __eq__(self, other):
-        return isinstance(other, Label) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __lt__(self, other):
-        return self._key < other._key
 
     def __repr__(self):
         return f"Label({self!s})"
@@ -85,7 +83,7 @@ def _spawn(fin_components: tuple, drop: Iterable[int], add: Iterable[PrefixedTer
     return keep
 
 
-_SUCC_CACHE: dict = {}
+_SUCC_CACHE = memo_table()
 
 
 def successors(p: Process, mode: str = "base") -> tuple:
@@ -169,18 +167,14 @@ def reduct_k(p: Process, q: Process, k: int) -> bool:
     return target in level
 
 
-def unfold(p: Process, depth: int, mode: str = "base",
-           cap: int = DEFAULT_DEPTH_CAP) -> tuple:
+def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
     """Breadth-first unfolding: (states, edges) within ``depth`` steps.
 
     ``states`` are canonical, in discovery order, p first; ``edges`` are the
     (source, label, destination) transitions out of every state reached in
     fewer than ``depth`` steps, grouped by source in that same order.
     """
-    if depth > cap:
-        raise DepthExceeded(f"depth {depth} exceeds cap {cap}")
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    check_depth(depth)
     start = canonicalize(p)
     states = [start]
     seen = {start}
@@ -201,7 +195,31 @@ def unfold(p: Process, depth: int, mode: str = "base",
     return states, edges
 
 
-def reachable_within(p: Process, depth: int, mode: str = "base",
-                     cap: int = DEFAULT_DEPTH_CAP) -> frozenset:
+def reachable_within(p: Process, depth: int,
+                     mode: str = "base") -> frozenset:
     """Canonical processes reachable in at most ``depth`` steps."""
-    return frozenset(unfold(p, depth, mode, cap)[0])
+    return frozenset(unfold(p, depth, mode)[0])
+
+
+_CLASS = memo_table()
+_CLASS_IDS = memo_table()
+
+
+def bounded_class(p: Process, depth: int, mode: str = "base") -> int:
+    """Class id of canonical p under ``depth``-round bisimilarity.
+
+    The signature of p is the set of (label, class of the destination one
+    round less deep) over its successors; equal signatures get equal ids.
+    Ids are comparable at one depth and mode, and only until
+    ``clear_caches`` re-interns them.
+    """
+    if depth == 0:
+        return 0
+    key = (p, depth, mode)
+    got = _CLASS.get(key)
+    if got is None:
+        sig = frozenset((label.key, bounded_class(dest, depth - 1, mode))
+                        for label, dest in successors(p, mode))
+        got = _CLASS_IDS.setdefault((depth, mode, sig), len(_CLASS_IDS))
+        _CLASS[key] = got
+    return got

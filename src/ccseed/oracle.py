@@ -13,16 +13,18 @@ hits so vacuous passes are visible.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import corpus
 from .congruence import canonical_finite, canonicalize, process_of
-from .lts import DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU, successors
+from .lts import (DEFAULT_DEPTH_CAP, Label, TAU, bounded_class, check_depth,
+                  successors)
 from .rewrite import compute_seed, convertible
 from .syntax import (INPUT, OUTPUT, FiniteProcess, PrefixedTerm,
-                     Process, apply_substitution, render)
+                     Process, apply_substitution, memo_table, render)
 
 __all__ = [
     "GameConfig", "GameResult", "Move", "Distinguisher",
@@ -67,8 +69,8 @@ def _finite_successors(fp: FiniteProcess, mode: str) -> tuple:
     return tuple(out.values())
 
 
-_FIN_CLASS: dict = {}
-_FIN_INTERN: dict = {}
+_FIN_CLASS = memo_table()
+_FIN_INTERN = memo_table()
 
 
 def _finite_class(fp: FiniteProcess, mode: str) -> int:
@@ -102,7 +104,6 @@ def finite_partition(fps: Sequence[FiniteProcess], mode: str = "base") -> dict:
 class GameConfig:
     depth: int = 6
     mode: str = "base"
-    cap: int = DEFAULT_DEPTH_CAP
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ class GameResult:
     distinguisher: Optional[Distinguisher] = None
 
 
-_GAME: dict = {}
+_GAME = memo_table()
 
 
 def _grouped(p: Process, mode: str) -> dict:
@@ -197,16 +198,13 @@ def _witness(single: Process, others: tuple, d: int, single_side: str,
 def bounded_bisim(p: Process, q: Process,
                   cfg: GameConfig = GameConfig()) -> GameResult:
     """Play the k-round game; distinguished results carry a witness."""
-    if cfg.depth < 0:
-        raise ValueError("depth must be non-negative")
-    if cfg.depth > cfg.cap:
-        raise DepthExceeded(f"depth {cfg.depth} exceeds cap {cfg.cap}")
+    check_depth(cfg.depth)
     cp, cq = canonicalize(process_of(p)), canonicalize(process_of(q))
     if _game_eq(cp, cq, cfg.depth, cfg.mode):
         return GameResult(True, cfg.depth)
     memo: dict = {}
     dist = None
-    for d in range(1, max(cfg.depth, cfg.cap) + 1):
+    for d in range(1, DEFAULT_DEPTH_CAP + 1):
         moves = _witness(cp, (cq,), d, "left", cfg.mode, memo)
         if moves is not None:
             dist = Distinguisher(moves)
@@ -247,25 +245,11 @@ def bounded_partition(procs: Sequence[Process], depth: int,
                       mode: str = "base") -> dict:
     """process -> class id of k-round equivalence, over a whole corpus.
 
-    Signature refinement stratified by remaining depth; agrees with
-    ``bounded_bisim`` verdicts pairwise (the suites cross-check this).
+    Signature refinement stratified by remaining depth (``bounded_class``);
+    agrees with ``bounded_bisim`` verdicts pairwise (the suites cross-check
+    this against ``_game_eq``, which shares no code with it).
     """
-    memo: dict = {}
-    intern: dict = {}
-
-    def cls(p: Process, d: int) -> int:
-        if d == 0:
-            return 0
-        k = (p, d)
-        got = memo.get(k)
-        if got is None:
-            sig = frozenset((lab.key, cls(dest, d - 1))
-                            for lab, dest in successors(p, mode))
-            got = intern.setdefault((d, sig), len(intern))
-            memo[k] = got
-        return got
-
-    return {p: cls(canonicalize(p), depth) for p in procs}
+    return {p: bounded_class(canonicalize(p), depth, mode) for p in procs}
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +678,9 @@ def lemma_suite_sharded(seed: int = 0, rounds: int = 120, shards: int = 4,
     if parallel and shards > 1:
         import concurrent.futures
         try:
-            with concurrent.futures.ProcessPoolExecutor(shards) as pool:
+            # every worker is forked at once, so never more than the CPUs
+            workers = min(shards, os.cpu_count() or 1)
+            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
                 reports = list(pool.map(_suite_shard, shard_args))
         except OSError:
             reports = None

@@ -20,14 +20,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .congruence import canonical_components, canonicalize, process_of
-from .lts import successors
-from .syntax import (Path, PrefixedTerm, Process, delete_at,
+from .lts import bounded_class
+from .syntax import (Path, PrefixedTerm, Process, delete_at, memo_table,
                      occurrences)
 
 __all__ = [
     "RewriteStep", "SeedResult", "ConvertibilityResult", "UniquenessError",
     "step_b1", "step_b2", "rewrites_to", "compute_seed", "convertible",
-    "seed_of", "clear_seed_cache",
+    "seed_of",
 ]
 
 
@@ -68,14 +68,13 @@ def _b1_match_table(target: Process) -> dict:
     return table
 
 
-def _deletions(state: Process, table: Optional[dict]):
-    """Every B1, then every B2 deletion from a canonical state.
+def _b1_deletions(state: Process, table: Optional[dict]):
+    """Every B1 deletion from a canonical state.
 
-    Yields (axiom, after, path, justification) with ``after`` canonical:
-    for B1 the deleted occurrence's path and the replicated component of
-    the target that justifies it, for B2 no path and the dropped component.
-    ``table`` is a ``_b1_match_table``; ``None`` deletes every occurrence
-    unguided.
+    Yields ("B1", after, path, justification) with ``after`` canonical, the
+    deleted occurrence's path and the replicated component of the target
+    that justifies it.  ``table`` is a ``_b1_match_table``; ``None``
+    deletes every occurrence unguided.
     """
     if table is None:
         for path, _occ in occurrences(state):
@@ -85,12 +84,22 @@ def _deletions(state: Process, table: Optional[dict]):
             just = table.get(occ)
             if just is not None:
                 yield "B1", canonicalize(delete_at(state, path)), path, just
+
+
+def _b2_deletions(state: Process):
+    """Every B2 deletion: ("B2", after, None, dropped component)."""
     reps = state.replicated
     for i, t in enumerate(reps):
         if (not i or t != reps[i - 1]) and reps.count(t) >= 2:
             remaining = list(reps)
             remaining.remove(t)
             yield "B2", canonicalize(Process(remaining, state.finite)), None, t
+
+
+def _deletions(state: Process, table: Optional[dict]):
+    """Every B1, then every B2 deletion from a canonical state."""
+    yield from _b1_deletions(state, table)
+    yield from _b2_deletions(state)
 
 
 def _step(before: Process, axiom: str, after: Process, path,
@@ -104,18 +113,17 @@ def step_b1(p: Process, target: Process) -> tuple:
     """All single B1 steps from p guided by target."""
     before = canonicalize(p)
     table = _b1_match_table(target)
-    return tuple(_step(before, *d) for d in _deletions(before, table)
-                 if d[0] == "B1")
+    return tuple(_step(before, *d) for d in _b1_deletions(before, table))
 
 
 def step_b2(p: Process) -> tuple:
     """All single B2 steps from p (one per duplicated replicated component)."""
     before = canonicalize(p)
-    return tuple(_step(before, *d) for d in _deletions(before, {}))
+    return tuple(_step(before, *d) for d in _b2_deletions(before))
 
 
 # Audit trail for termination checks: one (start size, states visited)
-# entry per guided search.  Cleared by clear_search_audit().
+# entry per guided search; empty it with search_audit.clear().
 search_audit: list = []
 
 
@@ -156,10 +164,6 @@ def _guided_search(p: Process, target: Process):
         search_audit.append((start.size, visited))
 
 
-def clear_search_audit() -> None:
-    search_audit.clear()
-
-
 def rewrites_to(p: Process, target: Process) -> Optional[tuple]:
     """A guided rewrite trace from p to target, or None if unreachable."""
     trace, _ = _guided_search(p, target)
@@ -168,27 +172,6 @@ def rewrites_to(p: Process, target: Process) -> Optional[tuple]:
 
 # ---------------------------------------------------------------------------
 # Seeds
-
-_SIG_CACHE: dict = {}
-
-
-def _shallow_sig(p: Process, depth: int):
-    """Depth-bounded transition signature, used to prune seed candidates.
-
-    A candidate whose behaviour already differs from p at depth 2 cannot be
-    reached by guided rewriting (a successful rewrite implies bisimilarity),
-    so it is skipped without running the search.
-    """
-    if depth == 0:
-        return 0
-    key = (p, depth)
-    cached = _SIG_CACHE.get(key)
-    if cached is None:
-        cached = frozenset((label.key, _shallow_sig(dest, depth - 1))
-                           for label, dest in successors(p, "base"))
-        _SIG_CACHE[key] = cached
-    return cached
-
 
 def _deletion_descendants(p: Process) -> dict:
     """All canonical processes reachable by unguided deletions, keyed by key."""
@@ -213,7 +196,11 @@ class SeedResult:
     candidates_checked: int = field(compare=False, default=0)
 
 
-_SEED_CACHE: dict = {}
+_SEED_CACHE = memo_table()
+
+# A candidate whose behaviour already differs from p at this depth cannot be
+# reached by guided rewriting (a successful rewrite implies bisimilarity), so
+# it is skipped without running the search.
 _PREFILTER_DEPTH = 2
 
 
@@ -241,7 +228,7 @@ def compute_seed(p: Process, order: str = "asc") -> SeedResult:
         # still smallest size first, only the within-size order flips
         candidates.sort(key=lambda c: c.size)
 
-    psig = _shallow_sig(start, _PREFILTER_DEPTH)
+    pcls = bounded_class(start, _PREFILTER_DEPTH)
     checked = 0
     by_size = {}
     for c in candidates:
@@ -250,7 +237,7 @@ def compute_seed(p: Process, order: str = "asc") -> SeedResult:
     for sz in sorted(by_size):
         verified = []
         for cand in by_size[sz]:
-            if _shallow_sig(cand, _PREFILTER_DEPTH) != psig:
+            if bounded_class(cand, _PREFILTER_DEPTH) != pcls:
                 continue
             checked += 1
             trace, _ = _guided_search(start, cand)
@@ -272,11 +259,6 @@ def compute_seed(p: Process, order: str = "asc") -> SeedResult:
 
 def seed_of(p: Process) -> Process:
     return compute_seed(p).seed
-
-
-def clear_seed_cache() -> None:
-    _SEED_CACHE.clear()
-    _SIG_CACHE.clear()
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 __all__ = [
-    "PLAIN", "INPUT", "OUTPUT",
+    "PLAIN", "INPUT", "OUTPUT", "Keyed", "memo_table", "clear_caches",
     "Action", "PrefixedTerm", "FiniteProcess", "Process", "Path",
     "ParseError", "StructureError",
     "parse", "render", "size", "alphabet", "apply_substitution",
@@ -63,10 +63,45 @@ class StructureError(Exception):
         self.position = position
 
 
-class Action:
+_MEMO_TABLES: list = []
+
+
+def memo_table() -> dict:
+    """A new module-level memo dict, registered for ``clear_caches``."""
+    table: dict = {}
+    _MEMO_TABLES.append(table)
+    return table
+
+
+def clear_caches() -> None:
+    """Empty the memo tables of every layer; results do not change."""
+    for table in _MEMO_TABLES:
+        table.clear()
+
+
+class Keyed:
+    """Identity by structural key: equal, hashed and ordered by ``key``.
+
+    Subclasses set ``key`` and ``_hash = hash(key)`` once, in ``__init__``;
+    two objects are equal when they are of the same class with equal keys.
+    """
+
+    __slots__ = ("key", "_hash")
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.key == other.key
+
+    def __hash__(self):
+        return self._hash
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+
+class Action(Keyed):
     """An action symbol: a name plus a polarity (plain, input or output)."""
 
-    __slots__ = ("name", "polarity", "_key", "_hash")
+    __slots__ = ("name", "polarity")
 
     def __init__(self, name: str, polarity: int = PLAIN):
         if not _NAME_RE.fullmatch(name):
@@ -75,27 +110,14 @@ class Action:
             raise ValueError(f"illegal polarity {polarity!r}")
         self.name = name
         self.polarity = polarity
-        self._key = (name, polarity)
-        self._hash = hash(self._key)
-
-    @property
-    def key(self):
-        return self._key
+        self.key = (name, polarity)
+        self._hash = hash(self.key)
 
     def co(self) -> "Action":
         """The complementary action (inputs and outputs swap)."""
         if self.polarity == PLAIN:
             raise ValueError("plain actions have no co-action")
         return Action(self.name, INPUT if self.polarity == OUTPUT else OUTPUT)
-
-    def __eq__(self, other):
-        return isinstance(other, Action) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self._key < other._key
 
     def __repr__(self):
         return f"Action({self!s})"
@@ -104,33 +126,20 @@ class Action:
         return "~" + self.name if self.polarity == OUTPUT else self.name
 
 
-class FiniteProcess:
+class FiniteProcess(Keyed):
     """A multiset of prefixed terms, kept as a tuple sorted by structural key."""
 
-    __slots__ = ("components", "size", "_key", "_hash")
+    __slots__ = ("components", "size")
 
     def __init__(self, components: Iterable["PrefixedTerm"] = ()):
-        comps = sorted(components, key=lambda t: t._key)
+        comps = sorted(components, key=lambda t: t.key)
         self.components = tuple(comps)
         self.size = sum(t.size for t in comps)
-        self._key = tuple(t._key for t in comps)
-        self._hash = hash(self._key)
-
-    @property
-    def key(self):
-        return self._key
+        self.key = tuple(t.key for t in comps)
+        self._hash = hash(self.key)
 
     def is_nil(self) -> bool:
         return not self.components
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteProcess) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self._key < other._key
 
     def __iter__(self) -> Iterator["PrefixedTerm"]:
         return iter(self.components)
@@ -142,10 +151,10 @@ class FiniteProcess:
         return f"FiniteProcess({render(self)!r})"
 
 
-class PrefixedTerm:
+class PrefixedTerm(Keyed):
     """action.body — the only non-trivial finite constructor."""
 
-    __slots__ = ("action", "body", "size", "_key", "_hash")
+    __slots__ = ("action", "body", "size")
 
     def __init__(self, action: Action, body: FiniteProcess = None):
         if body is None:
@@ -155,27 +164,14 @@ class PrefixedTerm:
         self.size = 1 + body.size
         # Size leads the key so small terms order first; acceptance rendering
         # depends on this (b.0 sorts before a.c.0).
-        self._key = (self.size, action.name, action.polarity, body._key)
-        self._hash = hash(self._key)
-
-    @property
-    def key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, PrefixedTerm) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self._key < other._key
+        self.key = (self.size, action.name, action.polarity, body.key)
+        self._hash = hash(self.key)
 
     def __repr__(self):
         return f"PrefixedTerm({_render_prefixed(self)!r})"
 
 
-class Process:
+class Process(Keyed):
     """Replicated components in parallel with a finite part.
 
     ``replicated`` holds the prefixed terms under a bang, ``finite`` the rest.
@@ -183,37 +179,24 @@ class Process:
     process counts prefixes only.
     """
 
-    __slots__ = ("replicated", "finite", "size", "_key", "_hash")
+    __slots__ = ("replicated", "finite", "size")
 
     def __init__(self, replicated: Iterable[PrefixedTerm] = (),
                  finite: Union[FiniteProcess, Iterable[PrefixedTerm]] = ()):
-        reps = sorted(replicated, key=lambda t: t._key)
+        reps = sorted(replicated, key=lambda t: t.key)
         if not isinstance(finite, FiniteProcess):
             finite = FiniteProcess(finite)
         self.replicated = tuple(reps)
         self.finite = finite
         self.size = sum(t.size for t in reps) + finite.size
-        self._key = (tuple(t._key for t in reps), finite._key)
-        self._hash = hash(self._key)
-
-    @property
-    def key(self):
-        return self._key
+        self.key = (tuple(t.key for t in reps), finite.key)
+        self._hash = hash(self.key)
 
     def is_finite(self) -> bool:
         return not self.replicated
 
     def is_nil(self) -> bool:
         return not self.replicated and self.finite.is_nil()
-
-    def __eq__(self, other):
-        return isinstance(other, Process) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self._key < other._key
 
     def __repr__(self):
         return f"Process({render(self)!r})"

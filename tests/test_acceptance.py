@@ -10,9 +10,10 @@ import random
 
 import pytest
 
+from ccseed import clear_caches
 from ccseed.cli import main
 from ccseed.congruence import (canonical_finite, canonical_key, canonicalize,
-                               clear_caches, congruent, process_of)
+                               congruent, process_of)
 from ccseed.corpus import (compose, default_actions, enumerate_finite,
                            enumerate_processes, make_redundant,
                            random_context, random_finite, random_process,
@@ -20,8 +21,8 @@ from ccseed.corpus import (compose, default_actions, enumerate_finite,
 from ccseed.oracle import (GameConfig, bounded_bisim, bounded_partition,
                            finite_bisim, finite_partition, lemma_suite_sharded,
                            replay_distinguisher)
-from ccseed.rewrite import (RewriteStep, clear_search_audit, clear_seed_cache,
-                            compute_seed, convertible, search_audit, seed_of)
+from ccseed.rewrite import (RewriteStep, compute_seed, convertible,
+                            search_audit, seed_of)
 from ccseed.syntax import (Action, FiniteProcess, PrefixedTerm, Process,
                            apply_substitution, parse, render)
 
@@ -151,9 +152,8 @@ def test_criterion_3_rewriting_agrees_with_bounded_game(base_bundle):
 
 
 def test_criterion_4_steps_shrink_and_searches_stay_bounded():
-    clear_seed_cache()
     clear_caches()
-    clear_search_audit()
+    search_audit.clear()
 
     rng = random.Random(4)
     work = enumerate_processes(5, ACTS_BASE)

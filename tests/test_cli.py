@@ -426,3 +426,36 @@ def test_fuzz_rejects_bad_arguments(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("right,depth,message", [
+    ("a.0", "99", "depth 99 exceeds cap 12"),
+    ("b.0", "99", "depth 99 exceeds cap 12"),
+    ("a.0", "-1", "depth must be non-negative"),
+    ("b.0", "-1", "depth must be non-negative"),
+], ids=["bisimilar-99", "different-99", "bisimilar-neg", "different-neg"])
+def test_check_rejects_oracle_depth_whatever_the_verdict(capsys, right, depth,
+                                                         message):
+    code, out, err = run(capsys, "check", "a.0", right,
+                         "--oracle-depth", depth)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+NESTED_PREFIXES = "a." * 450 + "0"
+NESTED_GROUPS = "(" * 450 + "a.0" + ")" * 450
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", NESTED_PREFIXES),
+    ("normalize", NESTED_GROUPS),
+    ("lts", NESTED_PREFIXES),
+    ("lts", NESTED_GROUPS),
+], ids=["normalize-prefixes", "normalize-groups", "lts-prefixes",
+        "lts-groups"])
+def test_450_nesting_levels_are_accepted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out

@@ -3,10 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccseed import corpus
+import ccseed
+from ccseed import congruence, corpus, lts, oracle, rewrite, syntax
 from ccseed.congruence import (canonical_finite, canonical_key, canonicalize,
-                               clear_caches, congruent, process_of)
-from ccseed.oracle import finite_bisim
+                               congruent, process_of)
+from ccseed.oracle import (GameConfig, bounded_bisim, bounded_partition,
+                           finite_bisim, finite_partition)
+from ccseed.rewrite import compute_seed
 from ccseed.syntax import FiniteProcess, Process, parse, render, size
 
 
@@ -139,8 +142,41 @@ def test_canonical_forms_identify_composed_redexes(seed):
     assert congruent(folded, unfolded)
 
 
+def _groups(partition: dict) -> set:
+    """The classes of a partition as sets of members (ids are arbitrary)."""
+    by_id: dict = {}
+    for x, cid in partition.items():
+        by_id.setdefault(cid, set()).add(x)
+    return {frozenset(members) for members in by_id.values()}
+
+
+def _memo_dicts():
+    return {f"{mod.__name__}.{name}": value
+            for mod in (congruence, lts, rewrite, oracle)
+            for name, value in vars(mod).items()
+            if isinstance(value, dict) and not name.startswith("__")}
+
+
 def test_clear_caches_keeps_results_stable():
     p = parse("a.(b.0|a.b.0) | !c.a.a.0")
-    before = render(canonicalize(p))
-    clear_caches()
-    assert render(canonicalize(p)) == before
+    procs = [p] + [parse(t) for t in ("!a.b.0 | !a.b.0 | a.b.0", "!a.b.0",
+                                      "a.a.0", "a.0 | a.0", "a.b.0")]
+    fins = [parse(t).finite for t in ("a.a.0", "a.0 | a.0", "a.b.0", "0")]
+
+    def run_all():
+        return (render(canonicalize(p)),
+                render(compute_seed(procs[1]).seed),
+                bounded_bisim(procs[1], procs[2], GameConfig(depth=4)),
+                bounded_bisim(procs[1], procs[5], GameConfig(depth=4)),
+                _groups(finite_partition(fins)),
+                _groups(bounded_partition(procs, 3)),
+                _groups(bounded_partition(procs, 2, "sync")))
+
+    before = run_all()
+    assert all(_memo_dicts().values())  # every layer cached something
+    ccseed.clear_caches()
+    registered = {id(t) for t in syntax._MEMO_TABLES}
+    assert all(not t for t in syntax._MEMO_TABLES)
+    assert {name for name, d in _memo_dicts().items()
+            if id(d) not in registered} == set()
+    assert run_all() == before

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from ccseed import corpus
 from ccseed.congruence import canonicalize, congruent
 from ccseed.lts import (DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU,
-                        reachable_within, reduct_k, successors, transitions,
-                        unfold)
+                        bounded_class, reachable_within, reduct_k, successors,
+                        transitions, unfold)
 from ccseed.syntax import Action, Process, parse, render
 
 
@@ -137,8 +137,6 @@ def test_unfold_stops_when_nothing_is_left():
 def test_unfold_validates_depth():
     with pytest.raises(DepthExceeded):
         unfold(parse("a.0"), DEFAULT_DEPTH_CAP + 1)
-    with pytest.raises(DepthExceeded):
-        unfold(parse("a.0"), 3, cap=2)
     with pytest.raises(ValueError):
         unfold(parse("a.0"), -1)
 
@@ -192,3 +190,12 @@ def test_sync_steps_consume_one_or_two_prefixes(seed):
     p = canonicalize(Process((), fp))
     for lab, dest in successors(p, "sync"):
         assert dest.size == p.size - (2 if lab.is_tau() else 1)
+
+
+def test_bounded_class_keeps_modes_apart():
+    # one memo table serves both modes; base mode ignores synchronisation,
+    # so only sync mode tells these two apart
+    p, q = (canonicalize(parse(t, "sync"))
+            for t in ("a.0|~a.0", "a.~a.0|~a.a.0"))
+    assert bounded_class(p, 2, "sync") != bounded_class(q, 2, "sync")
+    assert bounded_class(p, 2, "base") == bounded_class(q, 2, "base")

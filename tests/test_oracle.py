@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 
 import pytest
@@ -123,15 +125,28 @@ def test_replay_rejects_bogus_witness():
     assert not replay_distinguisher(p, q, bogus)
 
 
-def test_bounded_partition_matches_pairwise_games():
-    procs = [parse(t) for t in
-             ["0", "a.0", "a.a.0", "a.0|a.0", "!a.0", "!a.0|!a.0",
-              "!a.b.0", "!a.c.0", P1, P2, "b.0", "a.b.0"]]
-    part = bounded_partition(procs, 6)
+PARTITION_TERMS = {
+    "base": ["0", "a.0", "a.a.0", "a.0|a.0", "!a.0", "!a.0|!a.0",
+             "!a.b.0", "!a.c.0", P1, P2, "b.0", "a.b.0"],
+    "sync": ["0", "a.0", "~a.0", "a.0|~a.0", "a.~a.0|~a.a.0", "a.~a.0",
+             "!a.0|~a.0", "!a.0|~a.0|a.0", "!a.0|~a.0|~a.0", "!a.b.0|~a.0",
+             "!a.0|~a.b.0", "!~a.0|a.0", "a.(b.0|~b.0)", "~a.~a.~a.0",
+             "~a.~a.~a.~a.0", "b.b.(a.0|~a.0)", "b.b.(a.~a.0|~a.a.0)"],
+}
+
+
+# Depth 2 in base mode is the seed prefilter's use of bounded_class.
+@pytest.mark.parametrize("depth,mode", [(2, "base"), (6, "base"),
+                                        (2, "sync"), (6, "sync")],
+                         ids=["2-base", "6-base", "2-sync", "6-sync"])
+def test_bounded_partition_matches_pairwise_games(depth, mode):
+    procs = [parse(t, mode) for t in PARTITION_TERMS[mode]]
+    part = bounded_partition(procs, depth, mode)
+    cfg = GameConfig(depth=depth, mode=mode)
     for p in procs:
         for q in procs:
             same = part[p] == part[q]
-            assert same == bounded_bisim(p, q, GameConfig(depth=6)).equivalent
+            assert same == bounded_bisim(p, q, cfg).equivalent
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +251,31 @@ def test_sharded_suite_merges_deterministically():
     par = lemma_suite_sharded(seed=2, rounds=24, shards=3, parallel=True)
     assert seq.to_dict() == par.to_dict()
     assert seq.ok
+
+
+def test_sharded_suite_forks_at_most_one_worker_per_cpu(monkeypatch):
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = lemma_suite_sharded(seed=2, rounds=6, shards=6)
+    assert opened == [2]
+    assert report.to_dict() == lemma_suite_sharded(
+        seed=2, rounds=6, shards=6, parallel=False).to_dict()
 
 
 def test_sharded_suite_validates_shards():

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from ccseed import corpus
 from ccseed.congruence import canonicalize, congruent
 from ccseed.oracle import finite_bisim
-from ccseed.rewrite import (RewriteStep, UniquenessError, clear_search_audit,
-                            compute_seed, convertible, rewrites_to,
-                            search_audit, seed_of, step_b1, step_b2)
+from ccseed import rewrite
+from ccseed.rewrite import (RewriteStep, UniquenessError, compute_seed,
+                            convertible, rewrites_to, search_audit, seed_of,
+                            step_b1, step_b2)
 from ccseed.syntax import Process, parse, render
 
 P1 = "!a.(b.0|a.c.0) | !a.(c.0|a.b.0)"
@@ -55,6 +56,22 @@ def test_step_b1_deletes_under_prefixes():
 
 def test_step_b1_requires_target_justification():
     assert step_b1(parse("a.b.0 | c.0"), parse("!c.b.0")) == ()
+
+
+def test_step_b1_builds_no_b2_destinations(monkeypatch):
+    # B2 could drop either duplicated bang (two size-4 destinations); a B1
+    # step never needs them, so only p, the target and c.0's deletion are
+    # canonicalized.
+    sizes = []
+
+    def recording(p):
+        sizes.append(p.size)
+        return canonicalize(p)
+
+    monkeypatch.setattr(rewrite, "canonicalize", recording)
+    steps = step_b1(parse("!a.0|!a.0|!b.0|!b.0|c.0"), parse("!c.0"))
+    assert [render(s.after) for s in steps] == ["!a.0 | !a.0 | !b.0 | !b.0"]
+    assert sizes == [5, 1, 4]
 
 
 def test_step_b2_drops_duplicate_replicated_component():
@@ -184,7 +201,7 @@ def test_traces_shrink_monotonically(seed):
 
 
 def test_search_visits_stay_within_exponential_bound():
-    clear_search_audit()
+    search_audit.clear()
     rng = random.Random(11)
     for _ in range(200):
         p = corpus.random_process(rng, rng.randint(0, 8), ACTIONS)
