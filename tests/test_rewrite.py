@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccseed import corpus
+from ccseed.cli import _trace_json
 from ccseed.congruence import canonicalize, congruent
 from ccseed.oracle import finite_bisim
 from ccseed import rewrite
@@ -92,6 +95,8 @@ def test_rewrites_to_identity_and_failure():
 def test_rewrites_to_golden_pair():
     trace = rewrites_to(parse(P1), parse(P2))
     assert trace is not None and len(trace) > 0
+    for step in trace:
+        assert step in step_b1(step.before, parse(P2)) + step_b2(step.before)
     sizes = [step.before.size for step in trace] + [trace[-1].after.size]
     assert sizes == sorted(sizes, reverse=True)
     assert trace[-1].after == canonicalize(parse(P2))
@@ -196,8 +201,25 @@ def test_traces_shrink_monotonically(seed):
     for step in result.trace:
         assert step.before == cur
         assert step.after.size < step.before.size
+        assert step in (step_b1(step.before, result.seed)
+                        + step_b2(step.before))
         cur = step.after
     assert cur == result.seed
+
+
+def test_seeds_traces_and_counts_match_recorded_digest():
+    # Recorded before the guided searches were shared across candidates:
+    # seeds, candidate counts and traces of the exhaustive size-<=5 corpus,
+    # in both enumeration orders, must not change with the search's shape.
+    digest = hashlib.sha256()
+    for p in corpus.enumerate_processes(5, ACTIONS):
+        for order in ("asc", "desc"):
+            res = compute_seed(p, order)
+            digest.update(json.dumps([render(res.seed), res.candidates_checked,
+                                      _trace_json(res.trace)]).encode()
+                          + b"\n")
+    assert digest.hexdigest() == (
+        "c4e0f386398e5df9a5b50d7db16910a00bf93fdb136bc393a0556ebe57653ab2")
 
 
 def test_search_visits_stay_within_exponential_bound():
