@@ -255,10 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=cmd_lts)
 
     sp = sub.add_parser("fuzz", help="run the property suite")
-    sp.add_argument("--sync", action="store_true",
-                    help="synchronised calculus: ~a outputs, tau moves")
-    sp.add_argument("--json", action="store_true",
-                    help="emit a JSON document instead of text")
+    common(sp, ())
     sp.add_argument("--seed", type=int, default=0, metavar="N",
                     help="random seed (default 0)")
     sp.add_argument("--rounds", type=int, default=120, metavar="N",
@@ -286,10 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         stdin_lines = sys.stdin.read().splitlines()
     try:
         return args.run(args, stdin_lines)
-    except (ParseError, StructureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DepthExceeded, ValueError) as exc:
+    except (ParseError, StructureError, DepthExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -263,6 +263,18 @@ def _require_replicated_only(s: Process) -> Process:
     return s
 
 
+def _derivatives(start: Process) -> set:
+    """Every canonical state a canonical process reaches in base mode."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for _lab, dest in successors(stack.pop(), "base"):
+            if dest not in seen:
+                seen.add(dest)
+                stack.append(dest)
+    return seen
+
+
 def dis_check(s: Process, f: Union[FiniteProcess, Process]) -> bool:
     """No derivative of f is congruent to a replicated body of s.
 
@@ -270,25 +282,9 @@ def dis_check(s: Process, f: Union[FiniteProcess, Process]) -> bool:
     could have spawned as a guarded copy.
     """
     s = _require_replicated_only(s)
-    targets = {canonicalize(process_of(t)).key for t in s.replicated}
-    if not targets:
-        return True
-    start = canonicalize(process_of(_as_finite(f)))
-    if start.key in targets:
-        return False
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for _lab, dest in successors(x, "base"):
-                if dest not in seen:
-                    if dest.key in targets:
-                        return False
-                    seen.add(dest)
-                    nxt.append(dest)
-        frontier = nxt
-    return True
+    targets = {canonicalize(process_of(t)) for t in s.replicated}
+    return not targets or targets.isdisjoint(
+        _derivatives(canonicalize(process_of(_as_finite(f)))))
 
 
 def purg_check(s: Process, r: Union[FiniteProcess, Process]) -> bool:
@@ -304,18 +300,8 @@ def purg_check(s: Process, r: Union[FiniteProcess, Process]) -> bool:
     rc = canonical_finite(_as_finite(r))
     if rc.is_nil():
         return True
-    deriv_keys = set()
-    for t in set(s.replicated):
-        start = canonicalize(Process((), t.body))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            deriv_keys.add(x.key)
-            for _lab, dest in successors(x, "base"):
-                if dest not in seen:
-                    seen.add(dest)
-                    stack.append(dest)
+    derivs = set().union(*(_derivatives(canonicalize(Process((), t.body)))
+                           for t in set(s.replicated)))
     memo: dict = {}
 
     def can_split(comps: tuple) -> bool:
@@ -329,7 +315,7 @@ def purg_check(s: Process, r: Union[FiniteProcess, Process]) -> bool:
         ok = False
         for mask in range(1 << m):
             group = [first] + [rest[i] for i in range(m) if mask >> i & 1]
-            if Process((), FiniteProcess(group)).key in deriv_keys:
+            if Process((), FiniteProcess(group)) in derivs:
                 remaining = tuple(rest[i] for i in range(m)
                                   if not mask >> i & 1)
                 if can_split(remaining):

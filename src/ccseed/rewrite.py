@@ -11,12 +11,14 @@ of a process is the smallest process it rewrites to when guided by that very
 process; seeds are unique modulo the congruence, and two processes are
 bisimilar exactly when their seeds are congruent.  ``compute_seed``
 enumerates deletion descendants smallest-first and verifies each candidate
-by a guided search; ``convertible`` compares the seeds of both sides.
+against one guided exploration per guide table; ``convertible`` compares
+the seeds of both sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional
 
 from .congruence import canonical_components, canonicalize, process_of
@@ -123,71 +125,56 @@ def step_b2(p: Process) -> tuple:
 
 
 # Audit trail for termination checks: one (start size, states visited)
-# entry per guided search; empty it with search_audit.clear().
+# entry per guided exploration; empty it with search_audit.clear().
 search_audit: list = []
 
 
-def _guided_search(p: Process, target: Process):
-    """(trace to target or None, number of states visited)."""
-    start = canonicalize(p)
-    goal = canonicalize(target)
-    if start == goal:
-        search_audit.append((start.size, 1))
-        return (), 1
-    table = _b1_match_table(goal)
+def _explore(start: Process, table: Optional[dict], floor: int = 0) -> dict:
+    """Breadth-first closure of a canonical state under deletions.
+
+    Maps every state of size at least ``floor`` that B1 (guided by the
+    ``_b1_match_table`` ``table``, unguided when it is None) and B2 reach
+    from ``start`` to its first-discovery ``(parent, axiom, path,
+    justification)``; ``start`` maps to None.  Deletions only shrink a
+    state, so states below a goal's size are never on its way and the
+    goal's ancestry does not depend on the floor.
+    """
     parents = {start: None}
-    frontier = [start]
-    visited = 1
-    try:
-        while frontier:
-            nxt = []
-            for state in frontier:
-                # Expanded in full before the goal test, so perfbench's traced
-                # counts stay comparable; stopping early is a separate change.
-                for axiom, after, path, just in tuple(
-                        _deletions(state, table)):
-                    if after in parents or after.size < goal.size:
-                        continue
-                    parents[after] = (state, axiom, path, just)
-                    visited += 1
-                    if after == goal:
-                        trace = []
-                        while parents[after] is not None:
-                            prev, axiom, path, just = parents[after]
-                            trace.append(_step(prev, axiom, after, path, just))
-                            after = prev
-                        return tuple(reversed(trace)), visited
-                    nxt.append(after)
-            frontier = nxt
-        return None, visited
-    finally:
-        search_audit.append((start.size, visited))
-
-
-def rewrites_to(p: Process, target: Process) -> Optional[tuple]:
-    """A guided rewrite trace from p to target, or None if unreachable."""
-    trace, _ = _guided_search(p, target)
-    return trace
-
-
-# ---------------------------------------------------------------------------
-# Seeds
-
-def _deletion_descendants(p: Process) -> dict:
-    """All canonical processes reachable by unguided deletions, keyed by key."""
-    start = canonicalize(p)
-    out = {start.key: start}
     frontier = [start]
     while frontier:
         nxt = []
         for state in frontier:
-            for _axiom, r, _path, _just in _deletions(state, None):
-                if r.key not in out:
-                    out[r.key] = r
-                    nxt.append(r)
+            for axiom, after, path, just in _deletions(state, table):
+                if after.size >= floor and after not in parents:
+                    parents[after] = (state, axiom, path, just)
+                    nxt.append(after)
         frontier = nxt
-    return out
+    if table is not None:
+        search_audit.append((start.size, len(parents)))
+    return parents
 
+
+def _trace(parents: dict, goal: Process) -> Optional[tuple]:
+    """The steps from an exploration's start to ``goal``, or None."""
+    if goal not in parents:
+        return None
+    trace = []
+    while parents[goal] is not None:
+        prev, axiom, path, just = parents[goal]
+        trace.append(_step(prev, axiom, goal, path, just))
+        goal = prev
+    return tuple(reversed(trace))
+
+
+def rewrites_to(p: Process, target: Process) -> Optional[tuple]:
+    """A guided rewrite trace from p to target, or None if unreachable."""
+    goal = canonicalize(target)
+    return _trace(_explore(canonicalize(p), _b1_match_table(goal),
+                           goal.size), goal)
+
+
+# ---------------------------------------------------------------------------
+# Seeds
 
 @dataclass(frozen=True)
 class SeedResult:
@@ -221,38 +208,34 @@ def compute_seed(p: Process, order: str = "asc") -> SeedResult:
     if cached is not None:
         return cached
 
-    candidates = sorted(_deletion_descendants(start).values(),
-                        key=lambda c: (c.size, c.key),
-                        reverse=(order == "desc"))
-    if order == "desc":
-        # still smallest size first, only the within-size order flips
-        candidates.sort(key=lambda c: c.size)
-
     pcls = bounded_class(start, _PREFILTER_DEPTH)
     checked = 0
-    by_size = {}
-    for c in candidates:
-        by_size.setdefault(c.size, []).append(c)
-    result = None
-    for sz in sorted(by_size):
+    # One guided exploration per guide table, i.e. per replicated part of a
+    # candidate, floored at the first (smallest) such candidate's size.
+    guided = {}
+    candidates = sorted(_explore(start, None), key=lambda c: (c.size, c.key))
+    for _size, group in groupby(candidates, key=lambda c: c.size):
+        if order == "desc":
+            group = reversed(list(group))
         verified = []
-        for cand in by_size[sz]:
+        for cand in group:
             if bounded_class(cand, _PREFILTER_DEPTH) != pcls:
                 continue
             checked += 1
-            trace, _ = _guided_search(start, cand)
+            parents = guided.get(cand.replicated)
+            if parents is None:
+                parents = guided[cand.replicated] = _explore(
+                    start, _b1_match_table(cand), cand.size)
+            trace = _trace(parents, cand)
             if trace is not None:
                 verified.append((cand, trace))
-        if verified:
-            if len(verified) > 1:
-                raise UniquenessError(
-                    "distinct minimal seeds for "
-                    f"{start!r}: {[v[0] for v in verified]!r}")
-            cand, trace = verified[0]
-            result = SeedResult(cand, trace, checked)
+        if verified:  # p itself verifies, so some size class does
             break
-    if result is None:  # unreachable: p itself always verifies
-        result = SeedResult(start, (), checked)
+    if len(verified) > 1:
+        raise UniquenessError(
+            "distinct minimal seeds for "
+            f"{start!r}: {[v[0] for v in verified]!r}")
+    result = SeedResult(*verified[0], checked)
     _SEED_CACHE[cache_key] = result
     return result
 

@@ -316,7 +316,8 @@ def parse(text: str, mode: str = "base") -> Process:
 
     ``mode`` is "base" (plain actions, ~ rejected) or "sync" (bare names are
     inputs, ~name outputs).  Raises ParseError on malformed text and
-    StructureError on grammar-constraint violations.
+    StructureError on grammar-constraint violations and on nesting too deep
+    for the recursive parser.
     """
     if mode not in ("base", "sync"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -324,7 +325,10 @@ def parse(text: str, mode: str = "base") -> Process:
     p.skip_ws()
     if p.peek() == "":
         raise p.error("empty input")
-    result = p.process(top_level=True)
+    try:
+        result = p.process(top_level=True)
+    except RecursionError:  # the parser recurses once per nesting level
+        raise StructureError("term nested too deeply") from None
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input")

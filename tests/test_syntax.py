@@ -91,6 +91,15 @@ def test_parens_at_top_level_preserve_replication():
         parse("a.(b.0|!c.0)")
 
 
+@pytest.mark.parametrize("deep", [
+    "a." * 2000 + "0", "(" * 600 + "0" + ")" * 600,
+    "!a.(" + "b.(" * 600 + "0" + ")" * 601,
+], ids=["prefixes", "parentheses", "replicated-body"])
+def test_parse_reports_deep_nesting_as_structure_error(deep):
+    with pytest.raises(StructureError, match="^term nested too deeply$"):
+        parse(deep)
+
+
 def test_parse_mode_validation():
     with pytest.raises(ValueError):
         parse("a.0", mode="weird")
