@@ -459,3 +459,82 @@ def test_450_nesting_levels_are_accepted(capsys, argv):
     assert code == 0
     assert err == ""
     assert out
+
+
+HELP = {
+    "check": """\
+usage: ccs check [-h] [--sync] [--json] [--oracle] [--oracle-depth N]
+                 [--trace]
+                 left right
+
+positional arguments:
+  left              process term, or - to read stdin
+  right             process term, or - to read stdin
+
+options:
+  -h, --help        show this help message and exit
+  --sync            synchronised calculus: ~a outputs, tau moves
+  --json            emit a JSON document instead of text
+  --oracle          cross-check with the bounded game oracle
+  --oracle-depth N  game rounds for the oracle (default 6)
+  --trace           include the rewrite traces
+""",
+    "seed": """\
+usage: ccs seed [-h] [--sync] [--json] [--trace] term
+
+positional arguments:
+  term        process term, or - to read stdin
+
+options:
+  -h, --help  show this help message and exit
+  --sync      synchronised calculus: ~a outputs, tau moves
+  --json      emit a JSON document instead of text
+  --trace     include the rewrite trace
+""",
+    "normalize": """\
+usage: ccs normalize [-h] [--sync] [--json] term
+
+positional arguments:
+  term        process term, or - to read stdin
+
+options:
+  -h, --help  show this help message and exit
+  --sync      synchronised calculus: ~a outputs, tau moves
+  --json      emit a JSON document instead of text
+""",
+    "lts": """\
+usage: ccs lts [-h] [--sync] [--json] [--depth N] term
+
+positional arguments:
+  term        process term, or - to read stdin
+
+options:
+  -h, --help  show this help message and exit
+  --sync      synchronised calculus: ~a outputs, tau moves
+  --json      emit a JSON document instead of text
+  --depth N   unfold depth (default 1, cap 12)
+""",
+    "fuzz": """\
+usage: ccs fuzz [-h] [--sync] [--json] [--seed N] [--rounds N] [--shards N]
+                [--max-size N] [--alphabet N]
+
+options:
+  -h, --help    show this help message and exit
+  --sync        synchronised calculus: ~a outputs, tau moves
+  --json        emit a JSON document instead of text
+  --seed N      random seed (default 0)
+  --rounds N    suite rounds (default 120)
+  --shards N    worker shards (default 4)
+  --max-size N  largest generated process (default 5, cap 8)
+  --alphabet N  action alphabet size (default 2)
+""",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(HELP))
+def test_help_golden(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    code, out, err = run(capsys, verb, "--help")
+    assert code == 0
+    assert err == ""
+    assert out == HELP[verb]

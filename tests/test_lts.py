@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -58,6 +60,43 @@ def test_sync_tau_with_replication():
     assert ("tau", "!a.0 | b.0") in p
     q = succ_strs("!a.0|!~a.0", "sync")
     assert ("tau", "!a.0 | !~a.0") in q
+
+
+def test_sync_successors_of_every_handshake_kind():
+    # finite x finite, finite x replicated and replicated x replicated
+    # handshakes, next to a finite component present twice
+    p = parse("a.0 | a.0 | ~a.b.0 | !~a.0 | !a.c.0", "sync")
+    assert [(str(lab), render(dest)) for lab, dest in successors(p, "sync")] == [
+        ("a", "!~a.0 | !a.c.0 | a.0 | a.0 | c.0 | ~a.b.0"),
+        ("a", "!~a.0 | !a.c.0 | a.0 | ~a.b.0"),
+        ("~a", "!~a.0 | !a.c.0 | a.0 | a.0 | b.0"),
+        ("~a", "!~a.0 | !a.c.0 | a.0 | a.0 | ~a.b.0"),
+        ("tau", "!~a.0 | !a.c.0 | a.0 | a.0 | b.0 | c.0"),
+        ("tau", "!~a.0 | !a.c.0 | a.0 | a.0 | c.0 | ~a.b.0"),
+        ("tau", "!~a.0 | !a.c.0 | a.0 | b.0"),
+        ("tau", "!~a.0 | !a.c.0 | a.0 | ~a.b.0"),
+    ]
+
+
+def test_successor_lists_match_recorded_digest():
+    # Recorded before the firing rule was rewritten: every successor list,
+    # in both modes, of the exhaustive size-<=5 base corpus (2 actions) and
+    # the size-<=4 sync corpus over a, ~a, b, ~b (5839 processes).
+    digest = hashlib.sha256()
+    edges = 0
+    for acts, max_size in ((corpus.default_actions(2, "base"), 5),
+                           (corpus.default_actions(4, "sync"), 4)):
+        for p in corpus.enumerate_processes(max_size, acts):
+            for mode in ("base", "sync"):
+                succ = successors(p, mode)
+                edges += len(succ)
+                digest.update(json.dumps(
+                    [render(p), mode,
+                     [[str(lab), render(dest)] for lab, dest in succ]]
+                ).encode() + b"\n")
+    assert edges == 32331
+    assert digest.hexdigest() == (
+        "d6e53973238a6185e7d153fac717bb052274b5375eca54c87f74807c8bdb6a36")
 
 
 def test_no_tau_in_base_mode():

@@ -1,4 +1,6 @@
 import concurrent.futures
+import hashlib
+import json
 import os
 import random
 
@@ -64,6 +66,19 @@ def test_finite_partition_groups_equivalent_terms():
 
 # ---------------------------------------------------------------------------
 # bounded game
+
+
+def test_sync_finite_partition_matches_recorded_blocks():
+    # Recorded before the finite engine's firing rule was rewritten: the
+    # sync-mode classes of every finite process of size <= 4 over a, ~a, b, ~b.
+    fps = corpus.enumerate_finite(4, corpus.default_actions(4, "sync"))
+    blocks: dict = {}
+    for fp, cid in finite_partition(fps, "sync").items():
+        blocks.setdefault(cid, []).append(render(fp))
+    blocks = sorted(sorted(b) for b in blocks.values())
+    assert (len(fps), len(blocks)) == (1718, 1340)
+    assert hashlib.sha256(json.dumps(blocks).encode()).hexdigest() == (
+        "eb83a18d757f0dd724c2c4de261d950e217835a4b1ee0b9099027436ddce216e")
 
 
 def test_bounded_bisim_distinguishes_at_depth_two():
