@@ -78,14 +78,13 @@ def _emit(doc: dict, as_json: bool, text_lines: List[str]) -> None:
 
 
 def cmd_check(args, stdin_lines: List[str]) -> int:
-    mode = "sync" if args.sync else "base"
-    p = parse(_read_term(args.left, stdin_lines), mode)
-    q = parse(_read_term(args.right, stdin_lines), mode)
+    p = parse(_read_term(args.left, stdin_lines), args.mode)
+    q = parse(_read_term(args.right, stdin_lines), args.mode)
     check_depth(args.oracle_depth)  # exits 2 whatever the verdict would be
     result = convertible(p, q)
     doc: dict = {
         "verb": "check",
-        "mode": mode,
+        "mode": args.mode,
         "left": render(canonicalize(process_of(p))),
         "right": render(canonicalize(process_of(q))),
         "equivalent": result.equivalent,
@@ -110,7 +109,7 @@ def cmd_check(args, stdin_lines: List[str]) -> int:
     game = None
     if args.oracle or not result.equivalent:
         game = bounded_bisim(p, q, GameConfig(depth=args.oracle_depth,
-                                              mode=mode))
+                                              mode=args.mode))
     if args.oracle:
         doc["oracle"] = {
             "depth": args.oracle_depth,
@@ -133,12 +132,11 @@ def cmd_check(args, stdin_lines: List[str]) -> int:
 
 
 def cmd_seed(args, stdin_lines: List[str]) -> int:
-    mode = "sync" if args.sync else "base"
-    p = parse(_read_term(args.term, stdin_lines), mode)
+    p = parse(_read_term(args.term, stdin_lines), args.mode)
     result = compute_seed(p)
     doc = {
         "verb": "seed",
-        "mode": mode,
+        "mode": args.mode,
         "input": render(canonicalize(process_of(p))),
         "seed": render(result.seed),
         "sizeBefore": process_of(p).size,
@@ -154,23 +152,21 @@ def cmd_seed(args, stdin_lines: List[str]) -> int:
 
 
 def cmd_normalize(args, stdin_lines: List[str]) -> int:
-    mode = "sync" if args.sync else "base"
     raw = _read_term(args.term, stdin_lines)
-    p = parse(raw, mode)
+    p = parse(raw, args.mode)
     canon = render(canonicalize(process_of(p)))
-    doc = {"verb": "normalize", "mode": mode, "input": raw.strip(),
+    doc = {"verb": "normalize", "mode": args.mode, "input": raw.strip(),
            "canonical": canon}
     _emit(doc, args.json, [canon])
     return EXIT_OK
 
 
 def cmd_lts(args, stdin_lines: List[str]) -> int:
-    mode = "sync" if args.sync else "base"
-    order, edges = unfold(parse(_read_term(args.term, stdin_lines), mode),
-                          args.depth, mode)
+    order, edges = unfold(parse(_read_term(args.term, stdin_lines), args.mode),
+                          args.depth, args.mode)
     doc = {
         "verb": "lts",
-        "mode": mode,
+        "mode": args.mode,
         "process": render(order[0]),
         "depth": args.depth,
         "states": [render(s) for s in order],
@@ -187,22 +183,21 @@ def cmd_lts(args, stdin_lines: List[str]) -> int:
 
 
 def cmd_fuzz(args, stdin_lines: List[str]) -> int:
-    mode = "sync" if args.sync else "base"
     if args.max_size > 8:
         raise DepthExceeded(f"max-size {args.max_size} exceeds cap 8")
     if args.max_size < 1:
         raise ValueError("max-size must be positive")
     if args.rounds < 1:
         raise ValueError("rounds must be positive")
-    names = 26 if mode == "base" else 52  # sync mode pairs a and ~a
+    names = 26 if args.mode == "base" else 52  # sync mode pairs a and ~a
     if not 1 <= args.alphabet <= names:
         raise ValueError(f"alphabet {args.alphabet} outside 1..{names}")
     report = lemma_suite_sharded(seed=args.seed, rounds=args.rounds,
                                  shards=args.shards, max_size=args.max_size,
-                                 action_count=args.alphabet, mode=mode)
+                                 action_count=args.alphabet, mode=args.mode)
     doc = report.to_dict()
     doc["verb"] = "fuzz"
-    lines = [f"fuzz seed={args.seed} rounds={args.rounds} mode={mode}"]
+    lines = [f"fuzz seed={args.seed} rounds={args.rounds} mode={args.mode}"]
     for name, st in report.properties.items():
         lines.append(f"  {name}: instances={st.instances} hits={st.hits} "
                      f"counterexamples={len(st.counterexamples)}")
@@ -223,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, term_args):
         for name in term_args:
             sp.add_argument(name, help="process term, or - to read stdin")
-        sp.add_argument("--sync", action="store_true",
+        sp.add_argument("--sync", dest="mode", action="store_const",
+                        const="sync", default="base",
                         help="synchronised calculus: ~a outputs, tau moves")
         sp.add_argument("--json", action="store_true",
                         help="emit a JSON document instead of text")

@@ -110,14 +110,7 @@ def random_process(rng: random.Random, size: int, actions: Sequence[Action],
     if not replication or size == 0:
         return Process((), random_finite(rng, size, actions))
     rep_total = rng.randint(0, size)
-    reps = []
-    remaining = rep_total
-    while remaining:
-        chunk = rng.randint(1, remaining)
-        body_size = rng.randint(0, chunk - 1)
-        reps.append(PrefixedTerm(rng.choice(actions),
-                                 random_finite(rng, body_size, actions)))
-        remaining -= 1 + body_size
+    reps = random_finite(rng, rep_total, actions).components
     return Process(reps, random_finite(rng, size - rep_total, actions))
 
 
@@ -148,9 +141,6 @@ class Context:
     def plug(self, terms: Iterable[PrefixedTerm]) -> Process:
         return insert_at(self.base, (self.area, self.rep_index, self.steps),
                          tuple(terms))
-
-    def is_finite(self) -> bool:
-        return self.base.is_finite() and self.area == "finite"
 
 
 def insert_at(p: Process, slot: tuple, terms: tuple) -> Process:

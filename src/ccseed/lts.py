@@ -12,11 +12,10 @@ transition relation is finitely branching and stable under the congruence.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .congruence import canonicalize
-from .syntax import (INPUT, OUTPUT, Action, Keyed, PrefixedTerm, Process,
-                     memo_table)
+from .syntax import Action, Keyed, Process, check_mode, memo_table
 
 __all__ = [
     "Label", "TAU", "Transition", "DepthExceeded", "DEFAULT_DEPTH_CAP",
@@ -72,69 +71,40 @@ class Transition(NamedTuple):
     destination: Process
 
 
-def _co_fires(a: Action, b: Action) -> bool:
-    return (a.name == b.name
-            and {a.polarity, b.polarity} == {INPUT, OUTPUT})
-
-
-def _spawn(fin_components: tuple, drop: Iterable[int], add: Iterable[PrefixedTerm]):
-    keep = [c for i, c in enumerate(fin_components) if i not in drop]
-    keep.extend(add)
-    return keep
-
-
 _SUCC_CACHE = memo_table()
 
 
 def successors(p: Process, mode: str = "base") -> tuple:
-    """Deduplicated (label, canonical destination) pairs, sorted."""
+    """Deduplicated (label, canonical destination) pairs, sorted.
+
+    Each distinct component fires once; a finite one is consumed, a
+    replicated one persists.  In sync mode each handshaking pair of them
+    also fires once, together, as one tau.
+    """
     key = (p, mode)
     cached = _SUCC_CACHE.get(key)
     if cached is not None:
         return cached
+    check_mode(mode)
 
     fin = p.finite.components
     reps = p.replicated
-    seen = {}
-
-    def add(label: Label, replicated, finite_comps):
-        dest = canonicalize(Process(replicated, finite_comps))
-        seen[(label.key, dest.key)] = (label, dest)
-
-    for i, c in enumerate(fin):
-        if i and c == fin[i - 1]:
-            continue  # same firing as the previous copy
-        add(Label(c.action), reps,
-            _spawn(fin, (i,), c.body.components))
-    fired_reps = set()
-    for t in reps:
-        if t in fired_reps:
-            continue
-        fired_reps.add(t)
-        add(Label(t.action), reps, _spawn(fin, (), t.body.components))
-
+    firers = [(c.action, c.body.components, i) for i, c in enumerate(fin)
+              if not (i and c == fin[i - 1])]
+    firers += [(t.action, t.body.components, None)
+               for i, t in enumerate(reps) if not (i and t == reps[i - 1])]
+    moves = [(Label(act), (i,), body) for act, body, i in firers]
     if mode == "sync":
-        for i, c1 in enumerate(fin):
-            for j in range(i + 1, len(fin)):
-                c2 = fin[j]
-                if _co_fires(c1.action, c2.action):
-                    add(TAU, reps,
-                        _spawn(fin, (i, j),
-                               c1.body.components + c2.body.components))
-            for t in reps:
-                if _co_fires(c1.action, t.action):
-                    add(TAU, reps,
-                        _spawn(fin, (i,),
-                               c1.body.components + t.body.components))
-        for a in range(len(reps)):
-            for b in range(a + 1, len(reps)):
-                if _co_fires(reps[a].action, reps[b].action):
-                    add(TAU, reps,
-                        _spawn(fin, (),
-                               reps[a].body.components + reps[b].body.components))
-    elif mode != "base":
-        raise ValueError(f"unknown mode {mode!r}")
+        moves += [(TAU, (i, j), body + other)
+                  for n, (act, body, i) in enumerate(firers)
+                  for other_act, other, j in firers[n + 1:]
+                  if act.handshakes(other_act)]
 
+    seen = {}
+    for label, consumed, spawned in moves:
+        kept = [c for i, c in enumerate(fin) if i not in consumed]
+        dest = canonicalize(Process(reps, kept + list(spawned)))
+        seen[(label.key, dest.key)] = (label, dest)
     result = tuple(seen[k] for k in sorted(seen))
     _SUCC_CACHE[key] = result
     return result
@@ -175,6 +145,7 @@ def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
     fewer than ``depth`` steps, grouped by source in that same order.
     """
     check_depth(depth)
+    check_mode(mode)
     start = canonicalize(p)
     states = [start]
     seen = {start}
@@ -214,6 +185,7 @@ def bounded_class(p: Process, depth: int, mode: str = "base") -> int:
     ``clear_caches`` re-interns them.
     """
     if depth == 0:
+        check_mode(mode)
         return 0
     key = (p, depth, mode)
     got = _CLASS.get(key)

@@ -23,8 +23,8 @@ from .congruence import canonical_finite, canonicalize, process_of
 from .lts import (DEFAULT_DEPTH_CAP, Label, TAU, bounded_class, check_depth,
                   successors)
 from .rewrite import compute_seed, convertible
-from .syntax import (INPUT, OUTPUT, FiniteProcess, PrefixedTerm,
-                     Process, apply_substitution, memo_table, render)
+from .syntax import (FiniteProcess, PrefixedTerm, Process,
+                     apply_substitution, check_mode, memo_table, render)
 
 __all__ = [
     "GameConfig", "GameResult", "Move", "Distinguisher",
@@ -50,22 +50,17 @@ def _as_finite(f: Union[FiniteProcess, Process]) -> FiniteProcess:
 
 def _finite_successors(fp: FiniteProcess, mode: str) -> tuple:
     comps = fp.components
-    out = {}
-    for i, c in enumerate(comps):
-        if i and c == comps[i - 1]:
-            continue
-        dest = FiniteProcess(comps[:i] + comps[i + 1:] + c.body.components)
-        out[((0, c.action.key), dest.key)] = (Label(c.action), dest)
+    firers = [i for i, c in enumerate(comps) if not (i and c == comps[i - 1])]
+    moves = [(Label(comps[i].action), (i,)) for i in firers]
     if mode == "sync":
-        for i, c1 in enumerate(comps):
-            for j in range(i + 1, len(comps)):
-                c2 = comps[j]
-                if (c1.action.name == c2.action.name and
-                        {c1.action.polarity, c2.action.polarity} == {INPUT, OUTPUT}):
-                    rest = comps[:i] + comps[i + 1:j] + comps[j + 1:]
-                    dest = FiniteProcess(rest + c1.body.components
-                                         + c2.body.components)
-                    out[((1, None), dest.key)] = (TAU, dest)
+        moves += [(TAU, (i, j)) for n, i in enumerate(firers)
+                  for j in firers[n + 1:]
+                  if comps[i].action.handshakes(comps[j].action)]
+    out = {}
+    for label, fired in moves:
+        dest = FiniteProcess([c for k, c in enumerate(comps) if k not in fired]
+                             + [b for k in fired for b in comps[k].body])
+        out[(label.key, dest.key)] = (label, dest)
     return tuple(out.values())
 
 
@@ -87,12 +82,14 @@ def _finite_class(fp: FiniteProcess, mode: str) -> int:
 
 def finite_bisim(f1, f2, mode: str = "base") -> bool:
     """Exact strong bisimilarity of two finite processes."""
+    check_mode(mode)
     return (_finite_class(_as_finite(f1), mode)
             == _finite_class(_as_finite(f2), mode))
 
 
 def finite_partition(fps: Sequence[FiniteProcess], mode: str = "base") -> dict:
     """fp -> bisimilarity class id, for a whole corpus at once."""
+    check_mode(mode)
     return {fp: _finite_class(fp, mode) for fp in fps}
 
 
@@ -199,6 +196,7 @@ def bounded_bisim(p: Process, q: Process,
                   cfg: GameConfig = GameConfig()) -> GameResult:
     """Play the k-round game; distinguished results carry a witness."""
     check_depth(cfg.depth)
+    check_mode(cfg.mode)
     cp, cq = canonicalize(process_of(p)), canonicalize(process_of(q))
     if _game_eq(cp, cq, cfg.depth, cfg.mode):
         return GameResult(True, cfg.depth)
@@ -215,6 +213,7 @@ def bounded_bisim(p: Process, q: Process,
 def replay_distinguisher(p: Process, q: Process, dist: Distinguisher,
                          mode: str = "base") -> bool:
     """Check a distinguisher: every defender branch must die before the end."""
+    check_mode(mode)
 
     def run(single: Process, others: tuple, single_side: str,
             moves: tuple) -> bool:
@@ -249,6 +248,7 @@ def bounded_partition(procs: Sequence[Process], depth: int,
     agrees with ``bounded_bisim`` verdicts pairwise (the suites cross-check
     this against ``_game_eq``, which shares no code with it).
     """
+    check_mode(mode)
     return {p: bounded_class(canonicalize(p), depth, mode) for p in procs}
 
 
@@ -418,6 +418,7 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
     replay.  Hypothesis-laden properties mix constructive instances (the
     hypothesis holds by construction) with random probes.
     """
+    check_mode(mode)
     rng = random.Random(seed)
     actions = corpus.default_actions(action_count, mode)
     names = sorted({a.name for a in actions})

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 __all__ = [
-    "PLAIN", "INPUT", "OUTPUT", "Keyed", "memo_table", "clear_caches",
+    "PLAIN", "INPUT", "OUTPUT", "check_mode", "Keyed", "memo_table",
+    "clear_caches",
     "Action", "PrefixedTerm", "FiniteProcess", "Process", "Path",
     "ParseError", "StructureError",
     "parse", "render", "size", "alphabet", "apply_substitution",
@@ -61,6 +62,12 @@ class StructureError(Exception):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+def check_mode(mode: str) -> None:
+    """Reject a mode other than "base" and "sync"."""
+    if mode not in ("base", "sync"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 _MEMO_TABLES: list = []
@@ -118,6 +125,11 @@ class Action(Keyed):
         if self.polarity == PLAIN:
             raise ValueError("plain actions have no co-action")
         return Action(self.name, INPUT if self.polarity == OUTPUT else OUTPUT)
+
+    def handshakes(self, other: "Action") -> bool:
+        """An input and an output on one name: together they fire one tau."""
+        return (self.name == other.name
+                and {self.polarity, other.polarity} == {INPUT, OUTPUT})
 
     def __repr__(self):
         return f"Action({self!s})"
@@ -319,8 +331,7 @@ def parse(text: str, mode: str = "base") -> Process:
     StructureError on grammar-constraint violations and on nesting too deep
     for the recursive parser.
     """
-    if mode not in ("base", "sync"):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_mode(mode)
     p = _Parser(text, mode)
     p.skip_ws()
     if p.peek() == "":

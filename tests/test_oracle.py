@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccseed import corpus
 from ccseed.congruence import canonicalize, congruent
-from ccseed.lts import DepthExceeded
+from ccseed.lts import DepthExceeded, bounded_class, reachable_within, unfold
 from ccseed.oracle import (Distinguisher, GameConfig, bounded_bisim,
                            bounded_partition, dis_check, finite_bisim,
                            finite_partition, lemma_suite, lemma_suite_sharded,
@@ -79,6 +79,35 @@ def test_sync_finite_partition_matches_recorded_blocks():
     assert (len(fps), len(blocks)) == (1718, 1340)
     assert hashlib.sha256(json.dumps(blocks).encode()).hexdigest() == (
         "eb83a18d757f0dd724c2c4de261d950e217835a4b1ee0b9099027436ddce216e")
+
+
+A0, B0 = parse("a.0"), parse("b.0")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: finite_bisim(A0, B0, "bogus"),
+    lambda: finite_bisim(A0, A0, "bogus"),
+    lambda: finite_partition([A0], "bogus"),
+    lambda: finite_partition([], "bogus"),
+    lambda: bounded_bisim(A0, A0, GameConfig(mode="bogus")),
+    lambda: bounded_bisim(A0, B0, GameConfig(depth=0, mode="bogus")),
+    lambda: bounded_partition([A0], 0, "bogus"),
+    lambda: bounded_partition([], 3, "bogus"),
+    lambda: bounded_class(canonicalize(A0), 0, "bogus"),
+    lambda: unfold(A0, 0, "bogus"),
+    lambda: reachable_within(A0, 0, "bogus"),
+    lambda: replay_distinguisher(A0, A0, Distinguisher(()), "bogus"),
+    lambda: lemma_suite(rounds=0, mode="bogus"),
+    lambda: lemma_suite_sharded(rounds=0, mode="bogus", parallel=False),
+], ids=["finite_bisim-different", "finite_bisim-same", "finite_partition",
+        "finite_partition-empty", "bounded_bisim", "bounded_bisim-depth0",
+        "bounded_partition-depth0",
+        "bounded_partition-empty", "bounded_class-depth0", "unfold-depth0",
+        "reachable_within-depth0", "replay_distinguisher",
+        "lemma_suite-no-rounds", "lemma_suite_sharded-no-rounds"])
+def test_unknown_mode_is_rejected_whatever_the_input(call):
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        call()
 
 
 def test_bounded_bisim_distinguishes_at_depth_two():
