@@ -23,7 +23,6 @@ oracle rather than proved here.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Union
 
 from .syntax import FiniteProcess, PrefixedTerm, Process, memo_table
@@ -49,27 +48,17 @@ def canonical_components(t: PrefixedTerm) -> tuple:
         return cached
 
     body = canonical_finite(t.body)
-    counts = Counter(body.components)
+    # c = a.F fires when the body is F plus copies of c.  Two firing
+    # components would each lie in the other's F, so at most one fires.
     act_key = t.action.key
-    fired = None
-    for c in counts:
-        if c.action.key != act_key:
-            continue
-        # body must equal c.body plus n copies of c; n is forced by counts.
-        n = counts[c] - c.body.components.count(c)
-        if n < 1:
-            continue
-        want = Counter(c.body.components)
-        want[c] += n
-        if want == counts:
-            if fired is None or c.key < fired[0].key:
-                fired = (c, n)
-
-    if fired is None:
-        result = (PrefixedTerm(t.action, body),)
+    for c in set(body.components):
+        if c.action.key == act_key:
+            rest = tuple(k for k in body.key if k != c.key)
+            if rest == c.body.key:
+                result = (c,) * (len(body) - len(rest) + 1)
+                break
     else:
-        c, n = fired
-        result = (c,) * (n + 1)
+        result = (PrefixedTerm(t.action, body),)
     _CANON_COMPS[t] = result
     return result
 

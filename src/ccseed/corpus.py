@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from .syntax import (INPUT, OUTPUT, Action, FiniteProcess,
-                     PrefixedTerm, Process, edit_multiset, occurrences)
+from .syntax import (INPUT, OUTPUT, Action, FiniteProcess, PrefixedTerm,
+                     Process, check_mode, edit_multiset, occurrences)
 
 __all__ = [
     "default_actions", "enumerate_finite", "enumerate_processes",
@@ -31,6 +31,7 @@ def default_actions(count: int, mode: str = "base") -> List[Action]:
     In sync mode actions come in co-pairs: count=2 gives a and ~a, count=4
     gives a, ~a, b, ~b, and so on.
     """
+    check_mode(mode)
     if mode == "base":
         return [Action(_NAMES[i]) for i in range(count)]
     acts = []

@@ -20,9 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import corpus
 from .congruence import canonical_finite, canonicalize, process_of
-from .lts import (DEFAULT_DEPTH_CAP, Label, TAU, bounded_class, check_depth,
-                  successors)
-from .rewrite import compute_seed, convertible
+from .lts import Label, TAU, bounded_class, check_depth, successors
+from .rewrite import _explore, compute_seed, convertible, rewrites_to
 from .syntax import (FiniteProcess, PrefixedTerm, Process,
                      apply_substitution, check_mode, memo_table, render)
 
@@ -183,6 +182,9 @@ def _witness(single: Process, others: tuple, d: int, single_side: str,
         for lab, succ in successors(attacker, mode):
             alive = sorted({y for o in defenders
                             for l, y in successors(o, mode) if l == lab})
+            # a defender equal to succ for d-1 rounds outlives any sub-witness
+            if any(_game_eq(succ, y, d - 1, mode) for y in alive):
+                continue
             sub = _witness(succ, tuple(alive), d - 1, side, mode,
                            memo) if alive else ()
             if sub is not None:
@@ -194,20 +196,22 @@ def _witness(single: Process, others: tuple, d: int, single_side: str,
 
 def bounded_bisim(p: Process, q: Process,
                   cfg: GameConfig = GameConfig()) -> GameResult:
-    """Play the k-round game; distinguished results carry a witness."""
+    """Play the k-round game.
+
+    A distinguished result carries the shortest linear witness of at most
+    ``cfg.depth`` moves, or None when there is no such witness.
+    """
     check_depth(cfg.depth)
     check_mode(cfg.mode)
     cp, cq = canonicalize(process_of(p)), canonicalize(process_of(q))
     if _game_eq(cp, cq, cfg.depth, cfg.mode):
         return GameResult(True, cfg.depth)
     memo: dict = {}
-    dist = None
-    for d in range(1, DEFAULT_DEPTH_CAP + 1):
+    for d in range(1, cfg.depth + 1):
         moves = _witness(cp, (cq,), d, "left", cfg.mode, memo)
         if moves is not None:
-            dist = Distinguisher(moves)
-            break
-    return GameResult(False, cfg.depth, dist)
+            return GameResult(False, cfg.depth, Distinguisher(moves))
+    return GameResult(False, cfg.depth)
 
 
 def replay_distinguisher(p: Process, q: Process, dist: Distinguisher,
@@ -593,14 +597,16 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
         else:
             st.instances += 1
 
-        # --- both candidate-enumeration orders land on the same seed
+        # --- guided rewriting reaches no other state as small as the seed
         st = props["seed_unique_across_orders"]
         p = corpus.random_process(rng, rng.randint(0, max_size + 1), actions)
         st.probe(True)
-        asc = compute_seed(p, order="asc").seed
-        desc = compute_seed(p, order="desc").seed
-        if asc != desc:
-            st.fail(process=_pp(p), ascending=_pp(asc), descending=_pp(desc))
+        sd = compute_seed(p).seed
+        rival = next((d for d in _explore(canonicalize(p), None)
+                      if d.size <= sd.size and d != sd
+                      and rewrites_to(p, d) is not None), None)
+        if rival is not None:
+            st.fail(process=_pp(p), seed=_pp(sd), rival=_pp(rival))
 
         # --- convertible pairs stay convertible under renamings
         st = props["substitution_closure"]
@@ -646,13 +652,14 @@ def _suite_shard(args: tuple) -> SuiteReport:
 
 def lemma_suite_sharded(seed: int = 0, rounds: int = 120, shards: int = 4,
                         max_size: int = 5, action_count: int = 2,
-                        mode: str = "base", game_depth: int = 6,
-                        parallel: bool = True) -> SuiteReport:
-    """Split the suite across worker shards and merge the reports.
+                        mode: str = "base",
+                        game_depth: int = 6) -> SuiteReport:
+    """Split the suite across worker processes and merge the reports.
 
     Each shard draws from its own stream derived from ``seed``, every check
     is a pure function, and the merge is a shard-ordered sum, so the result
-    is identical whether shards run in parallel or sequentially.
+    is identical whether shards run in parallel or, where no worker process
+    can be started, sequentially.
     """
     if shards < 1:
         raise ValueError("shards must be positive")
@@ -661,8 +668,8 @@ def lemma_suite_sharded(seed: int = 0, rounds: int = 120, shards: int = 4,
     shard_args = [(seed * 1000003 + i, base + (1 if i < extra else 0),
                    max_size, action_count, mode, game_depth)
                   for i in range(shards)]
-    reports = None
-    if parallel and shards > 1:
+    reports = map(_suite_shard, shard_args)  # lazily, in this process
+    if shards > 1:
         import concurrent.futures
         try:
             # every worker is forked at once, so never more than the CPUs
@@ -670,9 +677,7 @@ def lemma_suite_sharded(seed: int = 0, rounds: int = 120, shards: int = 4,
             with concurrent.futures.ProcessPoolExecutor(workers) as pool:
                 reports = list(pool.map(_suite_shard, shard_args))
         except OSError:
-            reports = None
-    if reports is None:
-        reports = [_suite_shard(a) for a in shard_args]
+            pass  # no worker process can start: run the shards here
     merged: Dict[str, PropertyStats] = {}
     for rep in reports:
         for name, st in rep.properties.items():

@@ -18,7 +18,6 @@ the seeds of both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Optional
 
 from .congruence import canonical_components, canonicalize, process_of
@@ -191,52 +190,43 @@ _SEED_CACHE = memo_table()
 _PREFILTER_DEPTH = 2
 
 
-def compute_seed(p: Process, order: str = "asc") -> SeedResult:
+def compute_seed(p: Process) -> SeedResult:
     """The minimal process p rewrites to under its own guidance.
 
     Candidates are the deletion descendants of p, tested smallest size
     first; at the minimal verified size all verified candidates must agree
-    (uniqueness), otherwise UniquenessError is raised.  ``order`` picks the
-    enumeration order inside each size class ("asc" or "desc"); the result
-    must not depend on it.
+    (uniqueness), otherwise UniquenessError is raised.
     """
-    if order not in ("asc", "desc"):
-        raise ValueError(f"unknown order {order!r}")
     start = canonicalize(p)
-    cache_key = (start.key, order)
-    cached = _SEED_CACHE.get(cache_key)
+    cached = _SEED_CACHE.get(start)
     if cached is not None:
         return cached
 
     pcls = bounded_class(start, _PREFILTER_DEPTH)
     checked = 0
+    verified = []
     # One guided exploration per guide table, i.e. per replicated part of a
     # candidate, floored at the first (smallest) such candidate's size.
     guided = {}
-    candidates = sorted(_explore(start, None), key=lambda c: (c.size, c.key))
-    for _size, group in groupby(candidates, key=lambda c: c.size):
-        if order == "desc":
-            group = reversed(list(group))
-        verified = []
-        for cand in group:
-            if bounded_class(cand, _PREFILTER_DEPTH) != pcls:
-                continue
-            checked += 1
-            parents = guided.get(cand.replicated)
-            if parents is None:
-                parents = guided[cand.replicated] = _explore(
-                    start, _b1_match_table(cand), cand.size)
-            trace = _trace(parents, cand)
-            if trace is not None:
-                verified.append((cand, trace))
-        if verified:  # p itself verifies, so some size class does
-            break
+    for cand in sorted(_explore(start, None), key=lambda c: c.size):
+        if verified and cand.size > verified[0][0].size:
+            break  # p itself verifies, so some size class does
+        if bounded_class(cand, _PREFILTER_DEPTH) != pcls:
+            continue
+        checked += 1
+        parents = guided.get(cand.replicated)
+        if parents is None:
+            parents = guided[cand.replicated] = _explore(
+                start, _b1_match_table(cand), cand.size)
+        trace = _trace(parents, cand)
+        if trace is not None:
+            verified.append((cand, trace))
     if len(verified) > 1:
         raise UniquenessError(
             "distinct minimal seeds for "
             f"{start!r}: {[v[0] for v in verified]!r}")
     result = SeedResult(*verified[0], checked)
-    _SEED_CACHE[cache_key] = result
+    _SEED_CACHE[start] = result
     return result
 
 

@@ -21,8 +21,8 @@ from ccseed.corpus import (compose, default_actions, enumerate_finite,
 from ccseed.oracle import (GameConfig, bounded_bisim, bounded_partition,
                            finite_bisim, finite_partition, lemma_suite_sharded,
                            replay_distinguisher)
-from ccseed.rewrite import (RewriteStep, compute_seed, convertible,
-                            search_audit, seed_of)
+from ccseed.rewrite import (RewriteStep, _explore, compute_seed, convertible,
+                            rewrites_to, search_audit, seed_of)
 from ccseed.syntax import (Action, FiniteProcess, PrefixedTerm, Process,
                            apply_substitution, parse, render)
 
@@ -184,12 +184,16 @@ def test_criterion_4_steps_shrink_and_searches_stay_bounded():
     assert all(visited <= 2 ** size for size, visited in search_audit)
 
 
-def test_criterion_5_seed_unique_across_enumeration_orders(base_bundle):
+def test_criterion_5_seed_is_the_only_small_descendant_reached(base_bundle):
     corpus, seeds, _keys, _classes = base_bundle
     exhaustive = 2178
     picks = list(range(exhaustive)) + list(range(exhaustive, len(corpus), 7))
     for i in picks:
-        assert compute_seed(corpus[i], order="desc").seed == seeds[i].seed
+        p, seed = corpus[i], seeds[i].seed
+        assert rewrites_to(p, seed) is not None
+        for d in _explore(canonicalize(p), None):
+            if d.size <= seed.size and d != seed:
+                assert rewrites_to(p, d) is None, (render(p), render(d))
 
 
 def test_criterion_6_copy_absorption_laws_hold():

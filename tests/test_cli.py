@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from ccseed import clear_caches, oracle
 from ccseed.cli import main
+from ccseed.lts import successors
 
 P1 = "!a.(b.0|a.c.0)|!a.(c.0|a.b.0)"
 P2 = "!a.b.0|!a.c.0"
@@ -391,6 +393,32 @@ distinguisher (depth 2):
             {"side": "left", "label": "a", "successor": "!a.a.b.0 | a.b.0"},
             {"side": "right", "label": "b", "successor": "!a.b.0"},
         ]}
+
+
+def test_check_sync_pair_without_linear_witness_stays_within_work_budget(
+        capsys, monkeypatch):
+    # The two sides differ at game depth 3, but no linear distinguisher of
+    # at most 6 moves exists; the witness search once ran for minutes here.
+    calls = 0
+
+    def counting_successors(p, mode):
+        nonlocal calls
+        calls += 1
+        if calls > 200_000:
+            pytest.fail("more than 200,000 oracle successor calls")
+        return successors(p, mode)
+
+    clear_caches()
+    monkeypatch.setattr(oracle, "successors", counting_successors)
+    code, out, _ = run(capsys, "check", "--sync",
+                       "!a.0 | !a.0 | !a.0 | !~b.~a.0 | !b.~b.a.0 | ~b.0",
+                       "!~b.0 | !a.a.0 | !b.b.0 | !~b.~a.0 | a.0 | ~b.0")
+    assert code == 1
+    assert out == """\
+not bisimilar
+left seed: !a.0 | !b.~b.0 | !~b.~a.0 | ~b.0
+right seed: !a.0 | !b.0 | !~b.0 | !~b.~a.0
+"""
 
 
 DEEP_PREFIXES = "a." * 3000 + "0"

@@ -98,13 +98,15 @@ A0, B0 = parse("a.0"), parse("b.0")
     lambda: reachable_within(A0, 0, "bogus"),
     lambda: replay_distinguisher(A0, A0, Distinguisher(()), "bogus"),
     lambda: lemma_suite(rounds=0, mode="bogus"),
-    lambda: lemma_suite_sharded(rounds=0, mode="bogus", parallel=False),
+    lambda: lemma_suite_sharded(rounds=0, mode="bogus"),
+    lambda: corpus.default_actions(2, "bogus"),
 ], ids=["finite_bisim-different", "finite_bisim-same", "finite_partition",
         "finite_partition-empty", "bounded_bisim", "bounded_bisim-depth0",
         "bounded_partition-depth0",
         "bounded_partition-empty", "bounded_class-depth0", "unfold-depth0",
         "reachable_within-depth0", "replay_distinguisher",
-        "lemma_suite-no-rounds", "lemma_suite_sharded-no-rounds"])
+        "lemma_suite-no-rounds", "lemma_suite_sharded-no-rounds",
+        "default_actions"])
 def test_unknown_mode_is_rejected_whatever_the_input(call):
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         call()
@@ -290,11 +292,21 @@ def test_lemma_suite_empty_run_passes_vacuously():
     assert not report.all_hypotheses_hit
 
 
-def test_sharded_suite_merges_deterministically():
-    seq = lemma_suite_sharded(seed=2, rounds=24, shards=3, parallel=False)
-    par = lemma_suite_sharded(seed=2, rounds=24, shards=3, parallel=True)
-    assert seq.to_dict() == par.to_dict()
-    assert seq.ok
+def _fallback_suite(monkeypatch, **kwargs) -> dict:
+    """The sharded suite as run where no worker process can be started."""
+    def no_pool(*args):
+        raise OSError("no worker processes")
+
+    with monkeypatch.context() as m:
+        m.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        return lemma_suite_sharded(**kwargs).to_dict()
+
+
+def test_sharded_suite_merges_deterministically(monkeypatch):
+    pooled = lemma_suite_sharded(seed=2, rounds=24, shards=3)
+    assert pooled.to_dict() == _fallback_suite(monkeypatch, seed=2, rounds=24,
+                                               shards=3)
+    assert pooled.ok
 
 
 def test_sharded_suite_forks_at_most_one_worker_per_cpu(monkeypatch):
@@ -313,13 +325,13 @@ def test_sharded_suite_forks_at_most_one_worker_per_cpu(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
+    fallback = _fallback_suite(monkeypatch, seed=2, rounds=6, shards=6)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     report = lemma_suite_sharded(seed=2, rounds=6, shards=6)
     assert opened == [2]
-    assert report.to_dict() == lemma_suite_sharded(
-        seed=2, rounds=6, shards=6, parallel=False).to_dict()
+    assert report.to_dict() == fallback
 
 
 def test_sharded_suite_validates_shards():
