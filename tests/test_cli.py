@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -190,6 +191,25 @@ def test_output_deterministic(capsys):
     f1 = run(capsys, "fuzz", "--rounds", "10", "--seed", "7", "--json")
     f2 = run(capsys, "fuzz", "--rounds", "10", "--seed", "7", "--json")
     assert f1 == f2
+
+
+# SHA-256 of `ccs fuzz --json` stdout: the suite's RNG draws fix these bytes.
+FUZZ_DIGESTS = {
+    "base-seed7": (("--seed", "7", "--rounds", "20", "--max-size", "6"),
+                   "7d1ea80854701a7f156cd5fd78c1621782e25510a473eef3ec4eb0923322499f"),
+    "sync-seed11": (("--sync", "--seed", "11", "--rounds", "20"),
+                    "c85574d94f4e61c365a4df43a4b476f80777e1b1d83159f6944d0609be4da367"),
+    "one-shard-seed5": (("--seed", "5", "--shards", "1", "--rounds", "20"),
+                        "a665a450c7224f7b7bc5a3af23b366ca7246a184d38a7275853e4ef3cea715a0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUZZ_DIGESTS))
+def test_fuzz_json_golden_digest(capsys, case):
+    argv, digest = FUZZ_DIGESTS[case]
+    code, out, err = run(capsys, "fuzz", "--json", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # Golden outputs: the exact bytes of `lts` unfolds deeper than one step
