@@ -9,34 +9,31 @@ implements the congruence, the rewriting, the seed search, and independent
 game-based oracles to check them against.
 """
 
-from .congruence import (canonical_finite, canonical_key, canonicalize,
-                         congruent, process_of)
-from .lts import (DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU, Transition,
-                  reachable_within, reduct_k, successors, transitions)
+from .congruence import canonical_finite, canonicalize, congruent, process_of
+from .lts import (DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU, reduct_k,
+                  successors)
 from .oracle import (Distinguisher, GameConfig, GameResult, Move, SuiteReport,
                      bounded_bisim, bounded_partition, dis_check,
                      finite_bisim, finite_partition, lemma_suite,
                      lemma_suite_sharded, purg_check, replay_distinguisher)
 from .rewrite import (ConvertibilityResult, RewriteStep, SeedResult,
                       UniquenessError, compute_seed, convertible, rewrites_to,
-                      seed_of, step_b1, step_b2)
+                      step_b1, step_b2)
 from .syntax import (Action, FiniteProcess, ParseError, Path, PrefixedTerm,
                      Process, StructureError, alphabet, apply_substitution,
-                     clear_caches, occurrences, parse, render, size)
+                     clear_caches, occurrences, parse, render)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Action", "FiniteProcess", "PrefixedTerm", "Process", "Path",
-    "ParseError", "StructureError", "parse", "render", "size", "alphabet",
+    "ParseError", "StructureError", "parse", "render", "alphabet",
     "apply_substitution", "occurrences", "clear_caches",
-    "canonicalize", "canonical_finite", "canonical_key", "congruent",
-    "process_of",
-    "Label", "TAU", "Transition", "successors", "transitions", "reduct_k",
-    "reachable_within", "DepthExceeded", "DEFAULT_DEPTH_CAP",
+    "canonicalize", "canonical_finite", "congruent", "process_of",
+    "Label", "TAU", "successors", "reduct_k", "DepthExceeded",
+    "DEFAULT_DEPTH_CAP",
     "RewriteStep", "SeedResult", "ConvertibilityResult", "UniquenessError",
-    "step_b1", "step_b2", "rewrites_to", "compute_seed", "seed_of",
-    "convertible",
+    "step_b1", "step_b2", "rewrites_to", "compute_seed", "convertible",
     "GameConfig", "GameResult", "Move", "Distinguisher", "finite_bisim",
     "bounded_bisim", "replay_distinguisher", "dis_check", "purg_check",
     "finite_partition", "bounded_partition", "lemma_suite",

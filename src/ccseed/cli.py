@@ -2,9 +2,10 @@
 
 Verbs: check, seed, normalize, lts, fuzz.  Exit codes are a function of the
 verdict alone: 0 for bisimilar / success, 1 for not bisimilar (or a fuzz
-counterexample), 2 for usage, parse, or bound errors; a term nested too
-deeply to process is a bound error.  Output is deterministic: byte-identical
-across runs for the same inputs and flags.
+counterexample), 2 for usage, parse, or bound errors, 3 for an internal
+error (a bug, never a verdict); a term nested too deeply to process is a
+bound error.  Output is deterministic: byte-identical across runs for the
+same inputs and flags.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .congruence import canonicalize, process_of
+from .congruence import canonicalize
 from .lts import DEFAULT_DEPTH_CAP, DepthExceeded, check_depth, unfold
 from .oracle import (Distinguisher, GameConfig, bounded_bisim,
                      lemma_suite_sharded)
@@ -25,6 +26,7 @@ from .syntax import ParseError, StructureError, parse, render
 EXIT_OK = 0
 EXIT_DIFFERENT = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _read_term(arg: str, stdin_lines: List[str]) -> str:
@@ -85,8 +87,8 @@ def cmd_check(args, stdin_lines: List[str]) -> int:
     doc: dict = {
         "verb": "check",
         "mode": args.mode,
-        "left": render(canonicalize(process_of(p))),
-        "right": render(canonicalize(process_of(q))),
+        "left": render(canonicalize(p)),
+        "right": render(canonicalize(q)),
         "equivalent": result.equivalent,
     }
     lines: List[str] = []
@@ -137,9 +139,9 @@ def cmd_seed(args, stdin_lines: List[str]) -> int:
     doc = {
         "verb": "seed",
         "mode": args.mode,
-        "input": render(canonicalize(process_of(p))),
+        "input": render(canonicalize(p)),
         "seed": render(result.seed),
-        "sizeBefore": process_of(p).size,
+        "sizeBefore": p.size,
         "sizeAfter": result.seed.size,
         "candidatesChecked": result.candidates_checked,
     }
@@ -154,7 +156,7 @@ def cmd_seed(args, stdin_lines: List[str]) -> int:
 def cmd_normalize(args, stdin_lines: List[str]) -> int:
     raw = _read_term(args.term, stdin_lines)
     p = parse(raw, args.mode)
-    canon = render(canonicalize(process_of(p)))
+    canon = render(canonicalize(p))
     doc = {"verb": "normalize", "mode": args.mode, "input": raw.strip(),
            "canonical": canon}
     _emit(doc, args.json, [canon])
@@ -285,6 +287,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RecursionError:
         print("error: term nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .syntax import FiniteProcess, PrefixedTerm, Process, memo_table
 
 __all__ = [
     "canonicalize", "canonical_finite", "canonical_components",
-    "congruent", "canonical_key", "process_of",
+    "congruent", "process_of",
 ]
 
 _CANON_COMPS = memo_table()
@@ -104,7 +104,3 @@ def process_of(term: Union[Process, FiniteProcess, PrefixedTerm]) -> Process:
 def congruent(p: Process, q: Process) -> bool:
     """Decide the congruence: equal canonical forms."""
     return canonicalize(process_of(p)) == canonicalize(process_of(q))
-
-
-def canonical_key(p) -> tuple:
-    return canonicalize(process_of(p)).key

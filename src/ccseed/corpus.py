@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from .syntax import (INPUT, OUTPUT, Action, FiniteProcess, PrefixedTerm,
-                     Process, check_mode, edit_multiset, occurrences)
+                     Process, _multiset, check_mode, edit_multiset,
+                     occurrences)
 
 __all__ = [
     "default_actions", "enumerate_finite", "enumerate_processes",
@@ -149,16 +150,12 @@ def insert_at(p: Process, slot: tuple, terms: tuple) -> Process:
     return edit_multiset(p, *slot, lambda comps: comps.extend(terms))
 
 
-def multiset_slots(p: Process, finite_area_only: bool = False) -> List[tuple]:
+def multiset_slots(p: Process) -> List[tuple]:
     """All insertion slots of p: top finite part and every prefix body."""
     slots = [("finite", None, ())]
-    if not finite_area_only:
-        for r in range(len(p.replicated)):
-            slots.append(("replicated", r, ()))
-    for path, _occ in occurrences(p):
-        if finite_area_only and path.area != "finite":
-            continue
-        slots.append((path.area, path.rep_index, path.steps))
+    slots += [("replicated", r, ()) for r in range(len(p.replicated))]
+    slots += [(path.area, path.rep_index, path.steps)
+              for path, _occ in occurrences(p)]
     return slots
 
 
@@ -166,7 +163,7 @@ def random_context(rng: random.Random, size: int, actions: Sequence[Action],
                    finite_only: bool = False) -> Context:
     base = (Process((), random_finite(rng, size, actions)) if finite_only
             else random_process(rng, size, actions))
-    slot = rng.choice(multiset_slots(base, finite_area_only=finite_only))
+    slot = rng.choice(multiset_slots(base))
     return Context(base, slot[0], slot[1], slot[2])
 
 
@@ -202,8 +199,7 @@ def make_redundant(rng: random.Random, p: Process, ops: int = 2) -> Process:
         else:
             folds = []
             for slot in multiset_slots(q):
-                fp = _multiset_at(q, slot)
-                comps = fp.components
+                comps = _multiset(q, *slot).components
                 for i in range(len(comps) - 1):
                     if comps[i] == comps[i + 1]:
                         folds.append((slot, comps[i]))
@@ -220,11 +216,3 @@ def make_redundant(rng: random.Random, p: Process, ops: int = 2) -> Process:
 
             q = edit_multiset(q, *slot, fold)
     return q
-
-
-def _multiset_at(p: Process, slot: tuple) -> FiniteProcess:
-    area, rep_index, steps = slot
-    fp = p.finite if area == "finite" else p.replicated[rep_index].body
-    for i in steps:
-        fp = fp.components[i].body
-    return fp

@@ -12,15 +12,14 @@ transition relation is finitely branching and stable under the congruence.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .congruence import canonicalize
 from .syntax import Action, Keyed, Process, check_mode, memo_table
 
 __all__ = [
-    "Label", "TAU", "Transition", "DepthExceeded", "DEFAULT_DEPTH_CAP",
-    "check_depth", "transitions", "successors", "reduct_k",
-    "reachable_within", "unfold", "bounded_class",
+    "Label", "TAU", "DepthExceeded", "DEFAULT_DEPTH_CAP", "check_depth",
+    "successors", "reduct_k", "unfold", "bounded_class",
 ]
 
 DEFAULT_DEPTH_CAP = 12
@@ -52,9 +51,6 @@ class Label(Keyed):
             self.key = (0, action.name, action.polarity)
         self._hash = hash(self.key)
 
-    def is_tau(self) -> bool:
-        return self.action is None
-
     def __repr__(self):
         return f"Label({self!s})"
 
@@ -63,12 +59,6 @@ class Label(Keyed):
 
 
 TAU = Label(None)
-
-
-class Transition(NamedTuple):
-    source: Process
-    label: Label
-    destination: Process
 
 
 _SUCC_CACHE = memo_table()
@@ -110,20 +100,13 @@ def successors(p: Process, mode: str = "base") -> tuple:
     return result
 
 
-def transitions(p: Process, mode: str = "base") -> tuple:
-    """All transitions of p, destinations canonical, deterministic order."""
-    return tuple(Transition(p, label, dest)
-                 for label, dest in successors(p, mode))
-
-
 def reduct_k(p: Process, q: Process, k: int) -> bool:
     """True iff some k-step sequence from p ends congruent to q.
 
     Steps use the fragment rules without synchronisation, whatever the
-    polarity of the actions involved.
+    polarity of the actions involved.  ``k`` is a depth (``check_depth``).
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    check_depth(k)
     target = canonicalize(q)
     level = {canonicalize(p)}
     for _ in range(k):
@@ -164,12 +147,6 @@ def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
         states.extend(nxt)
         frontier = nxt
     return states, edges
-
-
-def reachable_within(p: Process, depth: int,
-                     mode: str = "base") -> frozenset:
-    """Canonical processes reachable in at most ``depth`` steps."""
-    return frozenset(unfold(p, depth, mode)[0])
 
 
 _CLASS = memo_table()

@@ -124,7 +124,6 @@ class Distinguisher:
 @dataclass(frozen=True)
 class GameResult:
     equivalent: bool
-    depth: int
     distinguisher: Optional[Distinguisher] = None
 
 
@@ -205,13 +204,13 @@ def bounded_bisim(p: Process, q: Process,
     check_mode(cfg.mode)
     cp, cq = canonicalize(process_of(p)), canonicalize(process_of(q))
     if _game_eq(cp, cq, cfg.depth, cfg.mode):
-        return GameResult(True, cfg.depth)
+        return GameResult(True)
     memo: dict = {}
     for d in range(1, cfg.depth + 1):
         moves = _witness(cp, (cq,), d, "left", cfg.mode, memo)
         if moves is not None:
-            return GameResult(False, cfg.depth, Distinguisher(moves))
-    return GameResult(False, cfg.depth)
+            return GameResult(False, Distinguisher(moves))
+    return GameResult(False)
 
 
 def replay_distinguisher(p: Process, q: Process, dist: Distinguisher,
@@ -252,6 +251,7 @@ def bounded_partition(procs: Sequence[Process], depth: int,
     agrees with ``bounded_bisim`` verdicts pairwise (the suites cross-check
     this against ``_game_eq``, which shares no code with it).
     """
+    check_depth(depth)
     check_mode(mode)
     return {p: bounded_class(canonicalize(p), depth, mode) for p in procs}
 
@@ -414,19 +414,19 @@ def _random_residue(rng: random.Random, s: Process) -> FiniteProcess:
 
 
 def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
-                action_count: int = 2, mode: str = "base",
-                game_depth: int = 6) -> SuiteReport:
+                action_count: int = 2, mode: str = "base") -> SuiteReport:
     """Fuzz the supporting laws; report hits and counterexamples.
 
     Every generated instance is derived from ``seed`` only, so failures
     replay.  Hypothesis-laden properties mix constructive instances (the
-    hypothesis holds by construction) with random probes.
+    hypothesis holds by construction) with random probes.  Games are played
+    to ``GameConfig``'s default depth.
     """
     check_mode(mode)
     rng = random.Random(seed)
     actions = corpus.default_actions(action_count, mode)
     names = sorted({a.name for a in actions})
-    cfg = GameConfig(depth=game_depth, mode=mode)
+    cfg = GameConfig(mode=mode)
     props: Dict[str, PropertyStats] = {
         name: PropertyStats() for name in (
             "hole_copy_absorption",
@@ -471,7 +471,7 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
             hole_nil = ctx.plug(())
             if not (convertible(hole_nil, filled).equivalent
                     and _game_eq(canonicalize(hole_nil), canonicalize(filled),
-                                 game_depth, mode)):
+                                 cfg.depth, mode)):
                 st.fail(context=_pp(ctx.base), copy=_pp(rep_term),
                         partner=_pp(partner))
 
@@ -579,7 +579,7 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
                                       actions)
         st.probe(True)
         conv = convertible(p, q).equivalent
-        game = _game_eq(canonicalize(p), canonicalize(q), game_depth, mode)
+        game = _game_eq(canonicalize(p), canonicalize(q), cfg.depth, mode)
         if conv and not game:
             st.fail(left=_pp(p), right=_pp(q), convertible=conv,
                     game_equivalent=game)
@@ -645,15 +645,12 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
 
 
 def _suite_shard(args: tuple) -> SuiteReport:
-    shard_seed, rounds, max_size, action_count, mode, game_depth = args
-    return lemma_suite(shard_seed, rounds, max_size, action_count, mode,
-                       game_depth)
+    return lemma_suite(*args)
 
 
 def lemma_suite_sharded(seed: int = 0, rounds: int = 120, shards: int = 4,
                         max_size: int = 5, action_count: int = 2,
-                        mode: str = "base",
-                        game_depth: int = 6) -> SuiteReport:
+                        mode: str = "base") -> SuiteReport:
     """Split the suite across worker processes and merge the reports.
 
     Each shard draws from its own stream derived from ``seed``, every check
@@ -666,7 +663,7 @@ def lemma_suite_sharded(seed: int = 0, rounds: int = 120, shards: int = 4,
     shards = min(shards, rounds) or 1
     base, extra = divmod(rounds, shards)
     shard_args = [(seed * 1000003 + i, base + (1 if i < extra else 0),
-                   max_size, action_count, mode, game_depth)
+                   max_size, action_count, mode)
                   for i in range(shards)]
     reports = map(_suite_shard, shard_args)  # lazily, in this process
     if shards > 1:

@@ -28,7 +28,6 @@ from .syntax import (Path, PrefixedTerm, Process, delete_at, memo_table,
 __all__ = [
     "RewriteStep", "SeedResult", "ConvertibilityResult", "UniquenessError",
     "step_b1", "step_b2", "rewrites_to", "compute_seed", "convertible",
-    "seed_of",
 ]
 
 
@@ -230,14 +229,9 @@ def compute_seed(p: Process) -> SeedResult:
     return result
 
 
-def seed_of(p: Process) -> Process:
-    return compute_seed(p).seed
-
-
 @dataclass(frozen=True)
 class ConvertibilityResult:
     equivalent: bool
-    witness: Optional[Process]        # the common seed when equivalent
     seed_p: Process
     seed_q: Process
     trace_p: tuple
@@ -253,6 +247,5 @@ def convertible(p: Process, q: Process) -> ConvertibilityResult:
     """
     rp = compute_seed(process_of(p))
     rq = compute_seed(process_of(q))
-    eqv = rp.seed == rq.seed
-    return ConvertibilityResult(eqv, rp.seed if eqv else None,
-                                rp.seed, rq.seed, rp.trace, rq.trace)
+    return ConvertibilityResult(rp.seed == rq.seed, rp.seed, rq.seed,
+                                rp.trace, rq.trace)

@@ -34,7 +34,7 @@ __all__ = [
     "clear_caches",
     "Action", "PrefixedTerm", "FiniteProcess", "Process", "Path",
     "ParseError", "StructureError",
-    "parse", "render", "size", "alphabet", "apply_substitution",
+    "parse", "render", "alphabet", "apply_substitution",
     "occurrences", "delete_at", "resolve", "edit_multiset",
     "NIL_FINITE", "NIL",
 ]
@@ -374,33 +374,12 @@ def render(term: Union[Process, FiniteProcess, PrefixedTerm]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Measures and renamings
+# Actions and renamings
 
-def size(term: Union[Process, FiniteProcess, PrefixedTerm]) -> int:
-    """Number of prefixes (replication adds none)."""
-    return term.size
-
-
-def alphabet(term: Union[Process, FiniteProcess, PrefixedTerm]) -> frozenset:
-    """All actions occurring in the term."""
-    acts = set()
-
-    def walk_finite(fp: FiniteProcess):
-        for c in fp.components:
-            acts.add(c.action)
-            walk_finite(c.body)
-
-    if isinstance(term, PrefixedTerm):
-        acts.add(term.action)
-        walk_finite(term.body)
-    elif isinstance(term, FiniteProcess):
-        walk_finite(term)
-    else:
-        for t in term.replicated:
-            acts.add(t.action)
-            walk_finite(t.body)
-        walk_finite(term.finite)
-    return frozenset(acts)
+def alphabet(p: Process) -> frozenset:
+    """All actions occurring in p."""
+    return frozenset([t.action for t in p.replicated]
+                     + [occ.action for _path, occ in occurrences(p)])
 
 
 def apply_substitution(term, sigma: Mapping[str, str]):
@@ -498,13 +477,19 @@ def edit_multiset(p: Process, area: str, rep_index: Optional[int],
     return Process(reps, p.finite)
 
 
+def _multiset(p: Process, area: str, rep_index: Optional[int],
+              steps: tuple) -> FiniteProcess:
+    """The multiset ``edit_multiset`` would edit; IndexError if none."""
+    fp = p.finite if area == "finite" else _at(p.replicated, rep_index).body
+    for i in steps:
+        fp = _at(fp.components, i).body
+    return fp
+
+
 def resolve(p: Process, path: Path) -> PrefixedTerm:
     """The occurrence a path addresses in ``p``; IndexError if none."""
-    fp = (p.finite if path.area == "finite"
-          else _at(p.replicated, path.rep_index).body)
-    for i in path.steps[:-1]:
-        fp = _at(fp.components, i).body
-    return _at(fp.components, path.steps[-1])
+    multiset = _multiset(p, path.area, path.rep_index, path.steps[:-1])
+    return _at(multiset.components, path.steps[-1])
 
 
 def delete_at(p: Process, path: Path) -> Process:

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from ccseed import clear_caches, oracle
+from ccseed import clear_caches, cli, oracle
 from ccseed.cli import main
 from ccseed.lts import successors
+from ccseed.rewrite import UniquenessError
 
 P1 = "!a.(b.0|a.c.0)|!a.(c.0|a.b.0)"
 P2 = "!a.b.0|!a.c.0"
@@ -191,6 +192,17 @@ def test_output_deterministic(capsys):
     f1 = run(capsys, "fuzz", "--rounds", "10", "--seed", "7", "--json")
     f2 = run(capsys, "fuzz", "--rounds", "10", "--seed", "7", "--json")
     assert f1 == f2
+
+
+def test_internal_error_exits_3_not_a_verdict(capsys, monkeypatch):
+    def broken(p, q):
+        raise UniquenessError("two minimal seeds")
+
+    monkeypatch.setattr(cli, "convertible", broken)
+    code, out, err = run(capsys, "check", "a.0", "b.0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal error: UniquenessError: ")
 
 
 # SHA-256 of `ccs fuzz --json` stdout: the suite's RNG draws fix these bytes.

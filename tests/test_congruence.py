@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 import ccseed
 from ccseed import congruence, corpus, lts, oracle, rewrite, syntax
-from ccseed.congruence import (canonical_finite, canonical_key, canonicalize,
-                               congruent, process_of)
+from ccseed.congruence import (canonical_finite, canonicalize, congruent,
+                               process_of)
 from ccseed.oracle import (GameConfig, bounded_bisim, bounded_partition,
                            finite_bisim, finite_partition)
 from ccseed.rewrite import compute_seed
-from ccseed.syntax import FiniteProcess, Process, parse, render, size
+from ccseed.syntax import FiniteProcess, Process, parse, render
 
 
 def canon_str(text, mode="base"):
@@ -80,12 +80,6 @@ def test_congruent():
     assert congruent(parse("0"), parse("0|0"))
 
 
-def test_canonical_key_matches_equality():
-    p, q = parse("a.a.0"), parse("a.0|a.0")
-    assert canonical_key(p) == canonical_key(q)
-    assert canonical_key(p) != canonical_key(parse("a.0"))
-
-
 def test_process_of():
     fp = parse("a.0|b.0").finite
     assert process_of(fp) == parse("a.0|b.0")
@@ -118,7 +112,7 @@ def test_canonicalize_idempotent(seed):
 def test_canonicalize_preserves_size(seed):
     rng = random.Random(seed)
     p = corpus.random_process(rng, rng.randint(0, 8), ACTIONS)
-    assert size(canonicalize(p)) == size(p)
+    assert canonicalize(p).size == p.size
 
 
 @settings(max_examples=80, deadline=None)

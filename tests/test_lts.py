@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ccseed import corpus
 from ccseed.congruence import canonicalize, congruent
 from ccseed.lts import (DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU,
-                        bounded_class, reachable_within, reduct_k, successors,
-                        transitions, unfold)
+                        bounded_class, reduct_k, successors, unfold)
 from ccseed.syntax import Action, Process, parse, render
 
 
@@ -45,8 +44,8 @@ def test_destinations_are_canonical():
 def test_label_rendering():
     assert str(TAU) == "tau"
     assert str(Label(Action("a"))) == "a"
-    assert TAU.is_tau()
-    assert not Label(Action("a")).is_tau()
+    assert Label(None) == TAU
+    assert Label(Action("a")) != TAU
 
 
 def test_sync_tau_between_components():
@@ -101,20 +100,12 @@ def test_successor_lists_match_recorded_digest():
 
 def test_no_tau_in_base_mode():
     p = parse("a.0|a.0")
-    assert all(not lab.is_tau() for lab, _ in successors(p, "base"))
+    assert all(lab != TAU for lab, _ in successors(p, "base"))
 
 
 def test_mode_validation():
     with pytest.raises(ValueError):
         successors(parse("a.0"), "weird")
-
-
-def test_transitions_wrap_successors():
-    p = parse("a.0")
-    (tr,) = transitions(p, "base")
-    assert tr.source == canonicalize(p)
-    assert str(tr.label) == "a"
-    assert render(tr.destination) == "0"
 
 
 def test_reduct_k_exact_steps():
@@ -141,13 +132,14 @@ def test_reduct_k_replication():
 def test_reduct_k_validation():
     with pytest.raises(ValueError):
         reduct_k(parse("a.0"), parse("0"), -1)
+    with pytest.raises(DepthExceeded):
+        reduct_k(parse("a.0"), parse("0"), DEFAULT_DEPTH_CAP + 1)
 
 
 def test_reachable_within():
-    states = reachable_within(parse("a.b.0"), 2)
+    states, _edges = unfold(parse("a.b.0"), 2)
     assert {render(s) for s in states} == {"a.b.0", "b.0", "0"}
-    assert reachable_within(parse("a.b.0"), 0) == frozenset(
-        {canonicalize(parse("a.b.0"))})
+    assert unfold(parse("a.b.0"), 0)[0] == [canonicalize(parse("a.b.0"))]
 
 
 def test_unfold_discovery_order_and_edges():
@@ -163,7 +155,6 @@ def test_unfold_discovery_order_and_edges():
         ("a.0 | a.b.0", "a", "a.0 | b.0"),
         ("a.0 | a.b.0", "a", "a.b.0"),
     ]
-    assert reachable_within(parse("a.b.0|b.a.0"), 2) == frozenset(states)
 
 
 def test_unfold_stops_when_nothing_is_left():
@@ -178,11 +169,6 @@ def test_unfold_validates_depth():
         unfold(parse("a.0"), DEFAULT_DEPTH_CAP + 1)
     with pytest.raises(ValueError):
         unfold(parse("a.0"), -1)
-
-
-def test_reachable_within_cap():
-    with pytest.raises(DepthExceeded):
-        reachable_within(parse("a.0"), DEFAULT_DEPTH_CAP + 1)
 
 
 def test_successors_deterministic_and_cached():
@@ -228,7 +214,7 @@ def test_sync_steps_consume_one_or_two_prefixes(seed):
     fp = corpus.random_finite(rng, rng.randint(2, 7), SYNC_ACTIONS)
     p = canonicalize(Process((), fp))
     for lab, dest in successors(p, "sync"):
-        assert dest.size == p.size - (2 if lab.is_tau() else 1)
+        assert dest.size == p.size - (2 if lab == TAU else 1)
 
 
 def test_bounded_class_keeps_modes_apart():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccseed import corpus
 from ccseed.congruence import canonicalize, congruent
-from ccseed.lts import DepthExceeded, bounded_class, reachable_within, unfold
+from ccseed.lts import DepthExceeded, bounded_class, unfold
 from ccseed.oracle import (Distinguisher, GameConfig, bounded_bisim,
                            bounded_partition, dis_check, finite_bisim,
                            finite_partition, lemma_suite, lemma_suite_sharded,
@@ -95,7 +95,6 @@ A0, B0 = parse("a.0"), parse("b.0")
     lambda: bounded_partition([], 3, "bogus"),
     lambda: bounded_class(canonicalize(A0), 0, "bogus"),
     lambda: unfold(A0, 0, "bogus"),
-    lambda: reachable_within(A0, 0, "bogus"),
     lambda: replay_distinguisher(A0, A0, Distinguisher(()), "bogus"),
     lambda: lemma_suite(rounds=0, mode="bogus"),
     lambda: lemma_suite_sharded(rounds=0, mode="bogus"),
@@ -104,7 +103,7 @@ A0, B0 = parse("a.0"), parse("b.0")
         "finite_partition-empty", "bounded_bisim", "bounded_bisim-depth0",
         "bounded_partition-depth0",
         "bounded_partition-empty", "bounded_class-depth0", "unfold-depth0",
-        "reachable_within-depth0", "replay_distinguisher",
+        "replay_distinguisher",
         "lemma_suite-no-rounds", "lemma_suite_sharded-no-rounds",
         "default_actions"])
 def test_unknown_mode_is_rejected_whatever_the_input(call):
@@ -141,6 +140,14 @@ def test_bounded_bisim_depth_validation():
         bounded_bisim(parse("0"), parse("0"), GameConfig(depth=-1))
     with pytest.raises(DepthExceeded):
         bounded_bisim(parse("0"), parse("0"), GameConfig(depth=13))
+
+
+@pytest.mark.parametrize("text", ["!a.0", "a.b.0"])
+def test_bounded_partition_depth_validation(text):
+    with pytest.raises(ValueError):
+        bounded_partition([parse(text)], -1)
+    with pytest.raises(DepthExceeded):
+        bounded_partition([parse(text)], 13)
 
 
 def test_bounded_bisim_sync_mode():

@@ -1,14 +1,17 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ccseed
 from ccseed import corpus
 from ccseed.syntax import (INPUT, OUTPUT, PLAIN, Action, FiniteProcess,
                            ParseError, Path, PrefixedTerm, Process,
                            StructureError, alphabet, apply_substitution,
                            delete_at, edit_multiset, occurrences, parse,
-                           render, resolve, size)
+                           render, resolve)
 
 
 def test_action_basics():
@@ -106,10 +109,10 @@ def test_parse_mode_validation():
 
 
 def test_size():
-    assert size(parse("0")) == 0
-    assert size(parse("a.0")) == 1
-    assert size(parse("a.b.0|c.0")) == 3
-    assert size(parse("!a.(b.0|c.0)")) == 3
+    assert parse("0").size == 0
+    assert parse("a.0").size == 1
+    assert parse("a.b.0|c.0").size == 3
+    assert parse("!a.(b.0|c.0)").size == 3
 
 
 def test_alphabet():
@@ -155,7 +158,7 @@ def test_resolve_and_delete_at():
     for path, term in occurrences(p):
         assert resolve(p, path) == term
         smaller = delete_at(p, path)
-        assert size(smaller) == size(p) - size(term)
+        assert smaller.size == p.size - term.size
 
 
 def test_delete_at_inside_replicated_body():
@@ -263,8 +266,8 @@ def test_render_deterministic_under_component_shuffle(seed):
 def test_sizes_add_up(seed):
     rng = random.Random(seed)
     p = corpus.random_process(rng, rng.randint(0, 8), ACTIONS)
-    total = sum(size(t) for t in p.replicated) + size(p.finite)
-    assert size(p) == total
+    total = sum(t.size for t in p.replicated) + p.finite.size
+    assert p.size == total
 
 
 def test_prefixed_term_ordering_puts_small_terms_first():
@@ -278,3 +281,14 @@ def test_nested_body_renders_with_parens():
     t = PrefixedTerm(Action("a"),
                      FiniteProcess(parse("b.0|c.0").finite.components))
     assert render(Process((), FiniteProcess((t,)))) == "a.(b.0 | c.0)"
+
+
+@pytest.mark.parametrize("module", ["ccseed"] + [
+    "ccseed." + m.name for m in pkgutil.iter_modules(ccseed.__path__)])
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(module)
+    exported = getattr(mod, "__all__", ())  # cli declares none
+    assert [n for n in exported if not hasattr(mod, n)] == []
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(exported) <= set(namespace)
