@@ -209,6 +209,23 @@ def test_seeds_traces_and_counts_match_recorded_digest():
         "c4e0f386398e5df9a5b50d7db16910a00bf93fdb136bc393a0556ebe57653ab2")
 
 
+def test_random_sizes_6_to_10_seeds_traces_and_counts_match_recorded_digest():
+    # Recorded before seeds were searched from the replicated part: the
+    # sizes the exhaustive digest above does not reach, over 3 actions,
+    # one process in eight without replication.
+    rng = random.Random(608)
+    acts = corpus.default_actions(3)
+    digest = hashlib.sha256()
+    for k in range(150):
+        p = corpus.random_process(rng, 6 + k % 5, acts,
+                                  replication=k % 8 != 7)
+        res = compute_seed(p)
+        digest.update(json.dumps([render(res.seed), res.candidates_checked,
+                                  _trace_json(res.trace)]).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "211a6b8ae6fd0ec4ccc6003e99112639c172422d6b30aa4aa6ff6a0d33e6e865")
+
+
 def test_search_visits_stay_within_exponential_bound():
     search_audit.clear()
     rng = random.Random(11)
