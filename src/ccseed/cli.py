@@ -143,8 +143,9 @@ def cmd_seed(args, stdin_lines: List[str]) -> int:
         "seed": render(result.seed),
         "sizeBefore": p.size,
         "sizeAfter": result.seed.size,
-        "candidatesChecked": result.candidates_checked,
     }
+    if args.json:  # the count costs an exhaustive enumeration; text omits it
+        doc["candidatesChecked"] = result.candidates_checked
     lines = [doc["seed"]]
     if args.trace:
         doc["trace"] = _trace_json(result.trace)

@@ -10,14 +10,16 @@ Both strictly decrease size, so every rewrite sequence terminates.  The seed
 of a process is the smallest process it rewrites to when guided by that very
 process; seeds are unique modulo the congruence, and two processes are
 bisimilar exactly when their seeds are congruent.  ``compute_seed``
-enumerates deletion descendants smallest-first and verifies each candidate
-against one guided exploration per guide table; ``convertible`` compares
-the seeds of both sides.
+enumerates only the replicated parts a deletion descendant can have,
+smallest first, and runs one guided exploration per guide table; every
+state it reaches with that replicated part is verified.  ``convertible``
+compares the seeds of both sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .congruence import canonical_components, canonicalize, process_of
@@ -178,22 +180,36 @@ def rewrites_to(p: Process, target: Process) -> Optional[tuple]:
 class SeedResult:
     seed: Process
     trace: tuple
-    candidates_checked: int = field(compare=False, default=0)
+    start: Process = field(compare=False)  # the canonical input
+
+    @cached_property
+    def candidates_checked(self) -> int:
+        """Deletion descendants of the input, at most the seed's size, that
+        pass the prefilter: the candidates an exhaustive search checks."""
+        pcls = bounded_class(self.start, _PREFILTER_DEPTH)
+        return sum(1 for c in _explore(self.start, None)
+                   if c.size <= self.seed.size
+                   and bounded_class(c, _PREFILTER_DEPTH) == pcls)
 
 
 _SEED_CACHE = memo_table()
 
-# A candidate whose behaviour already differs from p at this depth cannot be
-# reached by guided rewriting (a successful rewrite implies bisimilarity), so
-# it is skipped without running the search.
+# A descendant whose behaviour already differs from p at this depth cannot
+# be reached by guided rewriting (a successful rewrite implies
+# bisimilarity).  Only ``candidates_checked`` applies it, to count the
+# descendants an exhaustive search would check; every state the seed
+# search verifies passes it.
 _PREFILTER_DEPTH = 2
 
 
 def compute_seed(p: Process) -> SeedResult:
     """The minimal process p rewrites to under its own guidance.
 
-    Candidates are the deletion descendants of p, tested smallest size
-    first; at the minimal verified size all verified candidates must agree
+    A deletion descendant c verifies when the exploration guided by
+    ``c.replicated`` reaches it.  Deletions never move terms between the
+    replicated and the finite area, so the replicated parts to try are
+    those of the descendants of p's replicated part alone, taken smallest
+    first.  At the minimal verified size all verified states must agree
     (uniqueness), otherwise UniquenessError is raised.
     """
     start = canonicalize(p)
@@ -201,30 +217,32 @@ def compute_seed(p: Process) -> SeedResult:
     if cached is not None:
         return cached
 
-    pcls = bounded_class(start, _PREFILTER_DEPTH)
-    checked = 0
     verified = []
-    # One guided exploration per guide table, i.e. per replicated part of a
-    # candidate, floored at the first (smallest) such candidate's size.
+    # One guided exploration per guide table; parts that differ only in
+    # multiplicity share one.
     guided = {}
-    for cand in sorted(_explore(start, None), key=lambda c: c.size):
-        if verified and cand.size > verified[0][0].size:
-            break  # p itself verifies, so some size class does
-        if bounded_class(cand, _PREFILTER_DEPTH) != pcls:
-            continue
-        checked += 1
-        parents = guided.get(cand.replicated)
+    # start's replicated part alone is canonical already.
+    parts = _explore(Process(start.replicated), None)
+    for part in sorted(parts, key=lambda r: r.size):
+        if verified and part.size > verified[0][0].size:
+            break  # p itself verifies, so some part does
+        table = _b1_match_table(part)
+        parents = guided.get(tuple(table))
         if parents is None:
-            parents = guided[cand.replicated] = _explore(
-                start, _b1_match_table(cand), cand.size)
-        trace = _trace(parents, cand)
-        if trace is not None:
-            verified.append((cand, trace))
+            parents = guided[tuple(table)] = _explore(start, table)
+        for state in parents:
+            if state.replicated != part.replicated:
+                continue
+            if not verified or state.size < verified[0][0].size:
+                verified = [(state, parents)]
+            elif state.size == verified[0][0].size:
+                verified.append((state, parents))
     if len(verified) > 1:
         raise UniquenessError(
             "distinct minimal seeds for "
             f"{start!r}: {[v[0] for v in verified]!r}")
-    result = SeedResult(*verified[0], checked)
+    seed, parents = verified[0]
+    result = SeedResult(seed, _trace(parents, seed), start)
     _SEED_CACHE[start] = result
     return result
 

@@ -23,7 +23,7 @@ from ccseed.oracle import (GameConfig, bounded_bisim, bounded_partition,
                            replay_distinguisher)
 from ccseed.rewrite import (RewriteStep, _explore, compute_seed, convertible,
                             rewrites_to, search_audit)
-from ccseed.syntax import (Action, FiniteProcess, PrefixedTerm, Process,
+from ccseed.syntax import (FiniteProcess, PrefixedTerm, Process,
                            apply_substitution, parse, render)
 
 GAME_DEPTH = 6

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from ccseed import clear_caches, cli, oracle
+from ccseed import clear_caches, cli, oracle, rewrite
 from ccseed.cli import main
+from ccseed.congruence import canonicalize
 from ccseed.lts import successors
-from ccseed.rewrite import UniquenessError
+from ccseed.rewrite import UniquenessError, convertible
+from ccseed.syntax import parse, render
 
 P1 = "!a.(b.0|a.c.0)|!a.(c.0|a.b.0)"
 P2 = "!a.b.0|!a.c.0"
@@ -451,6 +453,37 @@ not bisimilar
 left seed: !a.0 | !b.~b.0 | !~b.~a.0 | ~b.0
 right seed: !a.0 | !b.0 | !~b.0 | !~b.~a.0
 """
+
+
+# Replication-free, size 21, ten distinct canonical components: 9212
+# deletion descendants, which the seed search once walked in full.
+FREE_LEFT = ("a.0 | b.0 | c.0 | a.b.0 | b.c.0 | c.a.0 | a.b.c.0 | b.c.a.0 | "
+             "c.a.b.0 | a.c.b.0")
+FREE_RIGHT = ("a.c.b.0 | c.a.b.0 | b.c.a.0 | a.b.c.0 | c.a.0 | b.c.0 | a.b.0 | "
+              "c.0 | b.0 | a.0")
+
+
+def test_replication_free_seeds_stay_within_work_budget(capsys, monkeypatch):
+    # Without replication the seed is the canonical input; finding it must
+    # not cost a walk over the deletion descendants.
+    calls = 0
+
+    def counting_canonicalize(p):
+        nonlocal calls
+        calls += 1
+        if calls > 20_000:
+            pytest.fail("more than 20,000 rewrite.canonicalize calls")
+        return canonicalize(p)
+
+    monkeypatch.setattr(rewrite, "canonicalize", counting_canonicalize)
+    clear_caches()
+    assert convertible(parse(FREE_LEFT), parse(FREE_RIGHT)).equivalent
+    clear_caches()
+    code, out, _ = run(capsys, "check", FREE_LEFT, FREE_RIGHT)
+    assert (code, out.splitlines()[0]) == (0, "bisimilar")
+    clear_caches()
+    code, out, _ = run(capsys, "seed", FREE_LEFT)
+    assert (code, out) == (0, render(canonicalize(parse(FREE_LEFT))) + "\n")
 
 
 DEEP_PREFIXES = "a." * 3000 + "0"

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import ccseed
 from ccseed import congruence, corpus, lts, oracle, rewrite, syntax
-from ccseed.congruence import (canonical_finite, canonicalize, congruent,
-                               process_of)
+from ccseed.congruence import canonicalize, congruent, process_of
 from ccseed.oracle import (GameConfig, bounded_bisim, bounded_partition,
                            finite_bisim, finite_partition)
 from ccseed.rewrite import compute_seed

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccseed import corpus
-from ccseed.congruence import canonicalize, congruent
+from ccseed.congruence import canonicalize
 from ccseed.lts import DepthExceeded, bounded_class, unfold
 from ccseed.oracle import (Distinguisher, GameConfig, bounded_bisim,
                            bounded_partition, dis_check, finite_bisim,
                            finite_partition, lemma_suite, lemma_suite_sharded,
                            purg_check, replay_distinguisher)
 from ccseed.rewrite import convertible
-from ccseed.syntax import Process, parse, render
+from ccseed.syntax import parse, render
 
 P1 = "!a.(b.0|a.c.0) | !a.(c.0|a.b.0)"
 P2 = "!a.b.0 | !a.c.0"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccseed import corpus
 from ccseed.cli import _trace_json
-from ccseed.congruence import canonicalize, congruent
+from ccseed.congruence import canonicalize
 from ccseed.oracle import finite_bisim
 from ccseed import rewrite
 from ccseed.rewrite import (RewriteStep, UniquenessError, compute_seed,
