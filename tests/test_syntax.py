@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import json
 import pkgutil
 import random
 
@@ -212,6 +214,35 @@ def test_edit_multiset_at_each_level():
     assert render(edit_multiset(p, "replicated", 0, (0,), add)) == (
         "!e.f.g.0 | d.0 | a.(b.0 | c.0)")
     assert render(p) == "!e.f.0 | d.0 | a.(b.0 | c.0)"
+
+
+def test_paths_slots_and_contexts_match_recorded_digest():
+    # Recorded before slots and contexts were addressed by Path: every
+    # occurrence path with what it resolves to and deletes, every slot's
+    # insertion, and the fattening and context draws, base and sync.
+    rng = random.Random(909)
+    digest = hashlib.sha256()
+    for k in range(200):
+        acts = corpus.default_actions(3) if k % 2 else corpus.default_actions(
+            4, "sync")
+        p = corpus.random_process(rng, rng.randint(0, 8), acts,
+                                  replication=k % 8 != 7)
+        t = PrefixedTerm(rng.choice(acts),
+                         corpus.random_finite(rng, rng.randint(0, 2), acts))
+        rows = [render(p), render(t)]
+        for path, occ in occurrences(p):
+            rows.append([path.area, path.rep_index, list(path.steps),
+                         render(occ), render(resolve(p, path)),
+                         render(delete_at(p, path))])
+        rows.append([render(corpus.insert_at(p, slot, (t,)))
+                     for slot in corpus.multiset_slots(p)])
+        rows.append(render(corpus.make_redundant(rng, p, 3)))
+        ctx = corpus.random_context(rng, rng.randint(0, 6), acts,
+                                    finite_only=k % 5 == 0)
+        rows.append([render(ctx.base), render(ctx.plug((t,)))])
+        digest.update(json.dumps(rows).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "258795b7ddd218d6c14d2b88d04994b4353d44d7d1fefeffd817469c111b06b4")
 
 
 def test_path_validation():
