@@ -10,8 +10,7 @@ game-based oracles to check them against.
 """
 
 from .congruence import canonical_finite, canonicalize, congruent, process_of
-from .lts import (DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU, reduct_k,
-                  successors)
+from .lts import DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU, successors
 from .oracle import (Distinguisher, GameConfig, GameResult, Move, SuiteReport,
                      bounded_bisim, bounded_partition, dis_check,
                      finite_bisim, finite_partition, lemma_suite,
@@ -20,17 +19,17 @@ from .rewrite import (ConvertibilityResult, RewriteStep, SeedResult,
                       UniquenessError, compute_seed, convertible, rewrites_to,
                       step_b1, step_b2)
 from .syntax import (Action, FiniteProcess, ParseError, Path, PrefixedTerm,
-                     Process, StructureError, alphabet, apply_substitution,
+                     Process, StructureError, apply_substitution,
                      clear_caches, occurrences, parse, render)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Action", "FiniteProcess", "PrefixedTerm", "Process", "Path",
-    "ParseError", "StructureError", "parse", "render", "alphabet",
-    "apply_substitution", "occurrences", "clear_caches",
+    "ParseError", "StructureError", "parse", "render", "apply_substitution",
+    "occurrences", "clear_caches",
     "canonicalize", "canonical_finite", "congruent", "process_of",
-    "Label", "TAU", "successors", "reduct_k", "DepthExceeded",
+    "Label", "TAU", "successors", "DepthExceeded",
     "DEFAULT_DEPTH_CAP",
     "RewriteStep", "SeedResult", "ConvertibilityResult", "UniquenessError",
     "step_b1", "step_b2", "rewrites_to", "compute_seed", "convertible",

@@ -93,18 +93,18 @@ def cmd_check(args, stdin_lines: List[str]) -> int:
     }
     lines: List[str] = []
     if result.equivalent:
-        doc["seed"] = render(result.seed_p)
+        doc["seed"] = render(result.left.seed)
         lines.append("bisimilar")
         lines.append(f"seed: {doc['seed']}")
     else:
-        doc["leftSeed"] = render(result.seed_p)
-        doc["rightSeed"] = render(result.seed_q)
+        doc["leftSeed"] = render(result.left.seed)
+        doc["rightSeed"] = render(result.right.seed)
         lines.append("not bisimilar")
         lines.append(f"left seed: {doc['leftSeed']}")
         lines.append(f"right seed: {doc['rightSeed']}")
     if args.trace:
-        doc["trace"] = {"left": _trace_json(result.trace_p),
-                        "right": _trace_json(result.trace_q)}
+        doc["trace"] = {"left": _trace_json(result.left.trace),
+                        "right": _trace_json(result.right.trace)}
         lines.append("left trace: " + json.dumps(doc["trace"]["left"]))
         lines.append("right trace: " + json.dumps(doc["trace"]["right"]))
 

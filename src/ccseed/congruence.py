@@ -18,14 +18,17 @@ process of the grammar).
 
 Left-to-right rewriting is size-preserving and terminates; uniqueness of the
 resulting form is validated exhaustively against the finite bisimilarity
-oracle rather than proved here.
+oracle rather than proved here.  The pass recurses twice per nesting level;
+``canonicalize`` and ``canonical_finite`` raise StructureError on a term
+nested deeper than the recursion limit allows.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from .syntax import FiniteProcess, PrefixedTerm, Process, memo_table
+from .syntax import (FiniteProcess, PrefixedTerm, Process, StructureError,
+                     memo_table)
 
 __all__ = [
     "canonicalize", "canonical_finite", "canonical_components",
@@ -47,7 +50,7 @@ def canonical_components(t: PrefixedTerm) -> tuple:
     if cached is not None:
         return cached
 
-    body = canonical_finite(t.body)
+    body = _canonical_finite(t.body)
     # c = a.F fires when the body is F plus copies of c.  Two firing
     # components would each lie in the other's F, so at most one fires.
     act_key = t.action.key
@@ -63,7 +66,7 @@ def canonical_components(t: PrefixedTerm) -> tuple:
     return result
 
 
-def canonical_finite(fp: FiniteProcess) -> FiniteProcess:
+def _canonical_finite(fp: FiniteProcess) -> FiniteProcess:
     cached = _CANON_FIN.get(fp)
     if cached is not None:
         return cached
@@ -76,18 +79,29 @@ def canonical_finite(fp: FiniteProcess) -> FiniteProcess:
     return result
 
 
+def canonical_finite(fp: FiniteProcess) -> FiniteProcess:
+    try:
+        return _canonical_finite(fp)
+    except RecursionError:  # two frames per nesting level
+        raise StructureError("term nested too deeply") from None
+
+
 def canonicalize(p: Process) -> Process:
     """The canonical representative of p's congruence class."""
-    cached = _CANON_PROC.get(p)
-    if cached is not None:
-        return cached
-    result = Process(
-        (PrefixedTerm(t.action, canonical_finite(t.body)) for t in p.replicated),
-        canonical_finite(p.finite),
-    )
-    _CANON_PROC[p] = result
-    _CANON_PROC[result] = result
-    return result
+    try:
+        cached = _CANON_PROC.get(p)
+        if cached is not None:
+            return cached
+        result = Process(
+            (PrefixedTerm(t.action, _canonical_finite(t.body))
+             for t in p.replicated),
+            _canonical_finite(p.finite),
+        )
+        _CANON_PROC[p] = result
+        _CANON_PROC[result] = result
+        return result
+    except RecursionError:
+        raise StructureError("term nested too deeply") from None
 
 
 def process_of(term: Union[Process, FiniteProcess, PrefixedTerm]) -> Process:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
-from .syntax import (INPUT, OUTPUT, Action, FiniteProcess, PrefixedTerm,
+from .syntax import (INPUT, OUTPUT, Action, FiniteProcess, Path, PrefixedTerm,
                      Process, _multiset, check_mode, edit_multiset,
                      occurrences)
 
@@ -129,33 +129,27 @@ def random_substitution(rng: random.Random, names: Sequence[str]) -> dict:
 class Context:
     """``base`` plus a slot where extra parallel components can be inserted.
 
-    The slot addresses the top-level finite part (area "finite", empty
-    steps), or the body of the occurrence reached by descending through
-    component indices; replicated-area slots descend into the body of the
-    indexed replicated component.
+    The slot is a Path naming a multiset: a top one, or the body of an
+    occurrence.
     """
 
     base: Process
-    area: str
-    rep_index: Optional[int]
-    steps: tuple
+    slot: Path
 
     def plug(self, terms: Iterable[PrefixedTerm]) -> Process:
-        return insert_at(self.base, (self.area, self.rep_index, self.steps),
-                         tuple(terms))
+        return insert_at(self.base, self.slot, tuple(terms))
 
 
-def insert_at(p: Process, slot: tuple, terms: tuple) -> Process:
-    """p with ``terms`` added to the multiset ``slot`` addresses."""
-    return edit_multiset(p, *slot, lambda comps: comps.extend(terms))
+def insert_at(p: Process, slot: Path, terms: tuple) -> Process:
+    """p with ``terms`` added to the multiset ``slot`` names."""
+    return edit_multiset(p, slot, lambda comps: comps.extend(terms))
 
 
-def multiset_slots(p: Process) -> List[tuple]:
-    """All insertion slots of p: top finite part and every prefix body."""
-    slots = [("finite", None, ())]
-    slots += [("replicated", r, ()) for r in range(len(p.replicated))]
-    slots += [(path.area, path.rep_index, path.steps)
-              for path, _occ in occurrences(p)]
+def multiset_slots(p: Process) -> List[Path]:
+    """All insertion slots of p: the top multisets, then every prefix body."""
+    slots = [Path(None, ())]
+    slots += [Path(r, ()) for r in range(len(p.replicated))]
+    slots += [path for path, _occ in occurrences(p)]
     return slots
 
 
@@ -163,8 +157,7 @@ def random_context(rng: random.Random, size: int, actions: Sequence[Action],
                    finite_only: bool = False) -> Context:
     base = (Process((), random_finite(rng, size, actions)) if finite_only
             else random_process(rng, size, actions))
-    slot = rng.choice(multiset_slots(base))
-    return Context(base, slot[0], slot[1], slot[2])
+    return Context(base, rng.choice(multiset_slots(base)))
 
 
 def compose(p: Process, q: Process) -> Process:
@@ -199,7 +192,7 @@ def make_redundant(rng: random.Random, p: Process, ops: int = 2) -> Process:
         else:
             folds = []
             for slot in multiset_slots(q):
-                comps = _multiset(q, *slot).components
+                comps = _multiset(q, slot).components
                 for i in range(len(comps) - 1):
                     if comps[i] == comps[i + 1]:
                         folds.append((slot, comps[i]))
@@ -214,5 +207,5 @@ def make_redundant(rng: random.Random, p: Process, ops: int = 2) -> Process:
                 comps.append(PrefixedTerm(
                     c.action, FiniteProcess(c.body.components + (c,))))
 
-            q = edit_multiset(q, *slot, fold)
+            q = edit_multiset(q, slot, fold)
     return q

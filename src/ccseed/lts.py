@@ -19,7 +19,7 @@ from .syntax import Action, Keyed, Process, check_mode, memo_table
 
 __all__ = [
     "Label", "TAU", "DepthExceeded", "DEFAULT_DEPTH_CAP", "check_depth",
-    "successors", "reduct_k", "unfold", "bounded_class",
+    "successors", "unfold", "bounded_class",
 ]
 
 DEFAULT_DEPTH_CAP = 12
@@ -98,26 +98,6 @@ def successors(p: Process, mode: str = "base") -> tuple:
     result = tuple(seen[k] for k in sorted(seen))
     _SUCC_CACHE[key] = result
     return result
-
-
-def reduct_k(p: Process, q: Process, k: int) -> bool:
-    """True iff some k-step sequence from p ends congruent to q.
-
-    Steps use the fragment rules without synchronisation, whatever the
-    polarity of the actions involved.  ``k`` is a depth (``check_depth``).
-    """
-    check_depth(k)
-    target = canonicalize(q)
-    level = {canonicalize(p)}
-    for _ in range(k):
-        nxt = set()
-        for x in level:
-            for _label, dest in successors(x, "base"):
-                nxt.add(dest)
-        level = nxt
-        if not level:
-            return False
-    return target in level
 
 
 def unfold(p: Process, depth: int, mode: str = "base") -> tuple:

@@ -18,7 +18,7 @@ compares the seeds of both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -179,15 +179,15 @@ def rewrites_to(p: Process, target: Process) -> Optional[tuple]:
 @dataclass(frozen=True)
 class SeedResult:
     seed: Process
-    trace: tuple
-    start: Process = field(compare=False)  # the canonical input
+    trace: tuple  # from the canonical input to the seed
 
     @cached_property
     def candidates_checked(self) -> int:
         """Deletion descendants of the input, at most the seed's size, that
         pass the prefilter: the candidates an exhaustive search checks."""
-        pcls = bounded_class(self.start, _PREFILTER_DEPTH)
-        return sum(1 for c in _explore(self.start, None)
+        start = self.trace[0].before if self.trace else self.seed
+        pcls = bounded_class(start, _PREFILTER_DEPTH)
+        return sum(1 for c in _explore(start, None)
                    if c.size <= self.seed.size
                    and bounded_class(c, _PREFILTER_DEPTH) == pcls)
 
@@ -242,18 +242,19 @@ def compute_seed(p: Process) -> SeedResult:
             "distinct minimal seeds for "
             f"{start!r}: {[v[0] for v in verified]!r}")
     seed, parents = verified[0]
-    result = SeedResult(seed, _trace(parents, seed), start)
+    result = SeedResult(seed, _trace(parents, seed))
     _SEED_CACHE[start] = result
     return result
 
 
 @dataclass(frozen=True)
 class ConvertibilityResult:
-    equivalent: bool
-    seed_p: Process
-    seed_q: Process
-    trace_p: tuple
-    trace_q: tuple
+    left: SeedResult
+    right: SeedResult
+
+    @property
+    def equivalent(self) -> bool:
+        return self.left.seed == self.right.seed
 
 
 def convertible(p: Process, q: Process) -> ConvertibilityResult:
@@ -263,7 +264,5 @@ def convertible(p: Process, q: Process) -> ConvertibilityResult:
     exactly when the seeds coincide (they are canonical, so congruence is
     plain equality).
     """
-    rp = compute_seed(process_of(p))
-    rq = compute_seed(process_of(q))
-    return ConvertibilityResult(rp.seed == rq.seed, rp.seed, rq.seed,
-                                rp.trace, rq.trace)
+    return ConvertibilityResult(compute_seed(process_of(p)),
+                                compute_seed(process_of(q)))

@@ -34,9 +34,9 @@ __all__ = [
     "clear_caches",
     "Action", "PrefixedTerm", "FiniteProcess", "Process", "Path",
     "ParseError", "StructureError",
-    "parse", "render", "alphabet", "apply_substitution",
+    "parse", "render", "apply_substitution",
     "occurrences", "delete_at", "resolve", "edit_multiset",
-    "NIL_FINITE", "NIL",
+    "NIL_FINITE",
 ]
 
 PLAIN = 0
@@ -180,7 +180,7 @@ class PrefixedTerm(Keyed):
         self._hash = hash(self.key)
 
     def __repr__(self):
-        return f"PrefixedTerm({_render_prefixed(self)!r})"
+        return f"PrefixedTerm({render(self)!r})"
 
 
 class Process(Keyed):
@@ -215,7 +215,6 @@ class Process(Keyed):
 
 
 NIL_FINITE = FiniteProcess(())
-NIL = Process((), NIL_FINITE)
 
 
 # ---------------------------------------------------------------------------
@@ -361,26 +360,26 @@ def _render_prefixed(t: PrefixedTerm) -> str:
 
 
 def render(term: Union[Process, FiniteProcess, PrefixedTerm]) -> str:
-    """Deterministic concrete syntax; components in structural-key order."""
-    if isinstance(term, PrefixedTerm):
-        return _render_prefixed(term)
-    if isinstance(term, FiniteProcess):
-        if term.is_nil():
-            return "0"
-        return " | ".join(_render_prefixed(c) for c in term.components)
-    parts = ["!" + _render_prefixed(t) for t in term.replicated]
-    parts.extend(_render_prefixed(c) for c in term.finite.components)
-    return " | ".join(parts) if parts else "0"
+    """Deterministic concrete syntax; components in structural-key order.
+
+    Raises StructureError on nesting too deep for the recursive renderer.
+    """
+    try:
+        if isinstance(term, PrefixedTerm):
+            return _render_prefixed(term)
+        if isinstance(term, FiniteProcess):
+            if term.is_nil():
+                return "0"
+            return " | ".join(_render_prefixed(c) for c in term.components)
+        parts = ["!" + _render_prefixed(t) for t in term.replicated]
+        parts.extend(_render_prefixed(c) for c in term.finite.components)
+        return " | ".join(parts) if parts else "0"
+    except RecursionError:  # one frame per nesting level
+        raise StructureError("term nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
-# Actions and renamings
-
-def alphabet(p: Process) -> frozenset:
-    """All actions occurring in p."""
-    return frozenset([t.action for t in p.replicated]
-                     + [occ.action for _path, occ in occurrences(p)])
-
+# Renamings
 
 def apply_substitution(term, sigma: Mapping[str, str]):
     """Rename action names by ``sigma`` (identity where unmapped).
@@ -407,47 +406,50 @@ def apply_substitution(term, sigma: Mapping[str, str]):
 
 
 # ---------------------------------------------------------------------------
-# Occurrence paths
-#
-# A Path addresses one prefixed-term occurrence: either inside the finite
-# part or inside the body of a replicated component (never the replicated
-# prefix itself).  ``steps`` picks a component at each multiset level of the
-# process the path was built for; the last index names the occurrence.
+# Paths
 
 
 @dataclass(frozen=True)
 class Path:
-    area: str                      # "finite" or "replicated"
-    rep_index: Optional[int]       # index into Process.replicated, or None
-    steps: tuple                   # non-empty tuple of component indices
+    """A place in a process: a top multiset, or one occurrence and its body.
 
-    def __post_init__(self):
-        if self.area not in ("finite", "replicated"):
-            raise ValueError(f"bad path area {self.area!r}")
-        if (self.rep_index is not None) != (self.area == "replicated"):
-            raise ValueError("rep_index is required exactly for replicated paths")
-        if not self.steps:
-            raise ValueError("a path must address a prefixed term, not a bang")
+    ``rep_index`` picks the body of a replicated component (never the
+    replicated prefix itself), None the finite part; ``steps`` then picks a
+    component at each multiset level.  Empty steps name that top multiset;
+    otherwise the last index names an occurrence, whose body is the
+    multiset ``edit_multiset`` edits.
+    """
+
+    rep_index: Optional[int]
+    steps: tuple
+
+    @property
+    def area(self) -> str:
+        return "finite" if self.rep_index is None else "replicated"
 
 
 def occurrences(p: Process) -> Iterator[tuple]:
     """Yield (Path, PrefixedTerm) for every addressable occurrence in ``p``."""
 
-    def walk(fp: FiniteProcess, area: str, rep_index, prefix: tuple):
+    def walk(fp: FiniteProcess, rep_index, prefix: tuple):
         for i, c in enumerate(fp.components):
             steps = prefix + (i,)
-            yield Path(area, rep_index, steps), c
-            yield from walk(c.body, area, rep_index, steps)
+            yield Path(rep_index, steps), c
+            yield from walk(c.body, rep_index, steps)
 
-    yield from walk(p.finite, "finite", None, ())
+    yield from walk(p.finite, None, ())
     for r, t in enumerate(p.replicated):
-        yield from walk(t.body, "replicated", r, ())
+        yield from walk(t.body, r, ())
 
 
 def _at(items, i: int):
     if not 0 <= i < len(items):
         raise IndexError("path does not match process")
     return items[i]
+
+
+def _top(p: Process, rep_index: Optional[int]) -> FiniteProcess:
+    return p.finite if rep_index is None else _at(p.replicated, rep_index).body
 
 
 def _edit_finite(fp: FiniteProcess, steps: tuple,
@@ -462,14 +464,9 @@ def _edit_finite(fp: FiniteProcess, steps: tuple,
     return FiniteProcess(comps)
 
 
-def edit_multiset(p: Process, area: str, rep_index: Optional[int],
-                  steps: tuple, edit: Callable[[list], None]) -> Process:
-    """Rebuild p after ``edit`` mutates the component list of one multiset.
-
-    The multiset is the finite part or replicated body ``rep_index``, then
-    the body picked by each index of ``steps``.  IndexError if none matches.
-    """
-    if area == "finite":
+def _edit(p: Process, rep_index: Optional[int], steps: tuple,
+          edit: Callable[[list], None]) -> Process:
+    if rep_index is None:
         return Process(p.replicated, _edit_finite(p.finite, steps, edit))
     reps = list(p.replicated)
     t = _at(reps, rep_index)
@@ -477,27 +474,37 @@ def edit_multiset(p: Process, area: str, rep_index: Optional[int],
     return Process(reps, p.finite)
 
 
-def _multiset(p: Process, area: str, rep_index: Optional[int],
-              steps: tuple) -> FiniteProcess:
+def edit_multiset(p: Process, path: Path,
+                  edit: Callable[[list], None]) -> Process:
+    """Rebuild p after ``edit`` mutates the component list of the multiset
+    ``path`` names; IndexError if none matches."""
+    return _edit(p, path.rep_index, path.steps, edit)
+
+
+def _multiset(p: Process, path: Path) -> FiniteProcess:
     """The multiset ``edit_multiset`` would edit; IndexError if none."""
-    fp = p.finite if area == "finite" else _at(p.replicated, rep_index).body
-    for i in steps:
-        fp = _at(fp.components, i).body
-    return fp
+    return resolve(p, path).body if path.steps else _top(p, path.rep_index)
 
 
 def resolve(p: Process, path: Path) -> PrefixedTerm:
     """The occurrence a path addresses in ``p``; IndexError if none."""
-    multiset = _multiset(p, path.area, path.rep_index, path.steps[:-1])
-    return _at(multiset.components, path.steps[-1])
+    if not path.steps:
+        raise IndexError("path does not match process")
+    fp = _top(p, path.rep_index)
+    for i in path.steps:
+        t = _at(fp.components, i)
+        fp = t.body
+    return t
 
 
 def delete_at(p: Process, path: Path) -> Process:
     """Replace the addressed occurrence by nil (drop it from its multiset)."""
+    if not path.steps:
+        raise IndexError("path does not match process")
     i = path.steps[-1]
 
     def drop(comps: list):
         _at(comps, i)
         del comps[i]
 
-    return edit_multiset(p, path.area, path.rep_index, path.steps[:-1], drop)
+    return _edit(p, path.rep_index, path.steps[:-1], drop)

@@ -111,7 +111,7 @@ def test_criterion_1_golden_examples(capsys):
     res = convertible(parse("!a.(b.0|a.c.0)|!a.(c.0|a.b.0)"),
                       parse("!a.b.0|!a.c.0"))
     assert res.equivalent
-    assert render(res.seed_p) == "!a.b.0 | !a.c.0"
+    assert render(res.left.seed) == "!a.b.0 | !a.c.0"
 
 
 def test_criterion_2_congruence_is_finite_bisimilarity():

@@ -173,3 +173,23 @@ def test_clear_caches_keeps_results_stable():
     assert {name for name, d in _memo_dicts().items()
             if id(d) not in registered} == set()
     assert run_all() == before
+
+
+def test_terms_built_too_deep_raise_structure_error():
+    # Built directly, not parsed: the recursive layers past the parser
+    # report the same typed error that parse does, then work as before.
+    a = syntax.Action("a")
+    fp = syntax.NIL_FINITE
+    for _ in range(5000):
+        fp = FiniteProcess((syntax.PrefixedTerm(a, fp),))
+    deep = Process((), fp)
+    for call, arg in ((canonicalize, deep), (congruence.canonical_finite, fp),
+                      (render, deep), (render, fp), (compute_seed, deep)):
+        with pytest.raises(syntax.StructureError,
+                           match="^term nested too deeply$"):
+            call(arg)
+    shallow = parse("a.(b.0 | a.b.0)")
+    assert render(canonicalize(shallow)) == "a.b.0 | a.b.0"
+    assert render(congruence.canonical_finite(shallow.finite)) == (
+        "a.b.0 | a.b.0")
+    assert render(compute_seed(shallow).seed) == "a.b.0 | a.b.0"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ccseed import corpus
 from ccseed.congruence import canonicalize, congruent
 from ccseed.lts import (DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU,
-                        bounded_class, reduct_k, successors, unfold)
+                        bounded_class, successors, unfold)
 from ccseed.syntax import Action, Process, parse, render
 
 
@@ -106,34 +106,6 @@ def test_no_tau_in_base_mode():
 def test_mode_validation():
     with pytest.raises(ValueError):
         successors(parse("a.0"), "weird")
-
-
-def test_reduct_k_exact_steps():
-    p = parse("a.b.0")
-    assert reduct_k(p, p, 0)
-    assert reduct_k(p, parse("b.0"), 1)
-    assert not reduct_k(p, parse("0"), 1)
-    assert reduct_k(p, parse("0"), 2)
-    assert not reduct_k(p, parse("b.0"), 2)
-
-
-def test_reduct_k_modulo_congruence():
-    # target supplied in non-canonical shape still matches
-    assert reduct_k(parse("b.a.a.0"), parse("a.a.0"), 1)
-    assert reduct_k(parse("b.a.a.0"), parse("a.0|a.0"), 1)
-
-
-def test_reduct_k_replication():
-    p = parse("!a.0")
-    assert reduct_k(p, p, 3)
-    assert reduct_k(parse("!a.b.0"), parse("!a.b.0|b.0|b.0"), 2)
-
-
-def test_reduct_k_validation():
-    with pytest.raises(ValueError):
-        reduct_k(parse("a.0"), parse("0"), -1)
-    with pytest.raises(DepthExceeded):
-        reduct_k(parse("a.0"), parse("0"), DEFAULT_DEPTH_CAP + 1)
 
 
 def test_reachable_within():

@@ -124,17 +124,17 @@ def test_seed_result_cached():
 def test_convertible_golden():
     res = convertible(parse(P1), parse(P2))
     assert res.equivalent
-    assert render(res.seed_p) == "!a.b.0 | !a.c.0"
-    assert res.seed_q == res.seed_p
+    assert render(res.left.seed) == "!a.b.0 | !a.c.0"
+    assert res.right.seed == res.left.seed
     # P2 is already its own seed
-    assert res.trace_q == ()
+    assert res.right.trace == ()
 
 
 def test_convertible_negative():
     res = convertible(parse("!a.b.0"), parse("!a.c.0"))
     assert not res.equivalent
-    assert render(res.seed_p) == "!a.b.0"
-    assert render(res.seed_q) == "!a.c.0"
+    assert render(res.left.seed) == "!a.b.0"
+    assert render(res.right.seed) == "!a.c.0"
 
 
 def test_convertible_is_symmetric_and_reflexive():
@@ -175,7 +175,7 @@ def test_fattened_processes_stay_convertible(seed):
     q = corpus.make_redundant(rng, p, rng.randint(1, 3))
     res = convertible(p, q)
     assert res.equivalent
-    assert res.seed_p == compute_seed(p).seed
+    assert res.left.seed == compute_seed(p).seed
 
 
 @settings(max_examples=50, deadline=None)

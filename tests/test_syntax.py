@@ -11,7 +11,7 @@ import ccseed
 from ccseed import corpus
 from ccseed.syntax import (INPUT, OUTPUT, PLAIN, Action, FiniteProcess,
                            ParseError, Path, PrefixedTerm, Process,
-                           StructureError, alphabet, apply_substitution,
+                           StructureError, apply_substitution,
                            delete_at, edit_multiset, occurrences, parse,
                            render, resolve)
 
@@ -117,14 +117,6 @@ def test_size():
     assert parse("!a.(b.0|c.0)").size == 3
 
 
-def test_alphabet():
-    assert alphabet(parse("0")) == frozenset()
-    assert alphabet(parse("a.b.0|!c.0")) == frozenset(
-        {Action("a"), Action("b"), Action("c")})
-    assert alphabet(parse("a.0|~a.0", mode="sync")) == frozenset(
-        {Action("a", INPUT), Action("a", OUTPUT)})
-
-
 def test_process_structure():
     p = parse("!a.0 | b.0 | !c.0")
     assert len(p.replicated) == 2
@@ -181,21 +173,21 @@ def test_delete_at_inside_replicated_body():
 ])
 def test_mismatched_path_raises_index_error(area, rep_index, steps):
     p = parse("!e.f.0 | a.(b.0|c.0) | d.0")
-    path = Path(area, rep_index, steps)
+    path = Path(rep_index, steps)
+    assert path.area == area
     with pytest.raises(IndexError):
         resolve(p, path)
     with pytest.raises(IndexError):
         delete_at(p, path)
     with pytest.raises(IndexError):
-        corpus.insert_at(p, (area, rep_index, steps), (PrefixedTerm(
-            Action("g")),))
+        corpus.insert_at(p, path, (PrefixedTerm(Action("g")),))
 
 
 def test_insert_at_slot_without_steps_rejects_bad_replicated_index():
     p = parse("!e.f.0 | d.0")
     for rep_index in (-1, 1):
         with pytest.raises(IndexError):
-            corpus.insert_at(p, ("replicated", rep_index, ()), ())
+            corpus.insert_at(p, Path(rep_index, ()), ())
 
 
 def test_edit_multiset_at_each_level():
@@ -205,13 +197,13 @@ def test_edit_multiset_at_each_level():
     def add(comps):
         comps.append(g)
 
-    assert render(edit_multiset(p, "finite", None, (), add)) == (
+    assert render(edit_multiset(p, Path(None, ()), add)) == (
         "!e.f.0 | d.0 | g.0 | a.(b.0 | c.0)")
-    assert render(edit_multiset(p, "finite", None, (1,), add)) == (
+    assert render(edit_multiset(p, Path(None, (1,)), add)) == (
         "!e.f.0 | d.0 | a.(b.0 | c.0 | g.0)")
-    assert render(edit_multiset(p, "replicated", 0, (), add)) == (
+    assert render(edit_multiset(p, Path(0, ()), add)) == (
         "!e.(f.0 | g.0) | d.0 | a.(b.0 | c.0)")
-    assert render(edit_multiset(p, "replicated", 0, (0,), add)) == (
+    assert render(edit_multiset(p, Path(0, (0,)), add)) == (
         "!e.f.g.0 | d.0 | a.(b.0 | c.0)")
     assert render(p) == "!e.f.0 | d.0 | a.(b.0 | c.0)"
 
@@ -245,13 +237,22 @@ def test_paths_slots_and_contexts_match_recorded_digest():
         "258795b7ddd218d6c14d2b88d04994b4353d44d7d1fefeffd817469c111b06b4")
 
 
-def test_path_validation():
-    with pytest.raises(ValueError):
-        Path("finite", None, ())
-    with pytest.raises(ValueError):
-        Path("replicated", None, (0,))
-    with pytest.raises(ValueError):
-        Path("nowhere", None, (0,))
+def test_top_multiset_paths_edit_but_address_no_occurrence():
+    # Empty steps name a top multiset: the finite part, or the body of a
+    # replicated component.  Inserting there works; there is no occurrence
+    # to resolve or delete.
+    p = parse("!e.f.0 | d.0")
+    g = PrefixedTerm(Action("g"))
+    top_finite, top_rep = Path(None, ()), Path(0, ())
+    assert (top_finite.area, top_rep.area) == ("finite", "replicated")
+    assert render(corpus.insert_at(p, top_finite, (g,))) == "!e.f.0 | d.0 | g.0"
+    assert render(corpus.insert_at(p, top_rep, (g,))) == "!e.(f.0 | g.0) | d.0"
+    assert render(edit_multiset(p, top_rep, list.clear)) == "!e.0 | d.0"
+    for path in (top_finite, top_rep):
+        with pytest.raises(IndexError, match="^path does not match process$"):
+            resolve(p, path)
+        with pytest.raises(IndexError, match="^path does not match process$"):
+            delete_at(p, path)
 
 
 def test_apply_substitution():
