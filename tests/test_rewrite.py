@@ -226,6 +226,32 @@ def test_random_sizes_6_to_10_seeds_traces_and_counts_match_recorded_digest():
         "211a6b8ae6fd0ec4ccc6003e99112639c172422d6b30aa4aa6ff6a0d33e6e865")
 
 
+def test_guided_steps_and_traces_match_recorded_digest():
+    # Recorded before the B1 guide became a set of terms: single B1 steps
+    # toward the process, its seed and a fattening, the B2 steps, and
+    # rewrites_to toward a few deletion descendants, in base mode (3
+    # actions) and sync mode (a, ~a, b, ~b), sizes 1-8.
+    rng = random.Random(1010)
+    digest = hashlib.sha256()
+    for mode, acts in (("base", corpus.default_actions(3)),
+                       ("sync", corpus.default_actions(4, "sync"))):
+        for _ in range(100):
+            p = corpus.random_process(rng, rng.randint(1, 8), acts)
+            seed = compute_seed(p).seed
+            targets = (p, seed, corpus.make_redundant(rng, p, 1))
+            descendants = list(rewrite._explore(canonicalize(p), None))
+            goals = [rng.choice(descendants) for _ in range(3)]
+            traces = [rewrites_to(p, d) for d in goals]
+            line = [mode, render(p), render(seed),
+                    [_trace_json(step_b1(p, t)) for t in targets],
+                    _trace_json(step_b2(p)),
+                    [None if tr is None else _trace_json(tr)
+                     for tr in traces]]
+            digest.update(json.dumps(line).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "c0612b08363de4ef38020869c75cc48314e3ae3d0a6555151af4d83ddc8f81e5")
+
+
 def test_search_visits_stay_within_exponential_bound():
     search_audit.clear()
     rng = random.Random(11)
