@@ -31,8 +31,7 @@ from .syntax import (FiniteProcess, PrefixedTerm, Process, StructureError,
                      memo_table)
 
 __all__ = [
-    "canonicalize", "canonical_finite", "canonical_components",
-    "congruent", "process_of",
+    "canonicalize", "canonical_finite", "congruent", "process_of",
 ]
 
 _CANON_COMPS = memo_table()
@@ -40,7 +39,7 @@ _CANON_FIN = memo_table()
 _CANON_PROC = memo_table()
 
 
-def canonical_components(t: PrefixedTerm) -> tuple:
+def _canonical_components(t: PrefixedTerm) -> tuple:
     """Canonical form of a prefixed term, as its multiset of components.
 
     The result is a single term unless the distribution law fires at the
@@ -72,7 +71,7 @@ def _canonical_finite(fp: FiniteProcess) -> FiniteProcess:
         return cached
     out = []
     for c in fp.components:
-        out.extend(canonical_components(c))
+        out.extend(_canonical_components(c))
     result = FiniteProcess(out)
     _CANON_FIN[fp] = result
     _CANON_FIN[result] = result

@@ -11,9 +11,14 @@ of a process is the smallest process it rewrites to when guided by that very
 process; seeds are unique modulo the congruence, and two processes are
 bisimilar exactly when their seeds are congruent.  ``compute_seed``
 enumerates only the replicated parts a deletion descendant can have,
-smallest first, and runs one guided exploration per guide table; every
+smallest first, and runs one guided exploration per guide; every
 state it reaches with that replicated part is verified.  ``convertible``
 compares the seeds of both sides.
+
+A target's guide is the set of its canonical replicated components: B1
+deletes an occurrence exactly when it is in the guide.  So a B1 step's
+justification, ``RewriteStep.matched``, is the deleted occurrence itself,
+read off the step's path.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .congruence import canonical_components, canonicalize, process_of
+from .congruence import _canonical_components, canonicalize, process_of
 from .lts import bounded_class
 from .syntax import (Path, PrefixedTerm, Process, delete_at, memo_table,
-                     occurrences)
+                     occurrences, resolve)
 
 __all__ = [
     "RewriteStep", "SeedResult", "ConvertibilityResult", "UniquenessError",
@@ -45,7 +50,6 @@ class RewriteStep:
     before: Process
     after: Process
     path: Optional[Path] = None             # B1: the deleted occurrence
-    matched: Optional[PrefixedTerm] = None  # B1: justifying replicated component
     dropped: Optional[PrefixedTerm] = None  # B2: the dropped replicated component
 
     def __post_init__(self):
@@ -54,74 +58,71 @@ class RewriteStep:
         if not self.after.size < self.before.size:
             raise ValueError("rewrite steps must strictly decrease size")
 
+    @property
+    def matched(self) -> Optional[PrefixedTerm]:
+        """B1: the justifying replicated component of the target.
 
-def _b1_match_table(target: Process) -> dict:
-    """Canonical occurrence -> justifying replicated component of target.
+        B1 deletes a.F because the target has !a.F, so the justification
+        is the deleted occurrence itself, read off ``before`` at ``path``.
+        """
+        if self.axiom != "B1" or self.path is None:
+            return None
+        return resolve(self.before, self.path)
 
-    A replicated component whose canonical form dissolves into several
-    parallel copies can never match a single occurrence of a canonical
-    process, so only single-component ones enter the table.
+
+def _guide(target: Process) -> frozenset:
+    """The B1 guide: the occurrences target's replication can regenerate.
+
+    These are target's canonical replicated components.  One whose
+    canonical form dissolves into several parallel copies can never equal
+    a single occurrence of a canonical process, so only those that stay
+    one component are kept.
     """
-    table = {}
-    for t in canonicalize(target).replicated:
-        comps = canonical_components(t)
-        if len(comps) == 1:
-            table.setdefault(comps[0], t)
-    return table
+    return frozenset(t for t in canonicalize(target).replicated
+                     if len(_canonical_components(t)) == 1)
 
 
-def _b1_deletions(state: Process, table: Optional[dict]):
-    """Every B1 deletion from a canonical state.
+def _b1_deletions(state: Process, guide: Optional[frozenset]):
+    """Every B1 deletion from a canonical state, as ``RewriteStep`` fields.
 
-    Yields ("B1", after, path, justification) with ``after`` canonical, the
-    deleted occurrence's path and the replicated component of the target
-    that justifies it.  ``table`` is a ``_b1_match_table``; ``None``
+    Yields ("B1", state, after, path, None) with ``after`` canonical and
+    ``path`` the deleted occurrence.  ``guide`` is a ``_guide``; ``None``
     deletes every occurrence unguided.
     """
-    if table is None:
-        for path, _occ in occurrences(state):
-            yield "B1", canonicalize(delete_at(state, path)), path, None
-    elif table:
-        for path, occ in occurrences(state):
-            just = table.get(occ)
-            if just is not None:
-                yield "B1", canonicalize(delete_at(state, path)), path, just
+    if guide is not None and not guide:
+        return  # an empty guide justifies nothing: walk no occurrence
+    for path, occ in occurrences(state):
+        if guide is None or occ in guide:
+            yield ("B1", state, canonicalize(delete_at(state, path)), path,
+                   None)
 
 
 def _b2_deletions(state: Process):
-    """Every B2 deletion: ("B2", after, None, dropped component)."""
+    """Every B2 deletion: ("B2", state, after, None, dropped component)."""
     reps = state.replicated
     for i, t in enumerate(reps):
         if (not i or t != reps[i - 1]) and reps.count(t) >= 2:
             remaining = list(reps)
             remaining.remove(t)
-            yield "B2", canonicalize(Process(remaining, state.finite)), None, t
+            yield ("B2", state, canonicalize(Process(remaining, state.finite)),
+                   None, t)
 
 
-def _deletions(state: Process, table: Optional[dict]):
+def _deletions(state: Process, guide: Optional[frozenset]):
     """Every B1, then every B2 deletion from a canonical state."""
-    yield from _b1_deletions(state, table)
+    yield from _b1_deletions(state, guide)
     yield from _b2_deletions(state)
-
-
-def _step(before: Process, axiom: str, after: Process, path,
-          just) -> RewriteStep:
-    if axiom == "B1":
-        return RewriteStep("B1", before, after, path=path, matched=just)
-    return RewriteStep("B2", before, after, dropped=just)
 
 
 def step_b1(p: Process, target: Process) -> tuple:
     """All single B1 steps from p guided by target."""
-    before = canonicalize(p)
-    table = _b1_match_table(target)
-    return tuple(_step(before, *d) for d in _b1_deletions(before, table))
+    return tuple(RewriteStep(*d)
+                 for d in _b1_deletions(canonicalize(p), _guide(target)))
 
 
 def step_b2(p: Process) -> tuple:
     """All single B2 steps from p (one per duplicated replicated component)."""
-    before = canonicalize(p)
-    return tuple(_step(before, *d) for d in _b2_deletions(before))
+    return tuple(RewriteStep(*d) for d in _b2_deletions(canonicalize(p)))
 
 
 # Audit trail for termination checks: one (start size, states visited)
@@ -129,27 +130,25 @@ def step_b2(p: Process) -> tuple:
 search_audit: list = []
 
 
-def _explore(start: Process, table: Optional[dict], floor: int = 0) -> dict:
+def _explore(start: Process, guide: Optional[frozenset]) -> dict:
     """Breadth-first closure of a canonical state under deletions.
 
-    Maps every state of size at least ``floor`` that B1 (guided by the
-    ``_b1_match_table`` ``table``, unguided when it is None) and B2 reach
-    from ``start`` to its first-discovery ``(parent, axiom, path,
-    justification)``; ``start`` maps to None.  Deletions only shrink a
-    state, so states below a goal's size are never on its way and the
-    goal's ancestry does not depend on the floor.
+    Maps every state that B1 (guided by ``guide``, unguided when it is
+    None) and B2 reach from ``start`` to the deletion that first
+    discovered it, as ``RewriteStep`` fields; ``start`` maps to None.
     """
     parents = {start: None}
     frontier = [start]
     while frontier:
         nxt = []
         for state in frontier:
-            for axiom, after, path, just in _deletions(state, table):
-                if after.size >= floor and after not in parents:
-                    parents[after] = (state, axiom, path, just)
+            for deletion in _deletions(state, guide):
+                after = deletion[2]
+                if after not in parents:
+                    parents[after] = deletion
                     nxt.append(after)
         frontier = nxt
-    if table is not None:
+    if guide is not None:
         search_audit.append((start.size, len(parents)))
     return parents
 
@@ -160,17 +159,16 @@ def _trace(parents: dict, goal: Process) -> Optional[tuple]:
         return None
     trace = []
     while parents[goal] is not None:
-        prev, axiom, path, just = parents[goal]
-        trace.append(_step(prev, axiom, goal, path, just))
-        goal = prev
+        step = RewriteStep(*parents[goal])
+        trace.append(step)
+        goal = step.before
     return tuple(reversed(trace))
 
 
 def rewrites_to(p: Process, target: Process) -> Optional[tuple]:
     """A guided rewrite trace from p to target, or None if unreachable."""
     goal = canonicalize(target)
-    return _trace(_explore(canonicalize(p), _b1_match_table(goal),
-                           goal.size), goal)
+    return _trace(_explore(canonicalize(p), _guide(goal)), goal)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def compute_seed(p: Process) -> SeedResult:
         return cached
 
     verified = []
-    # One guided exploration per guide table; parts that differ only in
+    # One guided exploration per guide; parts that differ only in
     # multiplicity share one.
     guided = {}
     # start's replicated part alone is canonical already.
@@ -226,10 +224,10 @@ def compute_seed(p: Process) -> SeedResult:
     for part in sorted(parts, key=lambda r: r.size):
         if verified and part.size > verified[0][0].size:
             break  # p itself verifies, so some part does
-        table = _b1_match_table(part)
-        parents = guided.get(tuple(table))
+        guide = _guide(part)
+        parents = guided.get(guide)
         if parents is None:
-            parents = guided[tuple(table)] = _explore(start, table)
+            parents = guided[guide] = _explore(start, guide)
         for state in parents:
             if state.replicated != part.replicated:
                 continue
