@@ -226,17 +226,15 @@ def replay_distinguisher(p: Process, q: Process, dist: Distinguisher,
             return False
         mv = moves[0]
         if mv.side == single_side:
-            if (mv.label, mv.successor) not in successors(single, mode):
-                return False
-            alive = sorted({y for o in others
-                            for l, y in successors(o, mode) if l == mv.label})
-            return run(mv.successor, tuple(alive), single_side, moves[1:])
-        if len(others) != 1:
+            attacker, defenders = single, others
+        elif len(others) == 1:
+            attacker, defenders = others[0], (single,)
+        else:
             return False
-        if (mv.label, mv.successor) not in successors(others[0], mode):
+        if (mv.label, mv.successor) not in successors(attacker, mode):
             return False
-        alive = sorted({y for l, y in successors(single, mode)
-                        if l == mv.label})
+        alive = sorted({y for o in defenders
+                        for l, y in successors(o, mode) if l == mv.label})
         return run(mv.successor, tuple(alive), mv.side, moves[1:])
 
     return run(canonicalize(process_of(p)), (canonicalize(process_of(q)),),
@@ -520,7 +518,7 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
                         sd, Process((), residue))).equivalent:
                     st.fail(seed=_pp(sd), residue=_pp(residue))
         else:
-            props["absorbed_residue_is_nil"].instances += 1
+            st.probe(False)
 
         # --- equivalence of full processes cancels to replicated parts
         st = props["replicated_parts_cancel_finite"]
@@ -557,16 +555,14 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
             comps.remove(extra)
             comps.remove(extra)
             f2 = FiniteProcess(comps + [folded])
-            if dis_check(sd, f2):
-                hyp = convertible(corpus.compose(sd, Process((), f1)),
-                                  corpus.compose(sd, Process((), f2))).equivalent
-                if st.probe(hyp):
-                    if not finite_bisim(f1, f2, "base"):
-                        st.fail(seed=_pp(sd), left=render(f1), right=render(f2))
-            else:
-                st.instances += 1
+        if f1 is not None and dis_check(sd, f2):
+            hyp = convertible(corpus.compose(sd, Process((), f1)),
+                              corpus.compose(sd, Process((), f2))).equivalent
+            if st.probe(hyp):
+                if not finite_bisim(f1, f2, "base"):
+                    st.fail(seed=_pp(sd), left=render(f1), right=render(f2))
         else:
-            st.instances += 1
+            st.probe(False)
 
         # --- the seed decision agrees with the bounded game
         st = props["seed_decision_matches_game"]
@@ -594,7 +590,7 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
                                                     mode)):
                     st.fail(left=_pp(p), right=_pp(q))
         else:
-            st.instances += 1
+            st.probe(False)
 
         # --- guided rewriting reaches no other state as small as the seed
         st = props["seed_unique_across_orders"]
@@ -638,7 +634,7 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
                                 successor=_pp(dest), predicate="purg")
             st.probe(checked)
         else:
-            st.instances += 1
+            st.probe(False)
 
     return SuiteReport(seed, mode, props)
 
