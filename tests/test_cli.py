@@ -1,10 +1,14 @@
 import hashlib
 import io
 import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ccseed import clear_caches, cli, oracle, rewrite
+from ccseed import clear_caches, cli, corpus, lts, oracle, rewrite
 from ccseed.cli import main
 from ccseed.congruence import canonicalize
 from ccseed.lts import successors
@@ -631,3 +635,72 @@ def test_help_golden(capsys, monkeypatch, verb):
     assert code == 0
     assert err == ""
     assert out == HELP[verb]
+
+
+# The CLI boundary: whatever the input, every verb answers 0, 1 or 2, with
+# no traceback and no internal error, within a bounded amount of work.
+TERM_CHARS = "ab~!.0|() -"
+ADVERSARIAL = ["", "   ", "\t\n", DEEP_PREFIXES, "(" * 600 + "0" + ")" * 600,
+               "(" * 600, "ä.0", "a.0 | λ.0", "a.0\u00a0|\u00a0b.0", "-"]
+
+
+def _generated_term(seed, mode, size):
+    actions = corpus.default_actions(2 if mode == "base" else 4, mode)
+    return render(corpus.random_process(random.Random(seed), size, actions))
+
+
+generated_terms = st.builds(_generated_term, st.integers(0, 2**31 - 1),
+                            st.sampled_from(["base", "sync"]),
+                            st.integers(0, 8))
+
+
+@st.composite
+def mutated_terms(draw):
+    # insert (cut 0), replace or delete (cut 1) one character
+    text = draw(generated_terms)
+    i = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 1))
+    return text[:i] + draw(st.sampled_from(["", *TERM_CHARS])) + text[i + cut:]
+
+
+cli_terms = st.one_of(st.text(TERM_CHARS, max_size=40), generated_terms,
+                      mutated_terms(), st.sampled_from(ADVERSARIAL))
+
+VERB_FLAGS = {"check": ["--sync", "--json", "--trace", "--oracle"],
+              "seed": ["--sync", "--json", "--trace"],
+              "normalize": ["--sync", "--json"],
+              "lts": ["--sync", "--json"]}
+
+
+@st.composite
+def cli_invocations(draw):
+    verb = draw(st.sampled_from(sorted(VERB_FLAGS)))
+    flags = [f for f in VERB_FLAGS[verb] if draw(st.booleans())]
+    terms = [draw(cli_terms) for _ in range(2 if verb == "check" else 1)]
+    return [verb, *flags, *terms]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(cli_invocations())
+def test_cli_answers_0_1_or_2_on_any_input(argv):
+    calls = 0
+
+    def counting(fn):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 20_000:
+                pytest.fail(f"more than 20,000 calls on {argv!r}")
+            return fn(*args)
+        return wrapper
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(rewrite, "canonicalize", counting(canonicalize)), \
+            mock.patch.object(oracle, "successors", counting(successors)), \
+            mock.patch.object(lts, "successors", counting(successors)), \
+            mock.patch("sys.stdin", io.StringIO("")), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "error: internal error" not in err.getvalue()
