@@ -15,10 +15,10 @@ smallest first, and runs one guided exploration per guide; every
 state it reaches with that replicated part is verified.  ``convertible``
 compares the seeds of both sides.
 
-A target's guide is the set of its canonical replicated components: B1
-deletes an occurrence exactly when it is in the guide.  So a B1 step's
-justification, ``RewriteStep.matched``, is the deleted occurrence itself,
-read off the step's path.
+A target's guide is the set of its canonical replicated components that
+stay one component: B1 deletes an occurrence exactly when it is in the
+guide.  So a B1 step's justification, ``RewriteStep.matched``, is the
+deleted occurrence itself, read off the step's path.
 """
 
 from __future__ import annotations
