@@ -402,7 +402,7 @@ def _random_residue(rng: random.Random, s: Process) -> FiniteProcess:
     for _ in range(rng.randint(1, 2)):
         t = rng.choice(terms)
         state = canonicalize(Process((), t.body))
-        for _step in range(rng.randint(0, max(0, t.body.size - 1))):
+        for _ in range(rng.randint(0, max(0, t.body.size - 1))):
             succ = successors(state, "base")
             if not succ:
                 break
