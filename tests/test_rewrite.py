@@ -265,3 +265,31 @@ def test_search_visits_stay_within_exponential_bound():
 
 def test_uniqueness_error_is_an_assertion():
     assert issubclass(UniquenessError, AssertionError)
+
+
+def _mixed_processes(rng, count, acts):
+    """``count`` random processes of sizes 11-15, each with a non-empty
+    replicated and a non-empty finite part."""
+    out = []
+    while len(out) < count:
+        p = corpus.random_process(rng, 11 + len(out) % 5, acts)
+        if p.replicated and p.finite.components:
+            out.append(p)
+    return out
+
+
+def test_random_mixed_sizes_11_to_15_seeds_and_traces_match_recorded_digest():
+    # Recorded before seeds were computed in two stages: inputs with both
+    # a replicated and a finite part, past the sizes the digests above
+    # reach, in base mode (3 actions) and sync mode (a, ~a, b, ~b).
+    rng = random.Random(1111)
+    digest = hashlib.sha256()
+    for mode, count, acts in (("base", 90, corpus.default_actions(3)),
+                              ("sync", 30, corpus.default_actions(4, "sync"))):
+        for p in _mixed_processes(rng, count, acts):
+            res = compute_seed(p)
+            digest.update(json.dumps([mode, render(p), render(res.seed),
+                                      _trace_json(res.trace)]).encode()
+                          + b"\n")
+    assert digest.hexdigest() == (
+        "799403f7d3b6e5ab5755416fa55e7318df4e615ecd9642a43681247f56a8767b")
