@@ -418,9 +418,12 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
     Every generated instance is derived from ``seed`` only, so failures
     replay.  Hypothesis-laden properties mix constructive instances (the
     hypothesis holds by construction) with random probes.  Games are played
-    to ``GameConfig``'s default depth.
+    to ``GameConfig``'s default depth.  ``rounds=0`` is an empty run that
+    passes vacuously; a negative count raises ValueError.
     """
     check_mode(mode)
+    if rounds < 0:
+        raise ValueError("rounds must not be negative")
     rng = random.Random(seed)
     actions = corpus.default_actions(action_count, mode)
     names = sorted({a.name for a in actions})
@@ -655,6 +658,8 @@ def lemma_suite_sharded(seed: int = 0, rounds: int = 120, shards: int = 4,
     """
     if shards < 1:
         raise ValueError("shards must be positive")
+    if rounds < 0:
+        raise ValueError("rounds must not be negative")
     shards = min(shards, rounds) or 1
     base, extra = divmod(rounds, shards)
     shard_args = [(seed * 1000003 + i, base + (1 if i < extra else 0),

@@ -10,10 +10,10 @@ Both strictly decrease size, so every rewrite sequence terminates.  The seed
 of a process is the smallest process it rewrites to when guided by that very
 process; seeds are unique modulo the congruence, and two processes are
 bisimilar exactly when their seeds are congruent.  ``compute_seed``
-enumerates only the replicated parts a deletion descendant can have,
-smallest first, and runs one guided exploration per guide; every
-state it reaches with that replicated part is verified.  ``convertible``
-compares the seeds of both sides.
+first seeds the replicated part alone (stage 1), then explores the whole
+process once under the guide of that part's seed (stage 2).  Stage 1
+rests on the seed theorem and the cancellation law for replicated parts;
+this is argued and checked, not proved.  ``convertible`` compares seeds.
 
 A target's guide is the set of its canonical replicated components that
 stay one component: B1 deletes an occurrence exactly when it is in the
@@ -39,7 +39,7 @@ __all__ = [
 
 
 class UniquenessError(AssertionError):
-    """Two non-congruent minimal verified candidates: seed uniqueness broken."""
+    """A seed stage found several minimal states: seed uniqueness broken."""
 
 
 @dataclass(frozen=True)
@@ -200,46 +200,46 @@ _SEED_CACHE = memo_table()
 _PREFILTER_DEPTH = 2
 
 
+def _smallest(states: list, start: Process) -> Process:
+    """The one smallest of ``states``, else UniquenessError."""
+    size = min((s.size for s in states), default=None)
+    smallest = [s for s in states if s.size == size]
+    if len(smallest) != 1:
+        raise UniquenessError(f"minimal seeds for {start!r}: {smallest!r}")
+    return smallest[0]
+
+
 def compute_seed(p: Process) -> SeedResult:
     """The minimal process p rewrites to under its own guidance.
 
-    A deletion descendant c verifies when the exploration guided by
-    ``c.replicated`` reaches it.  Deletions never move terms between the
-    replicated and the finite area, so the replicated parts to try are
-    those of the descendants of p's replicated part alone, taken smallest
-    first.  At the minimal verified size all verified states must agree
-    (uniqueness), otherwise UniquenessError is raised.
+    Stage 1 seeds p's replicated part R0 alone: R0's deletion descendants
+    are taken smallest first, and r verifies when the exploration of R0
+    guided by ``_guide(r)`` reaches it.  Stage 2 explores p once under the
+    verified part's guide; the seed is the smallest state there with that
+    replicated part.  Each stage raises UniquenessError unless exactly one
+    state is minimal.
     """
     start = canonicalize(p)
     cached = _SEED_CACHE.get(start)
     if cached is not None:
         return cached
 
+    rep = Process(start.replicated)  # canonical already
+    guided = {}  # explorations of rep; parts that share a guide share one
     verified = []
-    # One guided exploration per guide; parts that differ only in
-    # multiplicity share one.
-    guided = {}
-    # start's replicated part alone is canonical already.
-    parts = _explore(Process(start.replicated), None)
-    for part in sorted(parts, key=lambda r: r.size):
-        if verified and part.size > verified[0][0].size:
-            break  # p itself verifies, so some part does
-        guide = _guide(part)
-        parents = guided.get(guide)
-        if parents is None:
-            parents = guided[guide] = _explore(start, guide)
-        for state in parents:
-            if state.replicated != part.replicated:
-                continue
-            if not verified or state.size < verified[0][0].size:
-                verified = [(state, parents)]
-            elif state.size == verified[0][0].size:
-                verified.append((state, parents))
-    if len(verified) > 1:
-        raise UniquenessError(
-            "distinct minimal seeds for "
-            f"{start!r}: {[v[0] for v in verified]!r}")
-    seed, parents = verified[0]
+    for r in sorted(_explore(rep, None), key=lambda c: c.size):
+        if verified and r.size > verified[0].size:
+            break  # rep itself verifies, so some part does
+        guide = _guide(r)
+        if guide not in guided:
+            guided[guide] = _explore(rep, guide)
+        if r in guided[guide]:
+            verified.append(r)
+    part = _smallest(verified, rep)
+    guide = _guide(part)
+    parents = guided[guide] if start == rep else _explore(start, guide)
+    seed = _smallest([s for s in parents
+                      if s.replicated == part.replicated], start)
     result = SeedResult(seed, _trace(parents, seed))
     _SEED_CACHE[start] = result
     return result

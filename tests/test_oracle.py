@@ -299,6 +299,13 @@ def test_lemma_suite_empty_run_passes_vacuously():
     assert not report.all_hypotheses_hit
 
 
+@pytest.mark.parametrize("suite", [lemma_suite, lemma_suite_sharded])
+def test_lemma_suite_rejects_negative_rounds(suite):
+    # a negative count once ran no round and reported ok
+    with pytest.raises(ValueError, match="rounds must not be negative"):
+        suite(rounds=-5)
+
+
 def _fallback_suite(monkeypatch, **kwargs) -> dict:
     """The sharded suite as run where no worker process can be started."""
     def no_pool(*args):

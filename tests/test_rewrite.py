@@ -293,3 +293,31 @@ def test_random_mixed_sizes_11_to_15_seeds_and_traces_match_recorded_digest():
                           + b"\n")
     assert digest.hexdigest() == (
         "799403f7d3b6e5ab5755416fa55e7318df4e615ecd9642a43681247f56a8767b")
+
+
+def test_seed_explores_an_input_with_a_finite_part_once(monkeypatch):
+    # The replicated part is seeded on its own, so only one guided
+    # exploration starts at the whole input; one exploration of the whole
+    # input per guide explored the first input 31 times.
+    found = parse("!b.0 | !c.0 | !c.b.0 | "
+                  "!c.(b.0 | b.0 | c.0 | c.0 | b.a.0 | b.(a.0 | c.0)) | "
+                  "c.0 | c.0")
+    rng = random.Random(77)
+    acts = corpus.default_actions(3)
+    inputs = [found] + [p for p in (corpus.random_process(rng, 16, acts)
+                                    for _ in range(30))
+                        if p.finite.components]
+    starts = []
+    explore = rewrite._explore
+
+    def recording(start, guide):
+        if guide is not None:
+            starts.append(start)
+        return explore(start, guide)
+
+    monkeypatch.setattr(rewrite, "_explore", recording)
+    for p in inputs:  # found is drawn again among the random inputs
+        monkeypatch.setattr(rewrite, "_SEED_CACHE", {})
+        starts.clear()
+        compute_seed(p)
+        assert starts.count(canonicalize(p)) == 1, render(p)
