@@ -295,6 +295,38 @@ def test_random_mixed_sizes_11_to_15_seeds_and_traces_match_recorded_digest():
         "799403f7d3b6e5ab5755416fa55e7318df4e615ecd9642a43681247f56a8767b")
 
 
+def _replicated_heavy_processes(rng, count, acts):
+    """``count`` random processes of sizes 12-15 with at least two
+    replicated components holding three quarters of the size or more;
+    every fourth is replicated-only."""
+    out = []
+    while len(out) < count:
+        p = corpus.random_process(rng, 12 + len(out) % 4, acts)
+        if len(out) % 4 == 3:
+            p = Process(p.replicated + p.finite.components)
+        if (len(p.replicated) >= 2
+                and 4 * sum(t.size for t in p.replicated) >= 3 * p.size):
+            out.append(p)
+    return out
+
+
+def test_replicated_heavy_sizes_12_to_15_seeds_and_traces_match_recorded_digest():
+    # Recorded before stage 1 listed its candidates under a bounded guide:
+    # inputs whose replicated part has many deletion descendants, in base
+    # mode (3 actions) and sync mode (a, ~a, b, ~b).
+    rng = random.Random(1212)
+    digest = hashlib.sha256()
+    for mode, count, acts in (("base", 30, corpus.default_actions(3)),
+                              ("sync", 10, corpus.default_actions(4, "sync"))):
+        for p in _replicated_heavy_processes(rng, count, acts):
+            res = compute_seed(p)
+            digest.update(json.dumps([mode, render(p), render(res.seed),
+                                      _trace_json(res.trace)]).encode()
+                          + b"\n")
+    assert digest.hexdigest() == (
+        "4fe270598c564ef918e82ac6d279d1002342dc95f56d98c9e9341257b446fc1a")
+
+
 def test_seed_explores_an_input_with_a_finite_part_once(monkeypatch):
     # The replicated part is seeded on its own, so only one guided
     # exploration starts at the whole input; one exploration of the whole
