@@ -10,10 +10,13 @@ Both strictly decrease size, so every rewrite sequence terminates.  The seed
 of a process is the smallest process it rewrites to when guided by that very
 process; seeds are unique modulo the congruence, and two processes are
 bisimilar exactly when their seeds are congruent.  ``compute_seed``
-first seeds the replicated part alone (stage 1), then explores the whole
-process once under the guide of that part's seed (stage 2).  Stage 1
-rests on the seed theorem and the cancellation law for replicated parts;
-this is argued and checked, not proved.  ``convertible`` compares seeds.
+first seeds the replicated part alone (stage 1), listing its candidates
+under a guide bounded by what each replicated component can generate,
+then explores the finite part alone under the guide of that part's seed
+(stage 2).  No call explores the whole process; the trace is found on
+first read.  Stage 1 rests on the seed theorem and the cancellation law
+for replicated parts; this is argued and checked, not proved.
+``convertible`` compares seeds.
 
 A target's guide is the set of its canonical replicated components that
 stay one component: B1 deletes an occurrence exactly when it is in the
@@ -23,7 +26,7 @@ deleted occurrence itself, read off the step's path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -176,21 +179,32 @@ def rewrites_to(p: Process, target: Process) -> Optional[tuple]:
 
 @dataclass(frozen=True)
 class SeedResult:
+    """A seed and the canonical input it was computed from.
+
+    The trace is found on first read, by one exploration of the whole
+    input guided by the seed; ``compute_seed`` itself never explores it.
+    """
+
     seed: Process
-    trace: tuple  # from the canonical input to the seed
+    start: Process = field(compare=False)  # the canonical input
+
+    @cached_property
+    def trace(self) -> tuple:
+        """The guided steps from ``start`` to the seed."""
+        return _trace(_explore(self.start, _guide(self.seed)), self.seed)
 
     @cached_property
     def candidates_checked(self) -> int:
         """Deletion descendants of the input, at most the seed's size, that
         pass the prefilter: the candidates an exhaustive search checks."""
-        start = self.trace[0].before if self.trace else self.seed
-        pcls = bounded_class(start, _PREFILTER_DEPTH)
-        return sum(1 for c in _explore(start, None)
+        pcls = bounded_class(self.start, _PREFILTER_DEPTH)
+        return sum(1 for c in _explore(self.start, None)
                    if c.size <= self.seed.size
                    and bounded_class(c, _PREFILTER_DEPTH) == pcls)
 
 
 _SEED_CACHE = memo_table()
+_GENERATED = memo_table()
 
 # A descendant whose behaviour already differs from p at this depth cannot
 # be reached by guided rewriting (a successful rewrite implies
@@ -198,6 +212,22 @@ _SEED_CACHE = memo_table()
 # descendants an exhaustive search would check; every state the seed
 # search verifies passes it.
 _PREFILTER_DEPTH = 2
+
+
+def _generated(t: PrefixedTerm) -> frozenset:
+    """Every guide term that unguided deletion can make from ``!t``.
+
+    The union of the guides of the deletion descendants of ``!t`` alone:
+    a deletion descendant of a replicated part has each replicated
+    component from one of its components, so its guide lies in the union
+    of ``_generated`` over those components.
+    """
+    cached = _GENERATED.get(t)
+    if cached is None:
+        cached = frozenset().union(
+            *map(_guide, _explore(Process((t,)), None)))
+        _GENERATED[t] = cached
+    return cached
 
 
 def _smallest(states: list, start: Process) -> Process:
@@ -212,11 +242,17 @@ def _smallest(states: list, start: Process) -> Process:
 def compute_seed(p: Process) -> SeedResult:
     """The minimal process p rewrites to under its own guidance.
 
-    Stage 1 seeds p's replicated part R0 alone: R0's deletion descendants
-    are taken smallest first, and r verifies when the exploration of R0
-    guided by ``_guide(r)`` reaches it.  Stage 2 explores p once under the
-    verified part's guide; the seed is the smallest state there with that
-    replicated part.  Each stage raises UniquenessError unless exactly one
+    Stage 1 seeds p's replicated part R0 alone.  Its candidates are the
+    states of R0's exploration under the bound B, the union of
+    ``_generated`` over R0's components, taken smallest first; r verifies
+    when the exploration of R0 guided by ``_guide(r)`` reaches it.  Every
+    candidate's guide lies in B and exploration grows with the guide, so
+    B drops only states that cannot verify.  Stage 2 explores p's finite
+    part F0 alone under the verified part's guide, and the seed is that
+    part beside the smallest state found.  Under a fixed guide every
+    deletion touches one part only and ``canonicalize`` works per
+    component, so exploring p would give exactly the pairs of these two
+    explorations.  Each stage raises UniquenessError unless exactly one
     state is minimal.
     """
     start = canonicalize(p)
@@ -225,9 +261,11 @@ def compute_seed(p: Process) -> SeedResult:
         return cached
 
     rep = Process(start.replicated)  # canonical already
-    guided = {}  # explorations of rep; parts that share a guide share one
+    bound = frozenset().union(*map(_generated, set(start.replicated)))
+    candidates = _explore(rep, bound)
+    guided = {bound: candidates}  # explorations of rep, one per guide
     verified = []
-    for r in sorted(_explore(rep, None), key=lambda c: c.size):
+    for r in sorted(candidates, key=lambda c: c.size):
         if verified and r.size > verified[0].size:
             break  # rep itself verifies, so some part does
         guide = _guide(r)
@@ -236,11 +274,9 @@ def compute_seed(p: Process) -> SeedResult:
         if r in guided[guide]:
             verified.append(r)
     part = _smallest(verified, rep)
-    guide = _guide(part)
-    parents = guided[guide] if start == rep else _explore(start, guide)
-    seed = _smallest([s for s in parents
-                      if s.replicated == part.replicated], start)
-    result = SeedResult(seed, _trace(parents, seed))
+    finite = _smallest(list(_explore(Process((), start.finite),
+                                     _guide(part))), start)
+    result = SeedResult(Process(part.replicated, finite.finite), start)
     _SEED_CACHE[start] = result
     return result
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccseed import corpus
+from ccseed import clear_caches, corpus
 from ccseed.cli import _trace_json
 from ccseed.congruence import canonicalize
 from ccseed.oracle import finite_bisim
@@ -267,6 +267,27 @@ def test_uniqueness_error_is_an_assertion():
     assert issubclass(UniquenessError, AssertionError)
 
 
+@pytest.mark.parametrize("part, twin", [("!a.b.0", "!a.c.0"),
+                                        ("c.0", "d.0")])
+def test_each_seed_stage_raises_uniqueness_error_on_a_tie(monkeypatch, part,
+                                                          twin):
+    # An exploration of the replicated part (stage 1) or of the finite part
+    # (stage 2) that reaches a second state as small as the minimal one
+    # leaves no unique seed.
+    start = canonicalize(parse(part))
+    twin = canonicalize(parse(twin))
+    explore = rewrite._explore
+
+    def tied(state, guide):
+        parents = explore(state, guide)
+        return {**parents, twin: None} if state == start else parents
+
+    monkeypatch.setattr(rewrite, "_explore", tied)
+    monkeypatch.setattr(rewrite, "_SEED_CACHE", {})
+    with pytest.raises(UniquenessError):
+        compute_seed(parse("!a.b.0 | c.0"))
+
+
 def _mixed_processes(rng, count, acts):
     """``count`` random processes of sizes 11-15, each with a non-empty
     replicated and a non-empty finite part."""
@@ -328,9 +349,10 @@ def test_replicated_heavy_sizes_12_to_15_seeds_and_traces_match_recorded_digest(
 
 
 def test_seed_explores_an_input_with_a_finite_part_once(monkeypatch):
-    # The replicated part is seeded on its own, so only one guided
-    # exploration starts at the whole input; one exploration of the whole
-    # input per guide explored the first input 31 times.
+    # The replicated and the finite part are explored on their own, so no
+    # guided exploration starts at the whole input until the trace is
+    # first read, and that read explores it once; one exploration of the
+    # whole input per guide explored the first input 31 times.
     found = parse("!b.0 | !c.0 | !c.b.0 | "
                   "!c.(b.0 | b.0 | c.0 | c.0 | b.a.0 | b.(a.0 | c.0)) | "
                   "c.0 | c.0")
@@ -351,5 +373,84 @@ def test_seed_explores_an_input_with_a_finite_part_once(monkeypatch):
     for p in inputs:  # found is drawn again among the random inputs
         monkeypatch.setattr(rewrite, "_SEED_CACHE", {})
         starts.clear()
-        compute_seed(p)
+        result = compute_seed(p)
+        assert convertible(p, found).left is result
+        assert canonicalize(p) not in starts, render(p)
+        assert canonicalize(found) not in starts, render(p)
+        result.trace
         assert starts.count(canonicalize(p)) == 1, render(p)
+        starts.clear()
+        result.trace
+        assert not starts, render(p)
+
+
+def test_fattened_draw_stays_within_work_budget(monkeypatch):
+    # The size-24 replicated-only fattening that random.Random(1418937128)
+    # draws in test_fattened_processes_stay_convertible: listing stage 1's
+    # candidates by an unguided exploration of its replicated part took
+    # 66,555 canonicalize calls (1.2-1.6 s) from cold caches.
+    rng = random.Random(1418937128)
+    p = corpus.random_process(rng, rng.randint(0, 6), ACTIONS)
+    q = corpus.make_redundant(rng, p, rng.randint(1, 3))
+    assert q.size == 24 and not q.finite.components
+    calls = 0
+
+    def counting_canonicalize(p):
+        nonlocal calls
+        calls += 1
+        if calls > 5000:
+            pytest.fail("more than 5000 rewrite.canonicalize calls")
+        return canonicalize(p)
+
+    monkeypatch.setattr(rewrite, "canonicalize", counting_canonicalize)
+    clear_caches()
+    assert convertible(p, q).equivalent
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_stage_1_bound_holds_every_guide_and_every_verified_part(mode):
+    # Every unguided deletion descendant r of a replicated part R0 has its
+    # guide inside the bound B (the union of _generated over R0's
+    # components), and every r that verifies lies in R0's exploration
+    # under B, so listing the candidates under B drops none that verify.
+    parts = {Process(canonicalize(p).replicated)
+             for p in corpus.enumerate_processes(5, corpus.default_actions(
+                 2, mode))}
+    verified = 0
+    for rep in parts:
+        bound = frozenset().union(*map(rewrite._generated, rep.replicated))
+        bounded = rewrite._explore(rep, bound)
+        for r in rewrite._explore(rep, None):
+            guide = rewrite._guide(r)
+            assert guide <= bound, render(r)
+            if r in rewrite._explore(rep, guide):
+                verified += 1
+                assert r in bounded, render(r)
+    assert verified > len(parts)
+
+
+def _mixed_inputs(rng, count, acts):
+    """``count`` random processes of sizes 4-13 with a non-empty
+    replicated and a non-empty finite part."""
+    out = []
+    while len(out) < count:
+        p = corpus.random_process(rng, 4 + len(out) % 10, acts)
+        if p.replicated and p.finite.components:
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_guided_exploration_is_the_product_of_its_parts(mode):
+    # Under the seed's guide, exploring the whole input gives exactly the
+    # pairs of an explored replicated part and an explored finite part.
+    rng = random.Random(1213)
+    acts = corpus.default_actions(3 if mode == "base" else 4, mode)
+    for p in _mixed_inputs(rng, 60, acts):
+        start = canonicalize(p)
+        guide = rewrite._guide(compute_seed(start).seed)
+        reps = rewrite._explore(Process(start.replicated), guide)
+        finites = rewrite._explore(Process((), start.finite), guide)
+        product = {Process(r.replicated, f.finite)
+                   for r in reps for f in finites}
+        assert set(rewrite._explore(start, guide)) == product, render(start)
