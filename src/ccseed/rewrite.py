@@ -261,7 +261,7 @@ def compute_seed(p: Process) -> SeedResult:
         return cached
 
     rep = Process(start.replicated)  # canonical already
-    bound = frozenset().union(*map(_generated, set(start.replicated)))
+    bound = frozenset().union(*map(_generated, start.replicated))
     candidates = _explore(rep, bound)
     guided = {bound: candidates}  # explorations of rep, one per guide
     verified = []

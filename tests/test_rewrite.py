@@ -429,24 +429,13 @@ def test_stage_1_bound_holds_every_guide_and_every_verified_part(mode):
     assert verified > len(parts)
 
 
-def _mixed_inputs(rng, count, acts):
-    """``count`` random processes of sizes 4-13 with a non-empty
-    replicated and a non-empty finite part."""
-    out = []
-    while len(out) < count:
-        p = corpus.random_process(rng, 4 + len(out) % 10, acts)
-        if p.replicated and p.finite.components:
-            out.append(p)
-    return out
-
-
 @pytest.mark.parametrize("mode", ["base", "sync"])
 def test_guided_exploration_is_the_product_of_its_parts(mode):
     # Under the seed's guide, exploring the whole input gives exactly the
     # pairs of an explored replicated part and an explored finite part.
     rng = random.Random(1213)
     acts = corpus.default_actions(3 if mode == "base" else 4, mode)
-    for p in _mixed_inputs(rng, 60, acts):
+    for p in _mixed_processes(rng, 30, acts):
         start = canonicalize(p)
         guide = rewrite._guide(compute_seed(start).seed)
         reps = rewrite._explore(Process(start.replicated), guide)
