@@ -11,6 +11,7 @@ same inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -211,7 +212,13 @@ def cmd_fuzz(args, stdin_lines: List[str]) -> int:
     return EXIT_OK if report.ok else EXIT_DIFFERENT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ccs`` parser, built on the first call and shared after it.
+
+    Reuse is safe: ``parse_args`` fills a fresh namespace on every call,
+    and help and usage text read ``COLUMNS`` when printed, not when built.
+    """
     ap = argparse.ArgumentParser(
         prog="ccs",
         description="Decide strong bisimilarity of replicated CCS processes "

@@ -13,9 +13,10 @@ bisimilar exactly when their seeds are congruent.  ``compute_seed``
 first seeds the replicated part alone (stage 1), listing its candidates
 under a guide bounded by what each replicated component can generate,
 then explores the finite part alone under the guide of that part's seed
-(stage 2).  No call explores the whole process; the trace is found on
-first read.  Stage 1 rests on the seed theorem and the cancellation law
-for replicated parts; this is argued and checked, not proved.
+(stage 2).  No call explores the whole process, a stage that can delete
+nothing is skipped, and the trace is found on first read.  Stage 1 rests
+on the seed theorem and the cancellation law for replicated parts; this
+is argued and checked, not proved.
 ``convertible`` compares seeds.
 
 A target's guide is the set of its canonical replicated components that
@@ -239,29 +240,16 @@ def _smallest(states: list, start: Process) -> Process:
     return smallest[0]
 
 
-def compute_seed(p: Process) -> SeedResult:
-    """The minimal process p rewrites to under its own guidance.
+def _seed_replicated(rep: Process) -> Process:
+    """Stage 1: the seed of a canonical replicated-only process.
 
-    Stage 1 seeds p's replicated part R0 alone.  Its candidates are the
-    states of R0's exploration under the bound B, the union of
-    ``_generated`` over R0's components, taken smallest first; r verifies
-    when the exploration of R0 guided by ``_guide(r)`` reaches it.  Every
-    candidate's guide lies in B and exploration grows with the guide, so
-    B drops only states that cannot verify.  Stage 2 explores p's finite
-    part F0 alone under the verified part's guide, and the seed is that
-    part beside the smallest state found.  Under a fixed guide every
-    deletion touches one part only and ``canonicalize`` works per
-    component, so exploring p would give exactly the pairs of these two
-    explorations.  Each stage raises UniquenessError unless exactly one
-    state is minimal.
+    Its candidates are the states of rep's exploration under the bound B,
+    the union of ``_generated`` over rep's components, taken smallest
+    first; r verifies when the exploration of rep guided by ``_guide(r)``
+    reaches it.  Every candidate's guide lies in B and exploration grows
+    with the guide, so B drops only states that cannot verify.
     """
-    start = canonicalize(p)
-    cached = _SEED_CACHE.get(start)
-    if cached is not None:
-        return cached
-
-    rep = Process(start.replicated)  # canonical already
-    bound = frozenset().union(*map(_generated, start.replicated))
+    bound = frozenset().union(*map(_generated, rep.replicated))
     candidates = _explore(rep, bound)
     guided = {bound: candidates}  # explorations of rep, one per guide
     verified = []
@@ -273,10 +261,37 @@ def compute_seed(p: Process) -> SeedResult:
             guided[guide] = _explore(rep, guide)
         if r in guided[guide]:
             verified.append(r)
-    part = _smallest(verified, rep)
-    finite = _smallest(list(_explore(Process((), start.finite),
-                                     _guide(part))), start)
-    result = SeedResult(Process(part.replicated, finite.finite), start)
+    return _smallest(verified, rep)
+
+
+def compute_seed(p: Process) -> SeedResult:
+    """The minimal process p rewrites to under its own guidance.
+
+    Stage 1 (``_seed_replicated``) seeds p's replicated part alone.
+    Stage 2 explores p's finite part F0 alone under the guide of that
+    part's seed, and the seed is that part beside the smallest state
+    found.  Under a fixed guide every deletion touches one part only and
+    ``canonicalize`` works per component, so exploring p would give
+    exactly the pairs of these two explorations.  A stage with nothing to
+    delete is skipped: without replicated components there is no guide
+    and no B2 step, so a replication-free p is its own seed, and a
+    replicated-only p has no finite part to explore.  Each stage raises
+    UniquenessError unless exactly one state is minimal.
+    """
+    start = canonicalize(p)
+    cached = _SEED_CACHE.get(start)
+    if cached is not None:
+        return cached
+
+    seed = start
+    if start.replicated:
+        rep = Process(start.replicated)  # canonical already
+        seed = _seed_replicated(rep)
+        if start.finite.components:
+            finite = _smallest(list(_explore(Process((), start.finite),
+                                             _guide(seed))), start)
+            seed = Process(seed.replicated, finite.finite)
+    result = SeedResult(seed, start)
     _SEED_CACHE[start] = result
     return result
 

@@ -260,3 +260,20 @@ def test_criterion_9_lemma_suites_clean_and_nonvacuous():
             assert stats.counterexamples == []
             assert stats.hits > 0
             assert stats.instances >= stats.hits
+
+
+@pytest.mark.parametrize("bundle, mode, depth, count", [
+    ("base_bundle", "base", 9, 1219),
+    ("sync_bundle", "sync", 8, 1177),
+])
+def test_criterion_10_different_seeds_are_not_bisimilar(request, bundle, mode,
+                                                        depth, count):
+    # Criteria 3 and 7 check that equal seeds are game-equivalent; this is
+    # the other direction.  The corpus's distinct seeds each get their own
+    # class at a finite game depth, and processes a game distinguishes are
+    # not bisimilar.
+    _corpus, seeds, _keys, _classes = request.getfixturevalue(bundle)
+    distinct = list(dict.fromkeys(s.seed for s in seeds))
+    assert len(distinct) == count
+    classes = bounded_partition(distinct, depth, mode=mode)
+    assert len(set(classes.values())) == count

@@ -1,7 +1,11 @@
+import argparse
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -635,6 +639,55 @@ def test_help_golden(capsys, monkeypatch, verb):
     assert code == 0
     assert err == ""
     assert out == HELP[verb]
+
+
+def test_help_reads_columns_when_printed_not_when_built(capsys, monkeypatch):
+    # The parser is built once per process; an earlier, wider help must not
+    # change how a later one wraps.
+    monkeypatch.setenv("COLUMNS", "200")
+    code, wide, _ = run(capsys, "check", "--help")
+    assert code == 0 and wide != HELP["check"]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "check", "--help") == (0, HELP["check"], "")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    run(capsys, "check", P1, P2)  # warm-up: the parser may be built here
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(5):
+        assert run(capsys, "check", "--sync", "a.0", "~a.0")[0] == 1
+        assert run(capsys, "seed", "--json", P1)[0] == 0
+    assert built == 0
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of ``ccs argv`` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "ccseed.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("calls", [
+    [["check", "--sync", "!a.0|~a.a.0", "!a.0|~a.0"],
+     ["check", "--json", "a.0|b.0", "a.b.0"]],
+    [["check", "--json", "--oracle", "--trace", P1, P2],
+     ["check", "a.0|a.0", "a.b.0"]],
+], ids=["sync-then-base", "json-oracle-trace-then-plain"])
+def test_repeated_main_calls_print_what_fresh_processes_print(capsys, calls):
+    # No flag of one call leaks into the next through the shared parser.
+    for argv in calls:
+        assert run(capsys, *argv) == _fresh_process(argv), argv
 
 
 # The CLI boundary: whatever the input, every verb answers 0, 1 or 2, with

@@ -384,6 +384,40 @@ def test_seed_explores_an_input_with_a_finite_part_once(monkeypatch):
         assert not starts, render(p)
 
 
+def test_seed_skips_the_stages_that_can_delete_nothing(monkeypatch):
+    # Without replicated components there is no guide and no B2 step, so a
+    # replication-free input is its own seed with no exploration; a
+    # replicated-only input has a nil finite part, which is not explored.
+    # Each such exploration logged a one-state entry, (0, 1) for the nil
+    # process.
+    rng = random.Random(1313)
+    inputs = [corpus.random_process(rng, rng.randint(1, 10), ACTIONS)
+              for _ in range(60)]
+    starts = []
+    explore = rewrite._explore
+
+    def recording(start, guide):
+        starts.append(start)
+        return explore(start, guide)
+
+    monkeypatch.setattr(rewrite, "_explore", recording)
+    monkeypatch.setattr(rewrite, "_SEED_CACHE", {})
+    search_audit.clear()
+    replicated_only = 0
+    for p in inputs:
+        free = Process((), p.replicated + p.finite.components)
+        assert compute_seed(free).seed == canonicalize(free), render(free)
+        assert not starts, render(free)
+        if p.replicated:
+            only = Process(p.replicated + p.finite.components)
+            compute_seed(only)
+            assert Process() not in starts, render(only)
+            replicated_only += 1
+            starts.clear()
+    assert replicated_only >= 30
+    assert search_audit and (0, 1) not in search_audit
+
+
 def test_fattened_draw_stays_within_work_budget(monkeypatch):
     # The size-24 replicated-only fattening that random.Random(1418937128)
     # draws in test_fattened_processes_stay_convertible: listing stage 1's
