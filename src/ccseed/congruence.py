@@ -31,7 +31,8 @@ from .syntax import (FiniteProcess, PrefixedTerm, Process, StructureError,
                      memo_table)
 
 __all__ = [
-    "canonicalize", "canonical_finite", "congruent", "process_of",
+    "canonicalize", "canonical_finite", "intern_canonical", "congruent",
+    "process_of",
 ]
 
 _CANON_COMPS = memo_table()
@@ -85,19 +86,27 @@ def canonical_finite(fp: FiniteProcess) -> FiniteProcess:
         raise StructureError("term nested too deeply") from None
 
 
+def intern_canonical(p: Process) -> Process:
+    """The one stored object equal to p, for a p already in canonical form.
+
+    ``canonicalize`` returns these objects too, so a canonical state has
+    one object however it was reached.
+    """
+    return _CANON_PROC.setdefault(p, p)
+
+
 def canonicalize(p: Process) -> Process:
     """The canonical representative of p's congruence class."""
     try:
         cached = _CANON_PROC.get(p)
         if cached is not None:
             return cached
-        result = Process(
+        result = intern_canonical(Process(
             (PrefixedTerm(t.action, _canonical_finite(t.body))
              for t in p.replicated),
             _canonical_finite(p.finite),
-        )
+        ))
         _CANON_PROC[p] = result
-        _CANON_PROC[result] = result
         return result
     except RecursionError:
         raise StructureError("term nested too deeply") from None

@@ -8,13 +8,16 @@ together as a single tau step.
 
 Destinations are returned in canonical form and deduplicated, so the
 transition relation is finitely branching and stable under the congruence.
+A process fires as its canonical form.  The components of a canonical
+process and the bodies they spawn are canonical already, so a destination
+is built from them directly and only interned, never canonicalized again.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .congruence import canonicalize
+from .congruence import canonicalize, intern_canonical
 from .syntax import Action, Keyed, Process, check_mode, memo_table
 
 __all__ = [
@@ -61,29 +64,46 @@ class Label(Keyed):
 TAU = Label(None)
 
 
+_LABELS = memo_table()
 _SUCC_CACHE = memo_table()
+
+
+def _label(action: Action) -> Label:
+    """The one Label of a visible action."""
+    label = _LABELS.get(action)
+    if label is None:
+        label = _LABELS[action] = Label(action)
+    return label
 
 
 def successors(p: Process, mode: str = "base") -> tuple:
     """Deduplicated (label, canonical destination) pairs, sorted.
 
-    Each distinct component fires once; a finite one is consumed, a
-    replicated one persists.  In sync mode each handshaking pair of them
-    also fires once, together, as one tau.
+    p fires as its canonical form: each distinct component fires once; a
+    finite one is consumed, a replicated one persists.  In sync mode each
+    handshaking pair of them also fires once, together, as one tau.
     """
-    key = (p, mode)
-    cached = _SUCC_CACHE.get(key)
+    cached = _SUCC_CACHE.get((p, mode))
     if cached is not None:
         return cached
     check_mode(mode)
+    c = canonicalize(p)
+    result = _SUCC_CACHE.get((c, mode))
+    if result is None:
+        result = _SUCC_CACHE[(c, mode)] = _fire(c, mode)
+    _SUCC_CACHE[(p, mode)] = result
+    return result
 
-    fin = p.finite.components
-    reps = p.replicated
-    firers = [(c.action, c.body.components, i) for i, c in enumerate(fin)
-              if not (i and c == fin[i - 1])]
+
+def _fire(c: Process, mode: str) -> tuple:
+    """The successors of a canonical process."""
+    fin = c.finite.components
+    reps = c.replicated
+    firers = [(t.action, t.body.components, i) for i, t in enumerate(fin)
+              if not (i and t == fin[i - 1])]
     firers += [(t.action, t.body.components, None)
                for i, t in enumerate(reps) if not (i and t == reps[i - 1])]
-    moves = [(Label(act), (i,), body) for act, body, i in firers]
+    moves = [(_label(act), (i,), body) for act, body, i in firers]
     if mode == "sync":
         moves += [(TAU, (i, j), body + other)
                   for n, (act, body, i) in enumerate(firers)
@@ -92,12 +112,10 @@ def successors(p: Process, mode: str = "base") -> tuple:
 
     seen = {}
     for label, consumed, spawned in moves:
-        kept = [c for i, c in enumerate(fin) if i not in consumed]
-        dest = canonicalize(Process(reps, kept + list(spawned)))
+        kept = [t for i, t in enumerate(fin) if i not in consumed]
+        dest = intern_canonical(Process(reps, kept + list(spawned)))
         seen[(label.key, dest.key)] = (label, dest)
-    result = tuple(seen[k] for k in sorted(seen))
-    _SUCC_CACHE[key] = result
-    return result
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def unfold(p: Process, depth: int, mode: str = "base") -> tuple:

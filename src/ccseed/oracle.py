@@ -13,6 +13,7 @@ hits so vacuous passes are visible.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -127,37 +128,74 @@ class GameResult:
     distinguisher: Optional[Distinguisher] = None
 
 
+# Each canonical state the game meets gets an integer id, and its moves are
+# stored once, per mode, as {label key: destination ids}.  The game memo
+# keys an unordered pair of distinct ids by (i, j, mode) with i < j and
+# holds (deepest depth known equal, shallowest depth known distinguished):
+# k-round equivalence only shrinks as k grows, so one entry answers every
+# depth outside that gap.
+_STATE_IDS = memo_table()
+_STATES = memo_table()
+_MOVES = memo_table()
 _GAME = memo_table()
+_UNKNOWN = (0, math.inf)
 
 
-def _grouped(p: Process, mode: str) -> dict:
-    g: dict = {}
-    for lab, dest in successors(p, mode):
-        g.setdefault(lab.key, []).append(dest)
-    return g
+def _state_id(p: Process) -> int:
+    got = _STATE_IDS.get(p)
+    if got is None:
+        got = _STATE_IDS[p] = len(_STATE_IDS)
+        _STATES[got] = p
+    return got
+
+
+def _moves(i: int, mode: str) -> dict:
+    """State i's moves: {label key: destination ids}."""
+    key = (i, mode)
+    got = _MOVES.get(key)
+    if got is None:
+        got = {}
+        for lab, dest in successors(_STATES[i], mode):
+            got.setdefault(lab.key, []).append(_state_id(dest))
+        got = _MOVES[key] = {lab: tuple(ids) for lab, ids in got.items()}
+    return got
 
 
 def _game_eq(p: Process, q: Process, d: int, mode: str) -> bool:
+    """Canonical p and q survive d rounds of the game."""
     if p == q or d == 0:
         return True
-    if p.key > q.key:
-        p, q = q, p
-    mk = (p, q, d, mode)
-    got = _GAME.get(mk)
-    if got is not None:
-        return got
-    gp, gq = _grouped(p, mode), _grouped(q, mode)
-    result = set(gp) == set(gq)
-    if result:
-        for lab, ps in gp.items():
-            qs = gq[lab]
-            if not all(any(_game_eq(x, y, d - 1, mode) for y in qs) for x in ps):
+    return _ids_eq(_state_id(p), _state_id(q), d, mode)
+
+
+def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
+    """Distinct states i and j survive d >= 1 rounds."""
+    if i > j:
+        i, j = j, i
+    key = (i, j, mode)
+    equal_to, apart_from = _GAME.get(key, _UNKNOWN)
+    if d <= equal_to:
+        return True
+    if d >= apart_from:
+        return False
+    gi, gj = _moves(i, mode), _moves(j, mode)
+    result = gi.keys() == gj.keys()
+    if result and d > 1:
+        for lab, xs in gi.items():
+            ys = gj[lab]
+            if xs == ys:
+                continue
+            if not (all(x in ys or any(_ids_eq(x, y, d - 1, mode) for y in ys)
+                        for x in xs)
+                    and all(y in xs or any(_ids_eq(x, y, d - 1, mode)
+                                           for x in xs)
+                            for y in ys)):
                 result = False
                 break
-            if not all(any(_game_eq(x, y, d - 1, mode) for x in ps) for y in qs):
-                result = False
-                break
-    _GAME[mk] = result
+    # the recursion may have stored a bound for this pair meanwhile
+    equal_to, apart_from = _GAME.get(key, _UNKNOWN)
+    _GAME[key] = ((max(equal_to, d), apart_from) if result
+                  else (equal_to, min(apart_from, d)))
     return result
 
 

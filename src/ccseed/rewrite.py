@@ -191,7 +191,10 @@ class SeedResult:
 
     @cached_property
     def trace(self) -> tuple:
-        """The guided steps from ``start`` to the seed."""
+        """The guided steps from ``start`` to the seed; none when they are
+        equal, without exploring."""
+        if self.seed == self.start:
+            return ()
         return _trace(_explore(self.start, _guide(self.seed)), self.seed)
 
     @cached_property

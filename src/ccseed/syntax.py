@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 __all__ = [
@@ -86,6 +87,9 @@ def clear_caches() -> None:
         table.clear()
 
 
+_KEY = attrgetter("key")
+
+
 class Keyed:
     """Identity by structural key: equal, hashed and ordered by ``key``.
 
@@ -129,7 +133,8 @@ class Action(Keyed):
     def handshakes(self, other: "Action") -> bool:
         """An input and an output on one name: together they fire one tau."""
         return (self.name == other.name
-                and {self.polarity, other.polarity} == {INPUT, OUTPUT})
+                and self.polarity != other.polarity
+                and self.polarity != PLAIN != other.polarity)
 
     def __repr__(self):
         return f"Action({self!s})"
@@ -144,7 +149,7 @@ class FiniteProcess(Keyed):
     __slots__ = ("components", "size")
 
     def __init__(self, components: Iterable["PrefixedTerm"] = ()):
-        comps = sorted(components, key=lambda t: t.key)
+        comps = sorted(components, key=_KEY)
         self.components = tuple(comps)
         self.size = sum(t.size for t in comps)
         self.key = tuple(t.key for t in comps)
@@ -195,7 +200,7 @@ class Process(Keyed):
 
     def __init__(self, replicated: Iterable[PrefixedTerm] = (),
                  finite: Union[FiniteProcess, Iterable[PrefixedTerm]] = ()):
-        reps = sorted(replicated, key=lambda t: t.key)
+        reps = sorted(replicated, key=_KEY)
         if not isinstance(finite, FiniteProcess):
             finite = FiniteProcess(finite)
         self.replicated = tuple(reps)

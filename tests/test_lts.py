@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccseed import corpus
+from ccseed import clear_caches, corpus
 from ccseed.congruence import canonicalize, congruent
 from ccseed.lts import (DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU,
                         bounded_class, successors, unfold)
@@ -96,6 +96,61 @@ def test_successor_lists_match_recorded_digest():
     assert edges == 32331
     assert digest.hexdigest() == (
         "d6e53973238a6185e7d153fac717bb052274b5375eca54c87f74807c8bdb6a36")
+
+
+def _successors_canonicalizing_each_destination(p, mode):
+    """The firing rule before destinations were built canonical: fire the
+    components of p as given, then canonicalize every destination."""
+    fin = p.finite.components
+    reps = p.replicated
+    firers = [(c.action, c.body.components, i) for i, c in enumerate(fin)
+              if not (i and c == fin[i - 1])]
+    firers += [(t.action, t.body.components, None)
+               for i, t in enumerate(reps) if not (i and t == reps[i - 1])]
+    moves = [(Label(act), (i,), body) for act, body, i in firers]
+    if mode == "sync":
+        moves += [(TAU, (i, j), body + other)
+                  for n, (act, body, i) in enumerate(firers)
+                  for other_act, other, j in firers[n + 1:]
+                  if act.handshakes(other_act)]
+    seen = {}
+    for label, consumed, spawned in moves:
+        kept = [c for i, c in enumerate(fin) if i not in consumed]
+        dest = canonicalize(Process(reps, kept + list(spawned)))
+        seen[(label.key, dest.key)] = (label, dest)
+    return tuple(seen[k] for k in sorted(seen))
+
+
+# Not canonical: each has a prefix the distribution law rewrites, at the
+# top, inside a body that fires, or inside a replicated body.
+NON_CANONICAL = {
+    "base": ["a.a.0 | a.(b.0|a.b.0)", "!a.a.0 | b.(a.0|a.a.0)",
+             "!b.(a.0|a.a.0) | a.(a.0|a.0|a.a.0) | a.a.0",
+             "b.a.(b.0|a.b.0) | !a.(b.0|a.b.0)"],
+    "sync": ["a.a.0 | ~a.(b.0|a.b.0)", "!~a.a.a.0 | a.(~a.0|a.~a.0)",
+             "~a.~a.0 | a.b.b.0 | !b.(~b.0|b.~b.0)",
+             "a.(b.0|a.b.0) | ~a.(b.0|a.b.0)"],
+}
+
+
+@pytest.mark.parametrize("corpus_mode", ["base", "sync"])
+def test_successors_match_the_rule_that_canonicalizes_each_destination(
+        corpus_mode):
+    # Fired as its canonical form, a process has the successors that
+    # firing it as given and canonicalizing each destination gives, and
+    # each destination is the one object canonicalize returns for it.
+    clear_caches()
+    procs = corpus.enumerate_processes(
+        5, corpus.default_actions(2, corpus_mode))
+    raw = [parse(t, corpus_mode) for t in NON_CANONICAL[corpus_mode]]
+    assert all(canonicalize(p) != p for p in raw)
+    for p in procs + raw:
+        for mode in ("base", "sync"):
+            got = successors(p, mode)
+            assert got == _successors_canonicalizing_each_destination(
+                p, mode), (render(p), mode)
+            assert got == successors(canonicalize(p), mode)
+            assert all(canonicalize(dest) is dest for _lab, dest in got)
 
 
 def test_no_tau_in_base_mode():

@@ -7,10 +7,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccseed import corpus
+from ccseed import clear_caches, corpus
 from ccseed.congruence import canonicalize
 from ccseed.lts import DepthExceeded, bounded_class, unfold
-from ccseed.oracle import (Distinguisher, GameConfig, bounded_bisim,
+from ccseed.oracle import (Distinguisher, GameConfig, _game_eq, bounded_bisim,
                            bounded_partition, dis_check, finite_bisim,
                            finite_partition, lemma_suite, lemma_suite_sharded,
                            purg_check, replay_distinguisher)
@@ -200,6 +200,37 @@ def test_bounded_partition_matches_pairwise_games(depth, mode):
         for q in procs:
             same = part[p] == part[q]
             assert same == bounded_bisim(p, q, cfg).equivalent
+
+
+# Pairs of these first differ at depths 4, 5 and 6, which random terms
+# this small rarely do.
+DEEP_TERMS = ["a.a.a.a.a.b.0", "a.a.a.a.a.a.0", "a.a.a.a.b.0",
+              "!b.a.a.a.b.0 | a.0", "!b.a.a.a.a.0 | a.0",
+              "b.0 | b.a.a.a.a.0", "b.a.0 | b.a.a.a.0"]
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_game_answers_each_depth_alike_in_any_query_order(mode):
+    # One game memo entry per pair serves every depth, so an answer must
+    # not depend on which depths were asked before it.
+    rng = random.Random(6)
+    acts = corpus.default_actions(2, mode)
+    procs = sorted({canonicalize(p) for p in
+                    [corpus.random_process(rng, rng.randint(2, 7), acts)
+                     for _ in range(30)]
+                    + [parse(t, mode) for t in DEEP_TERMS]})
+    pairs = [(p, q) for p in procs for q in procs]
+    expected = {k: [bounded_class(p, k, mode) == bounded_class(q, k, mode)
+                    for p, q in pairs] for k in range(7)}
+    first_apart = {next((k for k in range(7) if not expected[k][n]), None)
+                   for n in range(len(pairs))}
+    assert first_apart == {1, 2, 3, 4, 5, 6, None}
+    shuffled = list(range(7))
+    random.Random(7).shuffle(shuffled)
+    for order in (range(6, -1, -1), range(7), shuffled):
+        clear_caches()
+        for k in order:
+            assert [_game_eq(p, q, k, mode) for p, q in pairs] == expected[k]
 
 
 # ---------------------------------------------------------------------------

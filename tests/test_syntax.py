@@ -26,6 +26,15 @@ def test_action_basics():
     assert Action("a", INPUT).co() == out
 
 
+def test_handshake_is_an_input_and_an_output_on_one_name():
+    polarities = (PLAIN, INPUT, OUTPUT)
+    for left in polarities:
+        for right in polarities:
+            expected = {left, right} == {INPUT, OUTPUT}
+            assert Action("a", left).handshakes(Action("a", right)) is expected
+            assert Action("a", left).handshakes(Action("b", right)) is False
+
+
 def test_action_name_validation():
     with pytest.raises(ValueError):
         Action("A")
