@@ -15,7 +15,7 @@ from ccseed.oracle import (Distinguisher, GameConfig, _game_eq, bounded_bisim,
                            finite_partition, lemma_suite, lemma_suite_sharded,
                            purg_check, replay_distinguisher)
 from ccseed.rewrite import convertible
-from ccseed.syntax import parse, render
+from ccseed.syntax import Process, parse, render
 
 P1 = "!a.(b.0|a.c.0) | !a.(c.0|a.b.0)"
 P2 = "!a.b.0 | !a.c.0"
@@ -231,6 +231,72 @@ def test_game_answers_each_depth_alike_in_any_query_order(mode):
         clear_caches()
         for k in order:
             assert [_game_eq(p, q, k, mode) for p, q in pairs] == expected[k]
+
+
+def _replicated_synchronise(p) -> bool:
+    """Two replicated components of p have co-named prefixes (a and ~a):
+    such a pair spawns tau material forever, and its game may not end."""
+    acts = {t.action for t in p.replicated}
+    return any(a.co() in acts for a in acts)
+
+
+def _game_pairs(rng, mode, count):
+    """Random pairs, and pairs sharing a fattened context around two
+    different finite parts, whose witnesses run up to 5 moves."""
+    acts = corpus.default_actions(3 if mode == "base" else 4, mode)
+    pairs = []
+    while len(pairs) < count:
+        p = corpus.random_process(rng, rng.randint(2, 7), acts)
+        if len(pairs) % 3 == 0:
+            q = corpus.random_process(rng, rng.randint(2, 7), acts)
+        else:
+            f, g = (Process((), corpus.random_finite(rng, rng.randint(1, 6),
+                                                     acts)) for _ in "fg")
+            q = corpus.make_redundant(rng, corpus.compose(p, g),
+                                      rng.randint(1, 2))
+            p = corpus.compose(p, f)
+        if mode == "base" or not (_replicated_synchronise(p)
+                                  or _replicated_synchronise(q)):
+            pairs.append((p, q))
+    return pairs
+
+
+def test_verdicts_and_distinguishers_match_recorded_digest():
+    # Recorded before the game and the witness search moved onto the
+    # transition table: every verdict and every move of every witness.
+    # The DEEP_TERMS pairs add the 6-move witnesses.
+    rng = random.Random(1515)
+    h = hashlib.sha256()
+    lengths = set()
+    for mode in ("base", "sync"):
+        cfg = GameConfig(mode=mode)
+        deep = [parse(t, mode) for t in DEEP_TERMS]
+        for p, q in _game_pairs(rng, mode, 300) + [
+                (p, q) for p in deep for q in deep if p != q]:
+            result = bounded_bisim(p, q, cfg)
+            h.update(f"{mode} {render(p)} ; {render(q)} "
+                     f"{result.equivalent}\n".encode())
+            if result.distinguisher is not None:
+                moves = result.distinguisher.moves
+                lengths.add(len(moves))
+                assert replay_distinguisher(p, q, result.distinguisher, mode)
+                for mv in moves:
+                    h.update(f"  {mv.side} {mv.label} "
+                             f"{render(mv.successor)}\n".encode())
+    assert lengths == {1, 2, 3, 4, 5, 6}
+    assert h.hexdigest() == (
+        "f852c2495b288e56044857f478ce3f7123ea3bde67bde2bc1efa80fcdcdea59a")
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_bounded_class_of_a_term_is_the_class_of_its_canonical_form(mode):
+    for text in ("a.a.0", "a.(b.0 | a.b.0) | !b.b.0", "!a.(a.0 | a.0)"):
+        p = parse(text, mode)
+        for depth in (1, 2, 3):
+            assert bounded_class(p, depth, mode) == bounded_class(
+                canonicalize(p), depth, mode)
+    assert bounded_class(parse("a.a.0"), 2, mode) == bounded_class(
+        parse("a.0 | a.0"), 2, mode)
 
 
 # ---------------------------------------------------------------------------
