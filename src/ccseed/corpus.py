@@ -30,9 +30,13 @@ def default_actions(count: int, mode: str = "base") -> List[Action]:
     """The first ``count`` plain actions, or ``count`` polarized actions.
 
     In sync mode actions come in co-pairs: count=2 gives a and ~a, count=4
-    gives a, ~a, b, ~b, and so on.
+    gives a, ~a, b, ~b, and so on.  A count outside 1..26 (base) or 1..52
+    (sync) raises ValueError.
     """
     check_mode(mode)
+    names = len(_NAMES) * (1 if mode == "base" else 2)
+    if not 1 <= count <= names:
+        raise ValueError(f"alphabet {count} outside 1..{names}")
     if mode == "base":
         return [Action(_NAMES[i]) for i in range(count)]
     acts = []

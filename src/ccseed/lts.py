@@ -11,6 +11,12 @@ transition relation is finitely branching and stable under the congruence.
 A process fires as its canonical form.  The components of a canonical
 process and the bodies they spawn are canonical already, so a destination
 is built from them directly and only interned, never canonicalized again.
+
+The transition relation is stored once, as one table: each canonical state
+gets an integer id when first met, and its moves in a mode are fired once
+and kept as {label: destination ids}, labels and each label's destinations
+in key order.  ``successors`` is a view of that table; ``bounded_class``
+and the bounded game and witness search of ``oracle`` read it by id.
 """
 
 from __future__ import annotations
@@ -65,7 +71,10 @@ TAU = Label(None)
 
 
 _LABELS = memo_table()
-_SUCC_CACHE = memo_table()
+# The transition table: state ids both ways, and _MOVES[(id, mode)].
+_STATE_IDS = memo_table()
+_STATES = memo_table()
+_MOVES = memo_table()
 
 
 def _label(action: Action) -> Label:
@@ -76,6 +85,24 @@ def _label(action: Action) -> Label:
     return label
 
 
+def _state_id(c: Process) -> int:
+    """The id of canonical c."""
+    got = _STATE_IDS.get(c)
+    if got is None:
+        got = _STATE_IDS[c] = len(_STATE_IDS)
+        _STATES[got] = c
+    return got
+
+
+def _moves(i: int, mode: str) -> dict:
+    """State i's moves, fired on first use."""
+    key = (i, mode)
+    got = _MOVES.get(key)
+    if got is None:
+        got = _MOVES[key] = _fire(_STATES[i], mode)
+    return got
+
+
 def successors(p: Process, mode: str = "base") -> tuple:
     """Deduplicated (label, canonical destination) pairs, sorted.
 
@@ -83,20 +110,14 @@ def successors(p: Process, mode: str = "base") -> tuple:
     finite one is consumed, a replicated one persists.  In sync mode each
     handshaking pair of them also fires once, together, as one tau.
     """
-    cached = _SUCC_CACHE.get((p, mode))
-    if cached is not None:
-        return cached
     check_mode(mode)
-    c = canonicalize(p)
-    result = _SUCC_CACHE.get((c, mode))
-    if result is None:
-        result = _SUCC_CACHE[(c, mode)] = _fire(c, mode)
-    _SUCC_CACHE[(p, mode)] = result
-    return result
+    moves = _moves(_state_id(canonicalize(p)), mode)
+    return tuple((label, _STATES[j]) for label, ids in moves.items()
+                 for j in ids)
 
 
-def _fire(c: Process, mode: str) -> tuple:
-    """The successors of a canonical process."""
+def _fire(c: Process, mode: str) -> dict:
+    """The moves of a canonical process."""
     fin = c.finite.components
     reps = c.replicated
     firers = [(t.action, t.body.components, i) for i, t in enumerate(fin)
@@ -110,12 +131,13 @@ def _fire(c: Process, mode: str) -> tuple:
                   for other_act, other, j in firers[n + 1:]
                   if act.handshakes(other_act)]
 
-    seen = {}
+    dests: dict = {}
     for label, consumed, spawned in moves:
         kept = [t for i, t in enumerate(fin) if i not in consumed]
-        dest = intern_canonical(Process(reps, kept + list(spawned)))
-        seen[(label.key, dest.key)] = (label, dest)
-    return tuple(seen[k] for k in sorted(seen))
+        dests.setdefault(label, set()).add(
+            intern_canonical(Process(reps, kept + list(spawned))))
+    return {label: tuple(map(_state_id, sorted(dests[label])))
+            for label in sorted(dests)}
 
 
 def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
@@ -152,21 +174,26 @@ _CLASS_IDS = memo_table()
 
 
 def bounded_class(p: Process, depth: int, mode: str = "base") -> int:
-    """Class id of canonical p under ``depth``-round bisimilarity.
+    """Class id of p under ``depth``-round bisimilarity.
 
-    The signature of p is the set of (label, class of the destination one
-    round less deep) over its successors; equal signatures get equal ids.
+    The signature of a state is the set of (label, class of the destination
+    one round less deep) over its moves; equal signatures get equal ids.
     Ids are comparable at one depth and mode, and only until
     ``clear_caches`` re-interns them.
     """
+    check_mode(mode)
+    return _class(_state_id(canonicalize(p)), depth, mode)
+
+
+def _class(i: int, depth: int, mode: str) -> int:
     if depth == 0:
-        check_mode(mode)
         return 0
-    key = (p, depth, mode)
+    key = (i, depth, mode)
     got = _CLASS.get(key)
     if got is None:
-        sig = frozenset((label.key, bounded_class(dest, depth - 1, mode))
-                        for label, dest in successors(p, mode))
+        sig = frozenset((label.key, _class(j, depth - 1, mode))
+                        for label, ids in _moves(i, mode).items()
+                        for j in ids)
         got = _CLASS_IDS.setdefault((depth, mode, sig), len(_CLASS_IDS))
         _CLASS[key] = got
     return got

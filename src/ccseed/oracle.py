@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import corpus
 from .congruence import canonical_finite, canonicalize, process_of
-from .lts import Label, TAU, bounded_class, check_depth, successors
+from .lts import (_STATES, Label, TAU, _moves, _state_id, bounded_class,
+                  check_depth, successors)
 from .rewrite import _explore, compute_seed, convertible, rewrites_to
 from .syntax import (FiniteProcess, PrefixedTerm, Process,
                      apply_substitution, check_mode, memo_table, render)
@@ -128,48 +129,24 @@ class GameResult:
     distinguisher: Optional[Distinguisher] = None
 
 
-# Each canonical state the game meets gets an integer id, and its moves are
-# stored once, per mode, as {label key: destination ids}.  The game memo
-# keys an unordered pair of distinct ids by (i, j, mode) with i < j and
-# holds (deepest depth known equal, shallowest depth known distinguished):
-# k-round equivalence only shrinks as k grows, so one entry answers every
-# depth outside that gap.
-_STATE_IDS = memo_table()
-_STATES = memo_table()
-_MOVES = memo_table()
+# The game plays on the state ids and moves of ``lts``'s transition table.
+# Its memo keys an unordered pair of distinct ids by (i, j, mode) with
+# i < j and holds (deepest depth known equal, shallowest depth known
+# distinguished): k-round equivalence only shrinks as k grows, so one entry
+# answers every depth outside that gap.
 _GAME = memo_table()
 _UNKNOWN = (0, math.inf)
 
 
-def _state_id(p: Process) -> int:
-    got = _STATE_IDS.get(p)
-    if got is None:
-        got = _STATE_IDS[p] = len(_STATE_IDS)
-        _STATES[got] = p
-    return got
-
-
-def _moves(i: int, mode: str) -> dict:
-    """State i's moves: {label key: destination ids}."""
-    key = (i, mode)
-    got = _MOVES.get(key)
-    if got is None:
-        got = {}
-        for lab, dest in successors(_STATES[i], mode):
-            got.setdefault(lab.key, []).append(_state_id(dest))
-        got = _MOVES[key] = {lab: tuple(ids) for lab, ids in got.items()}
-    return got
-
-
 def _game_eq(p: Process, q: Process, d: int, mode: str) -> bool:
     """Canonical p and q survive d rounds of the game."""
-    if p == q or d == 0:
-        return True
     return _ids_eq(_state_id(p), _state_id(q), d, mode)
 
 
 def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
-    """Distinct states i and j survive d >= 1 rounds."""
+    """States i and j survive d rounds."""
+    if i == j or d == 0:
+        return True
     if i > j:
         i, j = j, i
     key = (i, j, mode)
@@ -199,15 +176,13 @@ def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
     return result
 
 
-def _witness(single: Process, others: tuple, d: int, single_side: str,
+def _witness(single: int, others: tuple, d: int, single_side: str,
              mode: str, memo: dict):
-    """Moves forcing every process in ``others`` stuck within d rounds.
+    """Moves forcing every state in ``others`` stuck within d rounds.
 
     The attacker moves on the single side first; against a lone other
-    process it may also move there, with ``single`` as the defender.
+    state it may also move there, with ``single`` as the defender.
     """
-    if d == 0:
-        return None
     key = (single, others, d, single_side)
     if key in memo:
         return memo[key]
@@ -216,17 +191,20 @@ def _witness(single: Process, others: tuple, d: int, single_side: str,
         other_side = "right" if single_side == "left" else "left"
         attacks.append((others[0], (single,), other_side))
     for attacker, defenders, side in attacks:
-        for lab, succ in successors(attacker, mode):
-            alive = sorted({y for o in defenders
-                            for l, y in successors(o, mode) if l == lab})
-            # a defender equal to succ for d-1 rounds outlives any sub-witness
-            if any(_game_eq(succ, y, d - 1, mode) for y in alive):
-                continue
-            sub = _witness(succ, tuple(alive), d - 1, side, mode,
-                           memo) if alive else ()
-            if sub is not None:
-                memo[key] = result = (Move(side, lab, succ),) + sub
-                return result
+        replies = [_moves(o, mode) for o in defenders]
+        for lab, succs in _moves(attacker, mode).items():
+            alive = tuple(sorted({y for m in replies for y in m.get(lab, ())}))
+            for succ in succs:
+                # a defender equal to succ for d-1 rounds outlives any
+                # sub-witness; at d = 1 that is any defender
+                if any(_ids_eq(succ, y, d - 1, mode) for y in alive):
+                    continue
+                sub = _witness(succ, alive, d - 1, side, mode,
+                               memo) if alive else ()
+                if sub is not None:
+                    move = Move(side, lab, _STATES[succ])
+                    memo[key] = result = (move,) + sub
+                    return result
     memo[key] = None
     return None
 
@@ -240,12 +218,12 @@ def bounded_bisim(p: Process, q: Process,
     """
     check_depth(cfg.depth)
     check_mode(cfg.mode)
-    cp, cq = canonicalize(process_of(p)), canonicalize(process_of(q))
-    if _game_eq(cp, cq, cfg.depth, cfg.mode):
+    i, j = (_state_id(canonicalize(process_of(x))) for x in (p, q))
+    if _ids_eq(i, j, cfg.depth, cfg.mode):
         return GameResult(True)
     memo: dict = {}
     for d in range(1, cfg.depth + 1):
-        moves = _witness(cp, (cq,), d, "left", cfg.mode, memo)
+        moves = _witness(i, (j,), d, "left", cfg.mode, memo)
         if moves is not None:
             return GameResult(False, Distinguisher(moves))
     return GameResult(False)
@@ -285,11 +263,12 @@ def bounded_partition(procs: Sequence[Process], depth: int,
 
     Signature refinement stratified by remaining depth (``bounded_class``);
     agrees with ``bounded_bisim`` verdicts pairwise (the suites cross-check
-    this against ``_game_eq``, which shares no code with it).
+    this against ``_game_eq``, which shares only ``lts``'s transition table
+    with it).
     """
     check_depth(depth)
     check_mode(mode)
-    return {p: bounded_class(canonicalize(p), depth, mode) for p in procs}
+    return {p: bounded_class(p, depth, mode) for p in procs}
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +673,7 @@ def lemma_suite_sharded(seed: int = 0, rounds: int = 120, shards: int = 4,
     is identical whether shards run in parallel or, where no worker process
     can be started, sequentially.
     """
+    corpus.default_actions(action_count, mode)  # fail here, not in a worker
     if shards < 1:
         raise ValueError("shards must be positive")
     if rounds < 0:

@@ -195,7 +195,7 @@ class SeedResult:
         equal, without exploring."""
         if self.seed == self.start:
             return ()
-        return _trace(_explore(self.start, _guide(self.seed)), self.seed)
+        return rewrites_to(self.start, self.seed)
 
     @cached_property
     def candidates_checked(self) -> int:

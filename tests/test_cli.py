@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from ccseed import clear_caches, cli, corpus, lts, oracle, rewrite
 from ccseed.cli import main
 from ccseed.congruence import canonicalize
-from ccseed.lts import successors
 from ccseed.rewrite import UniquenessError, convertible
 from ccseed.syntax import parse, render
 
@@ -441,21 +440,24 @@ def test_check_sync_pair_without_linear_witness_stays_within_work_budget(
         capsys, monkeypatch):
     # The two sides differ at game depth 3, but no linear distinguisher of
     # at most 6 moves exists; the witness search once ran for minutes here.
+    # The game and the witness search read each state's moves off the
+    # transition table, so the budget counts those reads.
     calls = 0
 
-    def counting_successors(p, mode):
+    def counting_moves(i, mode):
         nonlocal calls
         calls += 1
         if calls > 200_000:
-            pytest.fail("more than 200,000 oracle successor calls")
-        return successors(p, mode)
+            pytest.fail("more than 200,000 oracle transition table reads")
+        return lts._moves(i, mode)
 
     clear_caches()
-    monkeypatch.setattr(oracle, "successors", counting_successors)
+    monkeypatch.setattr(oracle, "_moves", counting_moves)
     code, out, _ = run(capsys, "check", "--sync",
                        "!a.0 | !a.0 | !a.0 | !~b.~a.0 | !b.~b.a.0 | ~b.0",
                        "!~b.0 | !a.a.0 | !b.b.0 | !~b.~a.0 | a.0 | ~b.0")
     assert code == 1
+    assert calls > 0
     assert out == """\
 not bisimilar
 left seed: !a.0 | !b.~b.0 | !~b.~a.0 | ~b.0
@@ -749,8 +751,8 @@ def test_cli_answers_0_1_or_2_on_any_input(argv):
 
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(rewrite, "canonicalize", counting(canonicalize)), \
-            mock.patch.object(oracle, "successors", counting(successors)), \
-            mock.patch.object(lts, "successors", counting(successors)), \
+            mock.patch.object(oracle, "_moves", counting(lts._moves)), \
+            mock.patch.object(lts, "_moves", counting(lts._moves)), \
             mock.patch("sys.stdin", io.StringIO("")), \
             redirect_stdout(out), redirect_stderr(err):
         code = main(argv)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccseed import clear_caches, corpus
+from ccseed import clear_caches, corpus, lts
 from ccseed.congruence import canonicalize, congruent
 from ccseed.lts import (DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU,
                         bounded_class, successors, unfold)
@@ -198,11 +198,17 @@ def test_unfold_validates_depth():
         unfold(parse("a.0"), -1)
 
 
-def test_successors_deterministic_and_cached():
+def test_successors_deterministic_and_cached(monkeypatch):
     p = parse("!a.b.0 | c.0")
     first = successors(p, "base")
-    assert first is successors(p, "base")
     assert list(first) == sorted(first, key=lambda t: (t[0].key, t[1].key))
+
+    def no_firing(q):
+        raise AssertionError(f"fired again: {q!r}")
+
+    # the second call reads the stored moves and builds no destination
+    monkeypatch.setattr(lts, "intern_canonical", no_firing)
+    assert successors(p, "base") == first
 
 
 ACTIONS = corpus.default_actions(2, "base")

@@ -403,6 +403,19 @@ def test_lemma_suite_rejects_negative_rounds(suite):
         suite(rounds=-5)
 
 
+@pytest.mark.parametrize("suite", [lemma_suite, lemma_suite_sharded])
+@pytest.mark.parametrize("count,mode,names", [
+    (0, "base", 26), (27, "base", 26), (0, "sync", 52), (53, "sync", 52)])
+def test_lemma_suite_rejects_alphabet_out_of_range(suite, count, mode, names):
+    # an empty or too large alphabet once failed with an IndexError
+    with pytest.raises(ValueError,
+                       match=f"^alphabet {count} outside 1..{names}$"):
+        suite(rounds=2, action_count=count, mode=mode)
+    with pytest.raises(ValueError,
+                       match=f"^alphabet {count} outside 1..{names}$"):
+        corpus.default_actions(count, mode)
+
+
 def _fallback_suite(monkeypatch, **kwargs) -> dict:
     """The sharded suite as run where no worker process can be started."""
     def no_pool(*args):
