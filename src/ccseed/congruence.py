@@ -19,8 +19,13 @@ process of the grammar).
 Left-to-right rewriting is size-preserving and terminates; uniqueness of the
 resulting form is validated exhaustively against the finite bisimilarity
 oracle rather than proved here.  The pass recurses twice per nesting level;
-``canonicalize`` and ``canonical_finite`` raise StructureError on a term
-nested deeper than the recursion limit allows.
+``canonicalize``, ``canonical_id`` and ``canonical_finite`` raise
+StructureError on a term nested deeper than the recursion limit allows.
+
+Canonical states are numbered here, in one table: every process met maps
+to the id of its canonical form, and each id to the one stored canonical
+object, which ``canonicalize`` returns.  ``lts`` and ``oracle`` read states
+by these ids.
 """
 
 from __future__ import annotations
@@ -31,13 +36,14 @@ from .syntax import (FiniteProcess, PrefixedTerm, Process, StructureError,
                      memo_table)
 
 __all__ = [
-    "canonicalize", "canonical_finite", "intern_canonical", "congruent",
-    "process_of",
+    "canonicalize", "canonical_id", "state_id", "canonical_finite",
+    "congruent", "process_of",
 ]
 
 _CANON_COMPS = memo_table()
 _CANON_FIN = memo_table()
-_CANON_PROC = memo_table()
+_STATE_IDS = memo_table()
+_STATES = memo_table()
 
 
 def _canonical_components(t: PrefixedTerm) -> tuple:
@@ -86,30 +92,31 @@ def canonical_finite(fp: FiniteProcess) -> FiniteProcess:
         raise StructureError("term nested too deeply") from None
 
 
-def intern_canonical(p: Process) -> Process:
-    """The one stored object equal to p, for a p already in canonical form.
+def state_id(c: Process) -> int:
+    """The id of c, a process already in canonical form."""
+    got = _STATE_IDS.get(c)
+    if got is None:
+        got = _STATE_IDS[c] = len(_STATES)
+        _STATES[got] = c
+    return got
 
-    ``canonicalize`` returns these objects too, so a canonical state has
-    one object however it was reached.
-    """
-    return _CANON_PROC.setdefault(p, p)
+
+def canonical_id(p: Process) -> int:
+    """The id of p's canonical form."""
+    try:
+        got = _STATE_IDS.get(p)
+        if got is None:
+            got = _STATE_IDS[p] = state_id(Process(
+                (PrefixedTerm(t.action, _canonical_finite(t.body))
+                 for t in p.replicated), _canonical_finite(p.finite)))
+        return got
+    except RecursionError:
+        raise StructureError("term nested too deeply") from None
 
 
 def canonicalize(p: Process) -> Process:
     """The canonical representative of p's congruence class."""
-    try:
-        cached = _CANON_PROC.get(p)
-        if cached is not None:
-            return cached
-        result = intern_canonical(Process(
-            (PrefixedTerm(t.action, _canonical_finite(t.body))
-             for t in p.replicated),
-            _canonical_finite(p.finite),
-        ))
-        _CANON_PROC[p] = result
-        return result
-    except RecursionError:
-        raise StructureError("term nested too deeply") from None
+    return _STATES[canonical_id(p)]
 
 
 def process_of(term: Union[Process, FiniteProcess, PrefixedTerm]) -> Process:

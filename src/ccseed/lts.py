@@ -10,20 +10,20 @@ Destinations are returned in canonical form and deduplicated, so the
 transition relation is finitely branching and stable under the congruence.
 A process fires as its canonical form.  The components of a canonical
 process and the bodies they spawn are canonical already, so a destination
-is built from them directly and only interned, never canonicalized again.
+is built from them directly and only numbered, never canonicalized again.
 
-The transition relation is stored once, as one table: each canonical state
-gets an integer id when first met, and its moves in a mode are fired once
-and kept as {label: destination ids}, labels and each label's destinations
-in key order.  ``successors`` is a view of that table; ``bounded_class``
-and the bounded game and witness search of ``oracle`` read it by id.
+States are the ids of ``congruence``'s table of canonical states; this
+module keeps only the moves.  A state's moves in a mode are fired once and
+kept as {label: destination ids}, labels and each label's destinations in
+key order.  ``successors`` is a view of them; ``bounded_class`` and the
+bounded game and witness search of ``oracle`` read them by id.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .congruence import canonicalize, intern_canonical
+from .congruence import _STATES, canonical_id, canonicalize, state_id
 from .syntax import Action, Keyed, Process, check_mode, memo_table
 
 __all__ = [
@@ -71,9 +71,7 @@ TAU = Label(None)
 
 
 _LABELS = memo_table()
-# The transition table: state ids both ways, and _MOVES[(id, mode)].
-_STATE_IDS = memo_table()
-_STATES = memo_table()
+# The moves of state id i in a mode, at _MOVES[(i, mode)].
 _MOVES = memo_table()
 
 
@@ -83,15 +81,6 @@ def _label(action: Action) -> Label:
     if label is None:
         label = _LABELS[action] = Label(action)
     return label
-
-
-def _state_id(c: Process) -> int:
-    """The id of canonical c."""
-    got = _STATE_IDS.get(c)
-    if got is None:
-        got = _STATE_IDS[c] = len(_STATE_IDS)
-        _STATES[got] = c
-    return got
 
 
 def _moves(i: int, mode: str) -> dict:
@@ -111,7 +100,7 @@ def successors(p: Process, mode: str = "base") -> tuple:
     handshaking pair of them also fires once, together, as one tau.
     """
     check_mode(mode)
-    moves = _moves(_state_id(canonicalize(p)), mode)
+    moves = _moves(canonical_id(p), mode)
     return tuple((label, _STATES[j]) for label, ids in moves.items()
                  for j in ids)
 
@@ -134,9 +123,8 @@ def _fire(c: Process, mode: str) -> dict:
     dests: dict = {}
     for label, consumed, spawned in moves:
         kept = [t for i, t in enumerate(fin) if i not in consumed]
-        dests.setdefault(label, set()).add(
-            intern_canonical(Process(reps, kept + list(spawned))))
-    return {label: tuple(map(_state_id, sorted(dests[label])))
+        dests.setdefault(label, set()).add(Process(reps, kept + list(spawned)))
+    return {label: tuple(map(state_id, sorted(dests[label])))
             for label in sorted(dests)}
 
 
@@ -181,8 +169,9 @@ def bounded_class(p: Process, depth: int, mode: str = "base") -> int:
     Ids are comparable at one depth and mode, and only until
     ``clear_caches`` re-interns them.
     """
+    check_depth(depth)
     check_mode(mode)
-    return _class(_state_id(canonicalize(p)), depth, mode)
+    return _class(canonical_id(p), depth, mode)
 
 
 def _class(i: int, depth: int, mode: str) -> int:

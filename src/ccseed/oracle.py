@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import corpus
-from .congruence import canonical_finite, canonicalize, process_of
-from .lts import (_STATES, Label, TAU, _moves, _state_id, bounded_class,
-                  check_depth, successors)
+from .congruence import (_STATES, canonical_finite, canonical_id,
+                         canonicalize, process_of)
+from .lts import Label, TAU, _moves, bounded_class, check_depth, successors
 from .rewrite import _explore, compute_seed, convertible, rewrites_to
 from .syntax import (FiniteProcess, PrefixedTerm, Process,
                      apply_substitution, check_mode, memo_table, render)
@@ -129,7 +129,8 @@ class GameResult:
     distinguisher: Optional[Distinguisher] = None
 
 
-# The game plays on the state ids and moves of ``lts``'s transition table.
+# The game plays on the state ids of ``congruence``'s table of canonical
+# states and on the moves ``lts`` keeps for them.
 # Its memo keys an unordered pair of distinct ids by (i, j, mode) with
 # i < j and holds (deepest depth known equal, shallowest depth known
 # distinguished): k-round equivalence only shrinks as k grows, so one entry
@@ -139,8 +140,8 @@ _UNKNOWN = (0, math.inf)
 
 
 def _game_eq(p: Process, q: Process, d: int, mode: str) -> bool:
-    """Canonical p and q survive d rounds of the game."""
-    return _ids_eq(_state_id(p), _state_id(q), d, mode)
+    """p and q survive d rounds of the game."""
+    return _ids_eq(canonical_id(p), canonical_id(q), d, mode)
 
 
 def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
@@ -218,7 +219,7 @@ def bounded_bisim(p: Process, q: Process,
     """
     check_depth(cfg.depth)
     check_mode(cfg.mode)
-    i, j = (_state_id(canonicalize(process_of(x))) for x in (p, q))
+    i, j = (canonical_id(process_of(x)) for x in (p, q))
     if _ids_eq(i, j, cfg.depth, cfg.mode):
         return GameResult(True)
     memo: dict = {}
@@ -263,8 +264,8 @@ def bounded_partition(procs: Sequence[Process], depth: int,
 
     Signature refinement stratified by remaining depth (``bounded_class``);
     agrees with ``bounded_bisim`` verdicts pairwise (the suites cross-check
-    this against ``_game_eq``, which shares only ``lts``'s transition table
-    with it).
+    this against ``_game_eq``, which shares only the state ids and their
+    moves with it).
     """
     check_depth(depth)
     check_mode(mode)
@@ -487,8 +488,7 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
             filled = ctx.plug((rep_term,))
             hole_nil = ctx.plug(())
             if not (convertible(hole_nil, filled).equivalent
-                    and _game_eq(canonicalize(hole_nil), canonicalize(filled),
-                                 cfg.depth, mode)):
+                    and _game_eq(hole_nil, filled, cfg.depth, mode)):
                 st.fail(context=_pp(ctx.base), copy=_pp(rep_term),
                         partner=_pp(partner))
 
@@ -594,7 +594,7 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
                                       actions)
         st.probe(True)
         conv = convertible(p, q).equivalent
-        game = _game_eq(canonicalize(p), canonicalize(q), cfg.depth, mode)
+        game = _game_eq(p, q, cfg.depth, mode)
         if conv and not game:
             st.fail(left=_pp(p), right=_pp(q), convertible=conv,
                     game_equivalent=game)

@@ -18,6 +18,7 @@ from ccseed.corpus import (compose, default_actions, enumerate_finite,
                            enumerate_processes, make_redundant,
                            random_context, random_finite, random_process,
                            random_substitution)
+from ccseed.lts import successors
 from ccseed.oracle import (GameConfig, bounded_bisim, bounded_partition,
                            finite_bisim, finite_partition, lemma_suite_sharded,
                            replay_distinguisher)
@@ -56,6 +57,12 @@ def base_bundle():
 @pytest.fixture(scope="module")
 def sync_bundle():
     return _bundle("sync", 2027)
+
+
+@pytest.fixture(scope="module")
+def exhaustive_base_6():
+    corpus = enumerate_processes(6, ACTS_BASE)
+    return corpus, [compute_seed(p) for p in corpus]
 
 
 def _cross_check(corpus, keys, classes, mode, rng_seed, samples=250):
@@ -277,3 +284,40 @@ def test_criterion_10_different_seeds_are_not_bisimilar(request, bundle, mode,
     assert len(distinct) == count
     classes = bounded_partition(distinct, depth, mode=mode)
     assert len(set(classes.values())) == count
+
+
+def _seed_bisimulation_failures(seeds, mode):
+    """The processes of ``seeds`` (canonical process -> its seed) whose
+    moves, read up to seeds, differ from their seed's moves.
+
+    With none, equal seeds form a bisimulation.  Seeds of states outside
+    the map are computed.
+    """
+    def seed_of(x):
+        return seeds[x] if x in seeds else compute_seed(x).seed
+
+    def moves(x):
+        return {(label, seed_of(y)) for label, y in successors(x, mode)}
+
+    return [render(p) for p in seeds if moves(p) != moves(seed_of(p))]
+
+
+@pytest.mark.parametrize("work, mode, distinct, planted", [
+    ("base_bundle", "base", 3957, "a.b.0"),
+    ("sync_bundle", "sync", 4034, "a.~a.0"),
+    ("exhaustive_base_6", "base", 5660, "a.b.0"),
+])
+def test_criterion_11_equal_seeds_form_a_bisimulation(request, work, mode,
+                                                      distinct, planted):
+    # Criteria 3 and 7 play equal seeds against the game at depth 6; this
+    # checks with no depth that "equal seeds" is a bisimulation: every
+    # process and its seed make the same moves up to seeds.
+    corpus, seeds = request.getfixturevalue(work)[:2]
+    seed_map = {canonicalize(p): s.seed for p, s in zip(corpus, seeds)}
+    assert len(seed_map) == distinct
+    assert _seed_bisimulation_failures(seed_map, mode) == []
+    # non-vacuity: one seed replaced by a process not bisimilar to it
+    key = canonicalize(parse(planted, mode))
+    assert seed_map[key] != parse("a.0")
+    seed_map[key] = parse("a.0")
+    assert planted in _seed_bisimulation_failures(seed_map, mode)

@@ -175,6 +175,27 @@ def test_clear_caches_keeps_results_stable():
     assert run_all() == before
 
 
+def test_one_table_numbers_each_canonical_state_once():
+    # a raw process, its canonical form, an equal canonical process built
+    # fresh and an equal successor destination are one state: one id and
+    # one stored object
+    ccseed.clear_caches()
+    raw = parse("!c.a.a.0 | b.a.a.0")
+    canon = canonicalize(raw)
+    fresh = parse(render(canon))
+    [dest] = [d for label, d in lts.successors(parse("!c.a.a.0 | d.b.a.a.0"))
+              if str(label) == "d"]
+    assert raw != canon and fresh == canon and fresh is not canon
+    procs = [raw, canon, fresh, dest]
+    assert {congruence.canonical_id(x) for x in procs} == {
+        congruence.state_id(canon)}
+    assert all(canonicalize(x) is canon for x in procs)
+    ccseed.clear_caches()
+    assert not congruence._STATE_IDS and not congruence._STATES
+    assert [congruence.canonical_id(x) for x in (fresh, raw, parse("a.0"))] == [
+        0, 0, 1]
+
+
 def test_terms_built_too_deep_raise_structure_error():
     # Built directly, not parsed: the recursive layers past the parser
     # report the same typed error that parse does, then work as before.

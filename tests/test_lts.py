@@ -203,11 +203,11 @@ def test_successors_deterministic_and_cached(monkeypatch):
     first = successors(p, "base")
     assert list(first) == sorted(first, key=lambda t: (t[0].key, t[1].key))
 
-    def no_firing(q):
+    def no_firing(q, mode):
         raise AssertionError(f"fired again: {q!r}")
 
-    # the second call reads the stored moves and builds no destination
-    monkeypatch.setattr(lts, "intern_canonical", no_firing)
+    # the second call reads the stored moves and fires nothing
+    monkeypatch.setattr(lts, "_fire", no_firing)
     assert successors(p, "base") == first
 
 

@@ -148,6 +148,11 @@ def test_bounded_partition_depth_validation(text):
         bounded_partition([parse(text)], -1)
     with pytest.raises(DepthExceeded):
         bounded_partition([parse(text)], 13)
+    # bounded_class, called once per process, checks its depth too
+    for depth, error in ((-1, ValueError), (13, DepthExceeded),
+                         (200, DepthExceeded)):
+        with pytest.raises(error):
+            bounded_class(parse(text), depth)
 
 
 def test_bounded_bisim_sync_mode():
