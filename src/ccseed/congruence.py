@@ -26,6 +26,14 @@ Canonical states are numbered here, in one table: every process met maps
 to the id of its canonical form, and each id to the one stored canonical
 object, which ``canonicalize`` returns.  ``lts`` and ``oracle`` read states
 by these ids.
+
+The components of canonical states are numbered too: ``component_id``
+gives each distinct prefixed term one id.  A canonical state is then also
+its parts, the ids of its replicated components in key order and the
+sorted ids of its finite ones.  ``_PARTS`` indexes the states ``lts`` fires
+and reaches by their parts, nested as {replicated ids: {finite ids: state
+id}}, so a destination that is known already is found without building
+it.  States that only ``canonicalize`` numbers have no entry there.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ from .syntax import (FiniteProcess, PrefixedTerm, Process, StructureError,
                      memo_table)
 
 __all__ = [
-    "canonicalize", "canonical_id", "state_id", "canonical_finite",
+    "canonicalize", "canonical_id", "state_id", "component_id",
+    "canonical_finite",
     "congruent", "process_of",
 ]
 
@@ -44,6 +53,9 @@ _CANON_COMPS = memo_table()
 _CANON_FIN = memo_table()
 _STATE_IDS = memo_table()
 _STATES = memo_table()
+_COMP_IDS = memo_table()
+_COMPS = memo_table()
+_PARTS = memo_table()
 
 
 def _canonical_components(t: PrefixedTerm) -> tuple:
@@ -98,6 +110,15 @@ def state_id(c: Process) -> int:
     if got is None:
         got = _STATE_IDS[c] = len(_STATES)
         _STATES[got] = c
+    return got
+
+
+def component_id(t: PrefixedTerm) -> int:
+    """The id of t, a component of a canonical state."""
+    got = _COMP_IDS.get(t)
+    if got is None:
+        got = _COMP_IDS[t] = len(_COMPS)
+        _COMPS[got] = t
     return got
 
 

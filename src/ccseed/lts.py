@@ -10,20 +10,28 @@ Destinations are returned in canonical form and deduplicated, so the
 transition relation is finitely branching and stable under the congruence.
 A process fires as its canonical form.  The components of a canonical
 process and the bodies they spawn are canonical already, so a destination
-is built from them directly and only numbered, never canonicalized again.
+is made of them directly and never canonicalized again.
+
+A state fires on the ids ``congruence`` gives its components: a
+destination is the sorted tuple of the finite ids kept plus the ids of the
+bodies spawned, next to the state's own replicated ids.  It is looked up in
+``congruence``'s parts index, and a ``Process`` is built and numbered only
+when the index does not know it yet.
 
 States are the ids of ``congruence``'s table of canonical states; this
-module keeps only the moves.  A state's moves in a mode are fired once and
-kept as {label: destination ids}, labels and each label's destinations in
-key order.  ``successors`` is a view of them; ``bounded_class`` and the
-bounded game and witness search of ``oracle`` read them by id.
+module keeps only the moves, one table per mode.  A state's moves in a
+mode are fired once and kept as {label: destination ids}, labels and each
+label's destinations in key order.  ``successors`` and ``unfold`` are
+views of them; ``bounded_class`` and the bounded game and witness search
+of ``oracle`` read them by id.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .congruence import _STATES, canonical_id, canonicalize, state_id
+from .congruence import (_COMPS, _PARTS, _STATES, canonical_id,
+                         component_id, state_id)
 from .syntax import Action, Keyed, Process, check_mode, memo_table
 
 __all__ = [
@@ -71,8 +79,11 @@ TAU = Label(None)
 
 
 _LABELS = memo_table()
-# The moves of state id i in a mode, at _MOVES[(i, mode)].
-_MOVES = memo_table()
+# A component id's action and the sorted ids of its body's components.
+_FIRERS = memo_table()
+# The moves of state id i, at _BASE_MOVES[i] and _SYNC_MOVES[i].
+_BASE_MOVES = memo_table()
+_SYNC_MOVES = memo_table()
 
 
 def _label(action: Action) -> Label:
@@ -85,10 +96,10 @@ def _label(action: Action) -> Label:
 
 def _moves(i: int, mode: str) -> dict:
     """State i's moves, fired on first use."""
-    key = (i, mode)
-    got = _MOVES.get(key)
+    table = _SYNC_MOVES if mode == "sync" else _BASE_MOVES
+    got = table.get(i)
     if got is None:
-        got = _MOVES[key] = _fire(_STATES[i], mode)
+        got = table[i] = _fire(i, mode)
     return got
 
 
@@ -105,26 +116,52 @@ def successors(p: Process, mode: str = "base") -> tuple:
                  for j in ids)
 
 
-def _fire(c: Process, mode: str) -> dict:
-    """The moves of a canonical process."""
-    fin = c.finite.components
+def _firer(k: int) -> tuple:
+    """Component k's action and the ids it spawns when it fires."""
+    got = _FIRERS.get(k)
+    if got is None:
+        t = _COMPS[k]
+        got = _FIRERS[k] = (t.action, tuple(sorted(
+            map(component_id, t.body.components))))
+    return got
+
+
+def _state_key(j: int) -> tuple:
+    return _STATES[j].key
+
+
+def _fire(i: int, mode: str) -> dict:
+    """The moves of state i, fired on the ids of its components."""
+    c = _STATES[i]
     reps = c.replicated
-    firers = [(t.action, t.body.components, i) for i, t in enumerate(fin)
-              if not (i and t == fin[i - 1])]
-    firers += [(t.action, t.body.components, None)
-               for i, t in enumerate(reps) if not (i and t == reps[i - 1])]
-    moves = [(_label(act), (i,), body) for act, body, i in firers]
+    rep_ids = tuple(map(component_id, reps))
+    fin = sorted(map(component_id, c.finite.components))
+    known = _PARTS.setdefault(rep_ids, {})
+    known[tuple(fin)] = i
+
+    # (ids consumed, action, ids spawned) per distinct component
+    firers = [((k,), *_firer(k)) for k in dict.fromkeys(fin)]
+    firers += [((), *_firer(k)) for k in dict.fromkeys(rep_ids)]
+    moves = [(_label(act), gone, body) for gone, act, body in firers]
     if mode == "sync":
-        moves += [(TAU, (i, j), body + other)
-                  for n, (act, body, i) in enumerate(firers)
-                  for other_act, other, j in firers[n + 1:]
+        moves += [(TAU, gone + other_gone, body + other)
+                  for n, (gone, act, body) in enumerate(firers)
+                  for other_gone, other_act, other in firers[n + 1:]
                   if act.handshakes(other_act)]
 
     dests: dict = {}
-    for label, consumed, spawned in moves:
-        kept = [t for i, t in enumerate(fin) if i not in consumed]
-        dests.setdefault(label, set()).add(Process(reps, kept + list(spawned)))
-    return {label: tuple(map(state_id, sorted(dests[label])))
+    for label, gone, spawned in moves:
+        kept = fin.copy()
+        for k in gone:
+            kept.remove(k)
+        kept += spawned
+        kept.sort()
+        dest = tuple(kept)
+        j = known.get(dest)
+        if j is None:
+            j = known[dest] = state_id(Process(reps, map(_COMPS.get, dest)))
+        dests.setdefault(label, set()).add(j)
+    return {label: tuple(sorted(dests[label], key=_state_key))
             for label in sorted(dests)}
 
 
@@ -137,24 +174,26 @@ def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
     """
     check_depth(depth)
     check_mode(mode)
-    start = canonicalize(p)
-    states = [start]
+    start = canonical_id(p)
+    order = [start]
     seen = {start}
     edges = []
     frontier = [start]
     for _ in range(depth):
         nxt = []
-        for x in frontier:
-            for label, dest in successors(x, mode):
-                edges.append((x, label, dest))
-                if dest not in seen:
-                    seen.add(dest)
-                    nxt.append(dest)
+        for i in frontier:
+            for label, ids in _moves(i, mode).items():
+                for j in ids:
+                    edges.append((i, label, j))
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
         if not nxt:
             break
-        states.extend(nxt)
+        order.extend(nxt)
         frontier = nxt
-    return states, edges
+    return ([_STATES[i] for i in order],
+            [(_STATES[i], label, _STATES[j]) for i, label, j in edges])
 
 
 _CLASS = memo_table()

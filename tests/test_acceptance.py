@@ -272,6 +272,7 @@ def test_criterion_9_lemma_suites_clean_and_nonvacuous():
 @pytest.mark.parametrize("bundle, mode, depth, count", [
     ("base_bundle", "base", 9, 1219),
     ("sync_bundle", "sync", 8, 1177),
+    ("exhaustive_base_6", "base", 10, 2779),
 ])
 def test_criterion_10_different_seeds_are_not_bisimilar(request, bundle, mode,
                                                         depth, count):
@@ -279,7 +280,7 @@ def test_criterion_10_different_seeds_are_not_bisimilar(request, bundle, mode,
     # the other direction.  The corpus's distinct seeds each get their own
     # class at a finite game depth, and processes a game distinguishes are
     # not bisimilar.
-    _corpus, seeds, _keys, _classes = request.getfixturevalue(bundle)
+    seeds = request.getfixturevalue(bundle)[1]
     distinct = list(dict.fromkeys(s.seed for s in seeds))
     assert len(distinct) == count
     classes = bounded_partition(distinct, depth, mode=mode)

@@ -190,10 +190,17 @@ def test_one_table_numbers_each_canonical_state_once():
     assert {congruence.canonical_id(x) for x in procs} == {
         congruence.state_id(canon)}
     assert all(canonicalize(x) is canon for x in procs)
+    parts = (congruence._COMP_IDS, congruence._COMPS, congruence._PARTS)
+    assert all(parts)
     ccseed.clear_caches()
     assert not congruence._STATE_IDS and not congruence._STATES
+    assert not any(parts)
     assert [congruence.canonical_id(x) for x in (fresh, raw, parse("a.0"))] == [
         0, 0, 1]
+    # component ids restart at 0 too, in the order firing meets them
+    lts.successors(parse("b.0 | a.c.0"))
+    assert {k: render(t) for k, t in congruence._COMPS.items()} == {
+        0: "b.0", 1: "a.c.0", 2: "c.0"}
 
 
 def test_terms_built_too_deep_raise_structure_error():

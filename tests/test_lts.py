@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccseed import clear_caches, corpus, lts
-from ccseed.congruence import canonicalize, congruent
+from ccseed import clear_caches, congruence, corpus, lts
+from ccseed.congruence import canonical_id, canonicalize, congruent
 from ccseed.lts import (DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU,
                         bounded_class, successors, unfold)
 from ccseed.syntax import Action, Process, parse, render
@@ -209,6 +209,60 @@ def test_successors_deterministic_and_cached(monkeypatch):
     # the second call reads the stored moves and fires nothing
     monkeypatch.setattr(lts, "_fire", no_firing)
     assert successors(p, "base") == first
+
+
+def test_fired_corpora_keep_one_id_per_state():
+    # Firing numbers destinations through the parts index, by component
+    # ids: no canonical state gets a second id, every index entry names the
+    # state its parts make up, and ids are handed out in an order that does
+    # not depend on how objects hash (the digest holds under any
+    # PYTHONHASHSEED).
+    clear_caches()
+    for mode in ("base", "sync"):
+        # largest first, so that firing meets new destinations
+        for p in reversed(corpus.enumerate_processes(
+                5, corpus.default_actions(2, mode))):
+            successors(p, "base")
+            successors(p, "sync")
+    states = congruence._STATES
+    assert all(canonical_id(states[j]) == j for j in states)
+    comps = congruence._COMPS
+    indexed = 0
+    for rep_ids, known in congruence._PARTS.items():
+        for fin_ids, j in known.items():
+            indexed += 1
+            assert states[j].replicated == tuple(comps[k] for k in rep_ids)
+            assert fin_ids == tuple(sorted(
+                map(congruence.component_id, states[j].finite.components)))
+    assert (len(states), len(comps), indexed) == (4157, 328, 4157)
+    digest = hashlib.sha256()
+    for table in (states, comps):
+        for j in range(len(table)):
+            digest.update(render(table[j]).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "6f2d7f89c6d146ffaed252e41ad9ecf77774d9b86d19a64e1edc1df179ec7b5f")
+
+
+def test_firing_onto_numbered_destinations_builds_no_process(monkeypatch):
+    # A state's base-mode destinations are among its sync-mode ones, so
+    # once it has fired in sync mode, firing it in base mode finds every
+    # destination in the parts index and builds no Process.
+    clear_caches()
+    p = parse("!a.b.0 | !~a.0 | a.0 | a.0 | ~a.b.0 | c.a.0", "sync")
+    built = []
+    process = lts.Process
+
+    def counting(*args):
+        built.append(args)
+        return process(*args)
+
+    monkeypatch.setattr(lts, "Process", counting)
+    sync = successors(p, "sync")
+    assert built
+    built.clear()
+    base = successors(p, "base")
+    assert built == []
+    assert set(base) < set(sync)
 
 
 ACTIONS = corpus.default_actions(2, "base")
