@@ -482,3 +482,31 @@ def test_guided_exploration_is_the_product_of_its_parts(mode):
         product = {Process(r.replicated, f.finite)
                    for r in reps for f in finites}
         assert set(rewrite._explore(start, guide)) == product, render(start)
+
+
+def _replicated_only_processes(rng, count, acts, sizes):
+    """``count`` random replicated-only processes, their sizes cycling
+    through ``sizes``: every component of a random process replicated."""
+    out = []
+    for k in range(count):
+        p = corpus.random_process(rng, sizes[k % len(sizes)], acts)
+        out.append(Process(p.replicated + p.finite.components))
+    return out
+
+
+def test_replicated_only_sizes_13_to_19_seeds_and_traces_match_recorded_digest():
+    # Recorded before stage 1 was seeded one component at a time: inputs
+    # with no finite part, past the sizes the digests above reach, in base
+    # mode (3 actions) and sync mode (a, ~a, b, ~b).
+    rng = random.Random(1819)
+    sizes = range(13, 20)
+    digest = hashlib.sha256()
+    for mode, count, acts in (("base", 14, corpus.default_actions(3)),
+                              ("sync", 7, corpus.default_actions(4, "sync"))):
+        for p in _replicated_only_processes(rng, count, acts, sizes):
+            res = compute_seed(p)
+            digest.update(json.dumps([mode, render(p), render(res.seed),
+                                      _trace_json(res.trace)]).encode()
+                          + b"\n")
+    assert digest.hexdigest() == (
+        "0a8ddd8524f64a3945f80cde9f332767165f66e6f6249a95f8a267d158ffde59")
