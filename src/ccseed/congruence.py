@@ -24,7 +24,8 @@ StructureError on a term nested deeper than the recursion limit allows.
 
 Canonical states are numbered here, in one table: every process met maps
 to the id of its canonical form, and each id to the one stored canonical
-object, which ``canonicalize`` returns.  ``lts`` and ``oracle`` read states
+object, which ``canonicalize`` returns.  A canonical process met first is
+that object itself, not an equal copy.  ``lts`` and ``oracle`` read states
 by these ids.
 
 The components of canonical states are numbered too: ``component_id``
@@ -123,13 +124,13 @@ def component_id(t: PrefixedTerm) -> int:
 
 
 def canonical_id(p: Process) -> int:
-    """The id of p's canonical form."""
+    """The id of p's canonical form; p itself is stored when it is one."""
     try:
         got = _STATE_IDS.get(p)
         if got is None:
-            got = _STATE_IDS[p] = state_id(Process(
-                (PrefixedTerm(t.action, _canonical_finite(t.body))
-                 for t in p.replicated), _canonical_finite(p.finite)))
+            c = Process((PrefixedTerm(t.action, _canonical_finite(t.body))
+                         for t in p.replicated), _canonical_finite(p.finite))
+            got = _STATE_IDS[p] = state_id(p if c == p else c)
         return got
     except RecursionError:
         raise StructureError("term nested too deeply") from None

@@ -10,13 +10,17 @@ Both strictly decrease size, so every rewrite sequence terminates.  The seed
 of a process is the smallest process it rewrites to when guided by that very
 process; seeds are unique modulo the congruence, and two processes are
 bisimilar exactly when their seeds are congruent.  ``compute_seed``
-first seeds the replicated part alone (stage 1), listing its candidates
-under a guide bounded by what each replicated component can generate,
-then explores the finite part alone under the guide of that part's seed
-(stage 2).  No call explores the whole process, a stage that can delete
-nothing is skipped, and the trace is found on first read.  Stage 1 rests
-on the seed theorem and the cancellation law for replicated parts; this
-is argued and checked, not proved.
+first seeds the replicated part alone (stage 1), one component at a
+time: B1 edits the body of one replicated component, which stays one
+component, and B2 drops one of two equal components, so a guided
+exploration of the part is a product of its components' explorations.
+Each component's deletions form one graph, walked per guide, and stage 1
+matches sets of the components' descendants instead of exploring the
+part.  Stage 2 explores the finite part alone under the guide of that
+part's seed.  No call explores the whole process, a stage that can
+delete nothing is skipped, and the trace is found on first read.  Stage
+1 rests on the seed theorem and the cancellation law for replicated
+parts; this is argued and checked, not proved.
 ``convertible`` compares seeds.
 
 A target's guide is the set of its canonical replicated components that
@@ -27,6 +31,7 @@ deleted occurrence itself, read off the step's path.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -82,7 +87,13 @@ def _guide(target: Process) -> frozenset:
     a single occurrence of a canonical process, so only those that stay
     one component are kept.
     """
-    return frozenset(t for t in canonicalize(target).replicated
+    return _guide_of(canonicalize(target).replicated)
+
+
+def _guide_of(replicated) -> frozenset:
+    """The guide of a process whose replicated components are these
+    canonical terms, read off them without building the process."""
+    return frozenset(t for t in replicated
                      if len(_canonical_components(t)) == 1)
 
 
@@ -130,7 +141,8 @@ def step_b2(p: Process) -> tuple:
 
 
 # Audit trail for termination checks: one (start size, states visited)
-# entry per guided exploration; empty it with search_audit.clear().
+# entry per guided exploration and per guided walk of a component's
+# deletion graph; empty it with search_audit.clear().
 search_audit: list = []
 
 
@@ -208,7 +220,8 @@ class SeedResult:
 
 
 _SEED_CACHE = memo_table()
-_GENERATED = memo_table()
+_DELETIONS = memo_table()
+_REACH = memo_table()
 
 # A descendant whose behaviour already differs from p at this depth cannot
 # be reached by guided rewriting (a successful rewrite implies
@@ -218,20 +231,56 @@ _GENERATED = memo_table()
 _PREFILTER_DEPTH = 2
 
 
+def _component_deletions(d: PrefixedTerm) -> tuple:
+    """The deletion graph's edges out of ``!d``, a canonical component.
+
+    B1 edits the body of one replicated component, which stays one
+    component, and B2 needs two; so every deletion from ``!d`` is a B1
+    step to some ``!d'``.  The edges are the distinct pairs (deleted
+    occurrence, d'), unguided: a guide keeps those whose occurrence is in
+    it.  The graph of a component is what its edges reach.
+    """
+    edges = _DELETIONS.get(d)
+    if edges is None:
+        state = Process((d,))
+        edges = _DELETIONS[d] = tuple(dict.fromkeys(
+            (occ, canonicalize(delete_at(state, path)).replicated[0])
+            for path, occ in occurrences(state)))
+    return edges
+
+
+def _reach(t: PrefixedTerm, guide: Optional[frozenset]) -> frozenset:
+    """The components d such that ``!t`` rewrites to ``!d`` under ``guide``.
+
+    A walk of t's deletion graph over the edges whose occurrence is in
+    ``guide`` (every edge when it is None); it builds no terms beyond the
+    graph, and each guided walk logs one ``search_audit`` entry.
+    """
+    key = (t, guide)
+    reached = _REACH.get(key)
+    if reached is None:
+        seen = {t}
+        todo = [t]
+        while todo:
+            for occ, d in _component_deletions(todo.pop()):
+                if d not in seen and (guide is None or occ in guide):
+                    seen.add(d)
+                    todo.append(d)
+        reached = _REACH[key] = frozenset(seen)
+        if guide is not None:
+            search_audit.append((t.size, len(seen)))
+    return reached
+
+
 def _generated(t: PrefixedTerm) -> frozenset:
     """Every guide term that unguided deletion can make from ``!t``.
 
-    The union of the guides of the deletion descendants of ``!t`` alone:
-    a deletion descendant of a replicated part has each replicated
-    component from one of its components, so its guide lies in the union
-    of ``_generated`` over those components.
+    The union of the guides of the deletion descendants of ``!t`` alone,
+    read off its deletion graph: a deletion descendant of a replicated
+    part has each replicated component from one of its components, so its
+    guide lies in the union of ``_generated`` over those components.
     """
-    cached = _GENERATED.get(t)
-    if cached is None:
-        cached = frozenset().union(
-            *map(_guide, _explore(Process((t,)), None)))
-        _GENERATED[t] = cached
-    return cached
+    return _guide_of(_reach(t, None))
 
 
 def _smallest(states: list, start: Process) -> Process:
@@ -243,27 +292,81 @@ def _smallest(states: list, start: Process) -> Process:
     return smallest[0]
 
 
+def _onto(part: frozenset, copies: tuple, reach: dict) -> bool:
+    """Whether each copy can be sent to a member of ``part`` it reaches
+    (``reach[t]``), every member receiving one: a bipartite matching of
+    the members into the copies, once every copy reaches some member."""
+    if any(reach[t].isdisjoint(part) for t in copies):
+        return False
+    held = [None] * len(copies)  # the member matched to each copy
+
+    def place(d, tried: set) -> bool:
+        for i, t in enumerate(copies):
+            if i not in tried and d in reach[t]:
+                tried.add(i)
+                if held[i] is None or place(held[i], tried):
+                    held[i] = d
+                    return True
+        return False
+
+    return all(place(d, set()) for d in part)
+
+
 def _seed_replicated(rep: Process) -> Process:
     """Stage 1: the seed of a canonical replicated-only process.
 
-    Its candidates are the states of rep's exploration under the bound B,
-    the union of ``_generated`` over rep's components, taken smallest
-    first; r verifies when the exploration of rep guided by ``_guide(r)``
-    reaches it.  Every candidate's guide lies in B and exploration grows
-    with the guide, so B drops only states that cannot verify.
+    Under a fixed guide g every deletion of ``rep = !t_1 | ... | !t_n``
+    edits one component, which stays one (B1), or drops one of two equal
+    components (B2).  So rep reaches exactly the processes whose
+    components are the images of a map sending each copy t_i to a member
+    of ``_reach(t_i, g)``.  A reached process with duplicates is not
+    minimal (its B2 reduct has the same guide and is smaller), so the
+    seed's replicated part is a set S onto which the copies map:
+    ``_onto``, a matching.  S verifies when that holds under
+    ``_guide_of(S)``.
+
+    The sets S are searched smallest first over the members of
+    ``_reach(t_i, B)``, under the bound B, the union of ``_generated``
+    over the components: every verifying guide lies in B and reaches
+    grow with the guide, so B drops only sets that cannot verify.  A
+    best-first search sends the copies in turn, each to a member already
+    chosen that it reaches or to a new one, so every complete set maps
+    onto under B; its priority adds the least member size still needed.
+    The first size with a verified set must have exactly one.  When each
+    copy reaches only itself under B, that set is the deduplicated input
+    and is returned at once.
     """
-    bound = frozenset().union(*map(_generated, rep.replicated))
-    candidates = _explore(rep, bound)
-    guided = {bound: candidates}  # explorations of rep, one per guide
+    copies = rep.replicated
+    bound = frozenset().union(*map(_generated, copies))
+    reach = {t: _reach(t, bound) for t in copies}
+    if all(len(r) == 1 for r in reach.values()):
+        return rep if len(reach) == len(copies) else Process(reach)
+    members = [sorted(reach[t]) for t in copies]  # smallest first
+    least = [m[0].size for m in members]
+    limit = sum(t.size for t in reach)  # the deduplicated input verifies
+
+    def priority(j, part, size):
+        return size + max((least[i] for i in range(j, len(copies))
+                           if reach[copies[i]].isdisjoint(part)), default=0)
+
+    queue = [(priority(0, frozenset(), 0), 0, 0, frozenset(), 0)]
+    seen = {(0, frozenset())}
     verified = []
-    for r in sorted(candidates, key=lambda c: c.size):
-        if verified and r.size > verified[0].size:
-            break  # rep itself verifies, so some part does
-        guide = _guide(r)
-        if guide not in guided:
-            guided[guide] = _explore(rep, guide)
-        if r in guided[guide]:
-            verified.append(r)
+    while queue and (not verified or queue[0][0] == verified[0].size):
+        _, _, j, part, size = heapq.heappop(queue)
+        if j == len(copies):
+            guide = _guide_of(part)
+            if _onto(part, copies, {t: _reach(t, guide) for t in reach}):
+                verified.append(Process(part))
+            continue
+        sent = [(part, size)] if not reach[copies[j]].isdisjoint(part) else []
+        sent += [(part | {d}, size + d.size) for d in members[j]
+                 if d not in part and size + d.size <= limit]
+        for after, after_size in sent:
+            if (j + 1, after) not in seen:
+                seen.add((j + 1, after))
+                heapq.heappush(queue, (priority(j + 1, after, after_size),
+                                       len(seen), j + 1, after, after_size))
     return _smallest(verified, rep)
 
 

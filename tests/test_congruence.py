@@ -203,6 +203,18 @@ def test_one_table_numbers_each_canonical_state_once():
         0: "b.0", 1: "a.c.0", 2: "c.0"}
 
 
+def test_an_unnumbered_canonical_process_is_stored_itself():
+    # canonical already, but in no table yet: numbering it keeps the
+    # argument instead of an equal copy built from it
+    ccseed.clear_caches()
+    q = parse("!a.b.0 | !b.0 | c.(a.0 | b.0)")
+    assert canonicalize(q) is q
+    assert canonicalize(parse(render(q))) is q
+    raw = parse("!b.a.a.0 | c.c.0")
+    assert canonicalize(raw) is not raw
+    assert canonicalize(raw) is canonicalize(parse(render(canonicalize(raw))))
+
+
 def test_terms_built_too_deep_raise_structure_error():
     # Built directly, not parsed: the recursive layers past the parser
     # report the same typed error that parse does, then work as before.

@@ -271,18 +271,29 @@ def test_uniqueness_error_is_an_assertion():
                                         ("c.0", "d.0")])
 def test_each_seed_stage_raises_uniqueness_error_on_a_tie(monkeypatch, part,
                                                           twin):
-    # An exploration of the replicated part (stage 1) or of the finite part
-    # (stage 2) that reaches a second state as small as the minimal one
-    # leaves no unique seed.
+    # A replicated component that reaches a second component as small as
+    # itself (stage 1), or an exploration of the finite part that reaches
+    # a second state as small as the minimal one (stage 2), leaves no
+    # unique seed.
     start = canonicalize(parse(part))
     twin = canonicalize(parse(twin))
-    explore = rewrite._explore
+    if start.replicated:
+        (t,), (u,) = start.replicated, twin.replicated
+        reach = rewrite._reach
 
-    def tied(state, guide):
-        parents = explore(state, guide)
-        return {**parents, twin: None} if state == start else parents
+        def tied(comp, guide):
+            reached = reach(comp, guide)
+            return reached | {u} if comp == t else reached
 
-    monkeypatch.setattr(rewrite, "_explore", tied)
+        monkeypatch.setattr(rewrite, "_reach", tied)
+    else:
+        explore = rewrite._explore
+
+        def tied(state, guide):
+            parents = explore(state, guide)
+            return {**parents, twin: None} if state == start else parents
+
+        monkeypatch.setattr(rewrite, "_explore", tied)
     monkeypatch.setattr(rewrite, "_SEED_CACHE", {})
     with pytest.raises(UniquenessError):
         compute_seed(parse("!a.b.0 | c.0"))
@@ -510,3 +521,59 @@ def test_replicated_only_sizes_13_to_19_seeds_and_traces_match_recorded_digest()
                           + b"\n")
     assert digest.hexdigest() == (
         "0a8ddd8524f64a3945f80cde9f332767165f66e6f6249a95f8a267d158ffde59")
+
+
+def _listed_seed_replicated(rep):
+    """Stage 1 as it was before it was seeded one component at a time: the
+    states of rep's exploration under the bound B, taken smallest first,
+    each verified by an exploration of rep under its own guide."""
+    bound = frozenset().union(*(rewrite._guide(d) for t in rep.replicated
+                                for d in rewrite._explore(Process((t,)),
+                                                          None)))
+    candidates = rewrite._explore(rep, bound)
+    guided = {bound: candidates}
+    verified = []
+    for r in sorted(candidates, key=lambda c: c.size):
+        if verified and r.size > verified[0].size:
+            break
+        guide = rewrite._guide(r)
+        if guide not in guided:
+            guided[guide] = rewrite._explore(rep, guide)
+        if r in guided[guide]:
+            verified.append(r)
+    return rewrite._smallest(verified, rep)
+
+
+def _stage_1_outcome(seed_replicated, rep):
+    try:
+        return render(seed_replicated(rep))
+    except UniquenessError:
+        return "UniquenessError"
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_stage_1_matches_the_whole_part_search(mode):
+    # The per-component search returns the seed, or raises, exactly as the
+    # exploration of the whole replicated part did: on every replicated
+    # part of the size-<=5 corpus, on random parts of sizes 6-14, and on a
+    # part whose copies each reach a member of a smaller set that no
+    # matching sends them onto.
+    acts = corpus.default_actions(3 if mode == "base" else 4, mode)
+    parts = {Process(canonicalize(p).replicated)
+             for p in corpus.enumerate_processes(5, corpus.default_actions(
+                 2, mode))}
+    rng = random.Random(1414)
+    randoms = [canonicalize(p) for p in _replicated_only_processes(
+        rng, 150, acts, range(6, 15))]
+    unmatched = canonicalize(parse(
+        "!a.b.0 | !a.(a.0 | b.0) | !b.(c.0 | c.0)" if mode == "base" else
+        "!~a.0 | !a.b.0 | !~a.(a.0 | b.0) | !~b.(a.0 | ~a.0) | "
+        "!~b.(a.0 | ~b.0 | ~b.0)", mode))
+    checked = 0
+    for rep in sorted(parts) + randoms + [unmatched]:
+        if rep.replicated:
+            checked += 1
+            assert (_stage_1_outcome(rewrite._seed_replicated, rep)
+                    == _stage_1_outcome(_listed_seed_replicated, rep)), (
+                        render(rep))
+    assert checked >= 550
