@@ -577,3 +577,33 @@ def test_stage_1_matches_the_whole_part_search(mode):
                     == _stage_1_outcome(_listed_seed_replicated, rep)), (
                         render(rep))
     assert checked >= 550
+
+
+def _finite_heavy_processes(rng, count, acts, sizes):
+    """``count`` random processes with a replicated part and at least four
+    finite components, their sizes cycling through ``sizes``."""
+    out = []
+    while len(out) < count:
+        p = corpus.random_process(rng, sizes[len(out) % len(sizes)], acts)
+        if p.replicated and len(p.finite.components) >= 4:
+            out.append(p)
+    return out
+
+
+def test_finite_heavy_sizes_14_to_20_seeds_and_traces_match_recorded_digest():
+    # Recorded before stage 2 was seeded one finite component at a time:
+    # inputs whose finite part has many components, past the sizes the
+    # mixed digest above reaches, in base mode (3 actions) and sync mode
+    # (a, ~a, b, ~b).
+    rng = random.Random(1920)
+    sizes = range(14, 21)
+    digest = hashlib.sha256()
+    for mode, count, acts in (("base", 40, corpus.default_actions(3)),
+                              ("sync", 20, corpus.default_actions(4, "sync"))):
+        for p in _finite_heavy_processes(rng, count, acts, sizes):
+            res = compute_seed(p)
+            digest.update(json.dumps([mode, render(p), render(res.seed),
+                                      _trace_json(res.trace)]).encode()
+                          + b"\n")
+    assert digest.hexdigest() == (
+        "c622aeed1607cd7c3ce1708db7c9a9e2bb5f763683028c4a90566d16953402e6")
