@@ -16,11 +16,17 @@ component, and B2 drops one of two equal components, so a guided
 exploration of the part is a product of its components' explorations.
 Each component's deletions form one graph, walked per guide, and stage 1
 matches sets of the components' descendants instead of exploring the
-part.  Stage 2 explores the finite part alone under the guide of that
-part's seed.  No call explores the whole process, a stage that can
-delete nothing is skipped, and the trace is found on first read.  Stage
-1 rests on the seed theorem and the cancellation law for replicated
-parts; this is argued and checked, not proved.
+part.  Stage 2 seeds the finite part under the guide of that part's
+seed, one finite component at a time: B1 edits one finite component and
+canonical forms are built per component, so what the finite part
+reaches is the multiset sums of what its components reach alone.  A
+component's reach is a set of processes, not of components (``b.b.a.0``
+less ``a.0`` is ``b.0 | b.0``), so stage 2 explores each distinct
+component instead of walking a graph.  No call explores the whole
+process, a stage that can delete nothing is skipped, and the trace is
+found on first read.  Stage 1 rests on the seed theorem and the
+cancellation law for replicated parts; this is argued and checked, not
+proved.
 ``convertible`` compares seeds.
 
 A target's guide is the set of its canonical replicated components that
@@ -222,6 +228,7 @@ class SeedResult:
 _SEED_CACHE = memo_table()
 _DELETIONS = memo_table()
 _REACH = memo_table()
+_COMPONENT_SEEDS = memo_table()
 
 # A descendant whose behaviour already differs from p at this depth cannot
 # be reached by guided rewriting (a successful rewrite implies
@@ -370,19 +377,42 @@ def _seed_replicated(rep: Process) -> Process:
     return _smallest(verified, rep)
 
 
+def _seed_component(c: PrefixedTerm, guide: frozenset,
+                    start: Process) -> tuple:
+    """Stage 2 for one finite component: the components of the one
+    smallest state that ``c`` alone reaches under ``guide``.
+
+    Memoized on ``(c, guide)``; a tie raises UniquenessError naming
+    ``start``, the input, and is not stored.
+    """
+    key = (c, guide)
+    got = _COMPONENT_SEEDS.get(key)
+    if got is None:
+        reached = _explore(Process((), (c,)), guide)
+        got = _COMPONENT_SEEDS[key] = _smallest(
+            list(reached), start).finite.components
+    return got
+
+
 def compute_seed(p: Process) -> SeedResult:
     """The minimal process p rewrites to under its own guidance.
 
     Stage 1 (``_seed_replicated``) seeds p's replicated part alone.
-    Stage 2 explores p's finite part F0 alone under the guide of that
-    part's seed, and the seed is that part beside the smallest state
-    found.  Under a fixed guide every deletion touches one part only and
-    ``canonicalize`` works per component, so exploring p would give
-    exactly the pairs of these two explorations.  A stage with nothing to
-    delete is skipped: without replicated components there is no guide
-    and no B2 step, so a replication-free p is its own seed, and a
-    replicated-only p has no finite part to explore.  Each stage raises
-    UniquenessError unless exactly one state is minimal.
+    Stage 2 seeds p's finite part under the guide of that part's seed,
+    and the seed is that part beside the result.  Under a fixed guide
+    every deletion touches one part only and ``canonicalize`` works per
+    component, so exploring p would give exactly the pairs of a state of
+    each part.  The finite part has no B2 step and each B1 step edits one
+    of its components, so the states it reaches are the multiset sums of
+    a state reached by each component alone, and its smallest state is
+    the sum of the components' smallest states (``_seed_component``), one
+    per component of p, copies included.  That sum is the one smallest
+    exactly when each component's smallest is unique: with two tied
+    states for one component, fixing the others gives two sums of equal
+    size.  A stage with nothing to delete is skipped: without replicated
+    components there is no guide and no B2 step, so a replication-free p
+    is its own seed, and a replicated-only p has no finite part.  Each
+    stage raises UniquenessError unless exactly one state is minimal.
     """
     start = canonicalize(p)
     cached = _SEED_CACHE.get(start)
@@ -394,9 +424,10 @@ def compute_seed(p: Process) -> SeedResult:
         rep = Process(start.replicated)  # canonical already
         seed = _seed_replicated(rep)
         if start.finite.components:
-            finite = _smallest(list(_explore(Process((), start.finite),
-                                             _guide(seed))), start)
-            seed = Process(seed.replicated, finite.finite)
+            guide = _guide(seed)
+            seed = Process(seed.replicated, [
+                d for c in start.finite.components
+                for d in _seed_component(c, guide, start)])
     result = SeedResult(seed, start)
     _SEED_CACHE[start] = result
     return result

@@ -25,7 +25,8 @@ from ccseed.oracle import (GameConfig, bounded_bisim, bounded_partition,
 from ccseed.rewrite import (RewriteStep, _explore, compute_seed, convertible,
                             rewrites_to, search_audit)
 from ccseed.syntax import (FiniteProcess, PrefixedTerm, Process,
-                           apply_substitution, parse, render)
+                           apply_substitution, delete_at, occurrences, parse,
+                           render, resolve)
 
 GAME_DEPTH = 6
 ACTS_BASE = default_actions(2)
@@ -322,3 +323,79 @@ def test_criterion_11_equal_seeds_form_a_bisimulation(request, work, mode,
     assert seed_map[key] != parse("a.0")
     seed_map[key] = parse("a.0")
     assert planted in _seed_bisimulation_failures(seed_map, mode)
+
+
+def check_trace(p, trace, target):
+    """The faults of ``trace`` as a guided rewrite from p to target.
+
+    Empty when the steps chain from ``canonicalize(p)`` to
+    ``canonicalize(target)``, each B1 step deletes an occurrence of a
+    replicated component of the target that stays one component (and
+    lands on the canonical result), and each B2 step drops one of two
+    equal replicated components.  Written apart from the exploration that
+    finds traces: it redoes each step with ``delete_at`` and
+    ``canonicalize`` only.
+    """
+    goal = canonicalize(target)
+    guide = {t for t in goal.replicated
+             if canonical_finite(FiniteProcess((t,))).components == (t,)}
+    faults = []
+    state = canonicalize(p)
+    for i, step in enumerate(trace):
+        if step.before != state:
+            faults.append(f"step {i} does not start where step {i - 1} ends")
+        if step.axiom == "B1":
+            deleted = resolve(step.before, step.path)
+            if deleted not in guide:
+                faults.append(f"step {i} deletes {render(deleted)}, "
+                              "not a replicated component of the target")
+            after = canonicalize(delete_at(step.before, step.path))
+        else:
+            reps = list(step.before.replicated)
+            if reps.count(step.dropped) < 2:
+                faults.append(f"step {i} drops a component with no twin")
+            else:
+                reps.remove(step.dropped)
+            after = canonicalize(Process(reps, step.before.finite))
+        if step.after != after:
+            faults.append(f"step {i} does not land on its deletion")
+        state = step.after
+    if state != goal:
+        faults.append("the trace does not end at the target")
+    return faults
+
+
+@pytest.mark.parametrize("bundle, distinct, reduced", [
+    ("base_bundle", 3957, 2778),
+    ("sync_bundle", 4034, 2898),
+])
+def test_criterion_12_seed_traces_pass_an_independent_check(request, bundle,
+                                                            distinct,
+                                                            reduced):
+    # Criterion 4 checks that steps shrink; this redoes every step of
+    # every distinct process's trace to its seed, apart from the search.
+    corpus, seeds = request.getfixturevalue(bundle)[:2]
+    results = {canonicalize(p): s for p, s in zip(corpus, seeds)}
+    assert len(results) == distinct
+    for start, res in results.items():
+        assert check_trace(start, res.trace, res.seed) == [], render(start)
+    assert sum(bool(res.trace) for res in results.values()) == reduced
+    # non-vacuity: a trace whose first step deletes an occurrence the
+    # seed does not replicate, or drops a replicated component with no twin
+    start, res, wrong = next(
+        (start, res, RewriteStep("B1", step.before, canonicalize(
+            delete_at(step.before, path)), path))
+        for start, res in results.items() for step in res.trace[:1]
+        for path, occ in occurrences(step.before)
+        if occ not in res.seed.replicated)
+    assert any("not a replicated component of the target" in fault
+               for fault in check_trace(start, (wrong,) + res.trace[1:],
+                                        res.seed))
+    start, res, wrong = next(
+        (start, res, RewriteStep("B2", step.before, canonicalize(
+            Process(step.before.replicated[1:], step.before.finite)),
+            dropped=step.before.replicated[0]))
+        for start, res in results.items() for step in res.trace[:1]
+        if len(set(step.before.replicated)) == len(step.before.replicated))
+    assert "step 0 drops a component with no twin" in check_trace(
+        start, (wrong,) + res.trace[1:], res.seed)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -267,14 +268,19 @@ def test_uniqueness_error_is_an_assertion():
     assert issubclass(UniquenessError, AssertionError)
 
 
-@pytest.mark.parametrize("part, twin", [("!a.b.0", "!a.c.0"),
-                                        ("c.0", "d.0")])
+@pytest.mark.parametrize("part, twin, others", [
+    pytest.param("!a.b.0", "!a.c.0", "", id="!a.b.0-!a.c.0"),
+    pytest.param("c.0", "d.0", "", id="c.0-d.0"),
+    pytest.param("b.a.b.0", "d.0", " | a.c.0 | b.a.b.0", id="b.a.b.0-d.0"),
+])
 def test_each_seed_stage_raises_uniqueness_error_on_a_tie(monkeypatch, part,
-                                                          twin):
+                                                          twin, others):
     # A replicated component that reaches a second component as small as
-    # itself (stage 1), or an exploration of the finite part that reaches
-    # a second state as small as the minimal one (stage 2), leaves no
-    # unique seed.
+    # itself (stage 1), or an exploration of one finite component that
+    # reaches a second state as small as the minimal one (stage 2), leaves
+    # no unique seed, even when the other finite components have one.
+    p = parse("!a.b.0 | c.0" + others)
+    compute_seed(p)  # unique without the tie
     start = canonicalize(parse(part))
     twin = canonicalize(parse(twin))
     if start.replicated:
@@ -295,8 +301,9 @@ def test_each_seed_stage_raises_uniqueness_error_on_a_tie(monkeypatch, part,
 
         monkeypatch.setattr(rewrite, "_explore", tied)
     monkeypatch.setattr(rewrite, "_SEED_CACHE", {})
+    monkeypatch.setattr(rewrite, "_COMPONENT_SEEDS", {})
     with pytest.raises(UniquenessError):
-        compute_seed(parse("!a.b.0 | c.0"))
+        compute_seed(p)
 
 
 def _mixed_processes(rng, count, acts):
@@ -495,6 +502,31 @@ def test_guided_exploration_is_the_product_of_its_parts(mode):
         assert set(rewrite._explore(start, guide)) == product, render(start)
 
 
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_finite_exploration_is_the_product_of_its_components(mode):
+    # Under the seed's guide a B1 step edits one finite component, there
+    # is no B2 step, and canonical forms are built per component, so
+    # exploring the finite part gives exactly the multiset sums of a state
+    # reached by each component alone.  Such a state may have several
+    # components: b.b.a.0 less a.0 is b.0 | b.0.
+    rng = random.Random(1919)
+    acts = corpus.default_actions(3 if mode == "base" else 4, mode)
+    split = 0
+    for p in _mixed_processes(rng, 30, acts):
+        start = canonicalize(p)
+        guide = rewrite._guide(compute_seed(start).seed)
+        reaches = [rewrite._explore(Process((), (c,)), guide)
+                   for c in start.finite.components]
+        sums = {Process((), [d for state in states
+                             for d in state.finite.components])
+                for states in itertools.product(*reaches)}
+        assert (set(rewrite._explore(Process((), start.finite), guide))
+                == sums), render(start)
+        split += any(len(state.finite) > 1 for reach in reaches
+                     for state in reach)
+    assert split
+
+
 def _replicated_only_processes(rng, count, acts, sizes):
     """``count`` random replicated-only processes, their sizes cycling
     through ``sizes``: every component of a random process replicated."""
@@ -544,9 +576,10 @@ def _listed_seed_replicated(rep):
     return rewrite._smallest(verified, rep)
 
 
-def _stage_1_outcome(seed_replicated, rep):
+def _outcome(seed_of, p):
+    """The rendered seed_of(p), or "UniquenessError" if it raises one."""
     try:
-        return render(seed_replicated(rep))
+        return render(seed_of(p))
     except UniquenessError:
         return "UniquenessError"
 
@@ -573,9 +606,8 @@ def test_stage_1_matches_the_whole_part_search(mode):
     for rep in sorted(parts) + randoms + [unmatched]:
         if rep.replicated:
             checked += 1
-            assert (_stage_1_outcome(rewrite._seed_replicated, rep)
-                    == _stage_1_outcome(_listed_seed_replicated, rep)), (
-                        render(rep))
+            assert (_outcome(rewrite._seed_replicated, rep)
+                    == _outcome(_listed_seed_replicated, rep)), render(rep)
     assert checked >= 550
 
 
@@ -607,3 +639,65 @@ def test_finite_heavy_sizes_14_to_20_seeds_and_traces_match_recorded_digest():
                           + b"\n")
     assert digest.hexdigest() == (
         "c622aeed1607cd7c3ce1708db7c9a9e2bb5f763683028c4a90566d16953402e6")
+
+
+def _whole_part_seed(p):
+    """compute_seed as it was before stage 2 was seeded one finite
+    component at a time: the smallest state of one exploration of the
+    whole finite part, under the guide of the replicated part's seed."""
+    start = canonicalize(p)
+    rep = rewrite._seed_replicated(Process(start.replicated))
+    finite = rewrite._smallest(list(rewrite._explore(
+        Process((), start.finite), rewrite._guide(rep))), start)
+    return Process(rep.replicated, finite.finite)
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_stage_2_matches_the_whole_part_exploration(mode):
+    # Seeding each finite component alone returns the seed, or raises,
+    # exactly as one exploration of the whole finite part did: on every
+    # input with both parts in the size-<=5 corpus (3 actions in base
+    # mode, a and ~a in sync mode) and on random finite-heavy inputs of
+    # sizes 8-16.
+    small = corpus.enumerate_processes(5, corpus.default_actions(
+        3 if mode == "base" else 2, mode))
+    rng = random.Random(2020)
+    heavy = _finite_heavy_processes(rng, 60, corpus.default_actions(
+        3 if mode == "base" else 4, mode), range(8, 17))
+    checked = 0
+    for p in small + heavy:
+        if p.replicated and p.finite.components:
+            checked += 1
+            assert (_outcome(lambda q: compute_seed(q).seed, p)
+                    == _outcome(_whole_part_seed, p)), render(p)
+    assert checked >= 650
+
+
+def test_each_distinct_finite_component_is_explored_once(monkeypatch):
+    # 14 distinct finite components, each holding one deletable a.0: one
+    # exploration of the finite part visited all 2^14 sums of their
+    # states; each component is explored once, two states each, and an
+    # input sharing them under the same guide explores none again.
+    words = [w for n in (1, 2, 3) for w in itertools.product("bc", repeat=n)]
+    p = parse("!a.0 | " + " | ".join(".".join(w) + ".a.0" for w in words))
+    assert len(p.finite) == 14
+    starts = []
+    explore = rewrite._explore
+
+    def recording(start, guide):
+        parents = explore(start, guide)
+        starts.append((start, len(parents)))
+        return parents
+
+    monkeypatch.setattr(rewrite, "_explore", recording)
+    clear_caches()
+    seed = compute_seed(p).seed
+    assert render(seed) == (
+        "!a.0 | b.0 | b.0 | b.0 | b.0 | b.0 | b.0 | c.0 | c.0 | c.0 | c.0 | "
+        "c.0 | c.0 | b.c.0 | c.b.0 | b.(c.0 | c.0) | b.b.c.0 | b.c.b.0 | "
+        "c.(b.0 | b.0) | c.b.c.0 | c.c.b.0")
+    assert sorted(starts) == sorted((Process((), (c,)), 2)
+                                    for c in canonicalize(p).finite)
+    starts.clear()
+    compute_seed(parse("!a.0 | b.b.a.0 | c.a.0 | b.a.0"))
+    assert not starts
