@@ -98,6 +98,30 @@ def test_successor_lists_match_recorded_digest():
         "d6e53973238a6185e7d153fac717bb052274b5375eca54c87f74807c8bdb6a36")
 
 
+def test_unfold_states_and_edges_match_recorded_digest():
+    # Every depth-3 unfolding, in both modes, of the exhaustive size-<=5
+    # base corpus (2 actions) and the size-<=4 sync corpus over a, ~a, b, ~b
+    # (16,034 unfoldings): the rendered states in discovery order, and each
+    # edge as (source index, label, destination index) into them.
+    digest = hashlib.sha256()
+    counts = [0, 0]
+    for acts, max_size in ((corpus.default_actions(2, "base"), 5),
+                           (corpus.default_actions(4, "sync"), 4)):
+        for p in corpus.enumerate_processes(max_size, acts):
+            for mode in ("base", "sync"):
+                states, edges = unfold(p, 3, mode)
+                index = {s: n for n, s in enumerate(states)}
+                counts[0] += len(states)
+                counts[1] += len(edges)
+                digest.update(json.dumps(
+                    [render(p), mode, [render(s) for s in states],
+                     [[index[s], str(lab), index[d]] for s, lab, d in edges]]
+                ).encode() + b"\n")
+    assert counts == [108867, 170759]
+    assert digest.hexdigest() == (
+        "177357f96a6b7a768668fe2a07411b65b84d6c459451ce6b75812ca95868125e")
+
+
 def _successors_canonicalizing_each_destination(p, mode):
     """The firing rule before destinations were built canonical: fire the
     components of p as given, then canonicalize every destination."""
