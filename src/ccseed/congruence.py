@@ -23,18 +23,22 @@ oracle rather than proved here.  The pass recurses twice per nesting level;
 StructureError on a term nested deeper than the recursion limit allows.
 
 Canonical states are numbered here, in one table: every process met maps
-to the id of its canonical form, and each id to the one stored canonical
-object, which ``canonicalize`` returns.  A canonical process met first is
+to the id of its canonical form.  A state is also its parts: its
+replicated components, and the sorted ids that ``component_id`` gives its
+finite ones.  ``lts`` fires states as their parts and numbers the
+destinations it meets by them, so most states are never built as terms:
+``state`` builds the one canonical object of an id on first read, and
+``canonicalize`` returns that object.  A canonical process met first is
 that object itself, not an equal copy.  ``lts`` and ``oracle`` read states
 by these ids.
 
-The components of canonical states are numbered too: ``component_id``
-gives each distinct prefixed term one id.  A canonical state is then also
-its parts, the ids of its replicated components in key order and the
-sorted ids of its finite ones.  ``_PARTS`` indexes the states ``lts`` fires
-and reaches by their parts, nested as {replicated ids: {finite ids: state
-id}}, so a destination that is known already is found without building
-it.  States that only ``canonicalize`` numbers have no entry there.
+``_PARTS`` indexes states by their parts, nested as {replicated part:
+{finite ids: state id}}.  A replicated part is indexed when a state with
+it first fires, and then holds the states numbered earlier with it too;
+a state whose replicated part has never fired is numbered by its
+``Process`` alone and gets no component ids.  So a process equal to a
+fired state is found in the index even when that state was never built,
+and firing finds the states numbered before.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from .syntax import (FiniteProcess, PrefixedTerm, Process, StructureError,
                      memo_table)
 
 __all__ = [
-    "canonicalize", "canonical_id", "state_id", "component_id",
+    "canonicalize", "canonical_id", "state_id", "state", "state_parts",
+    "component_id",
     "canonical_finite",
     "congruent", "process_of",
 ]
@@ -53,10 +58,17 @@ __all__ = [
 _CANON_COMPS = memo_table()
 _CANON_FIN = memo_table()
 _STATE_IDS = memo_table()
+# id -> canonical Process, for the states built so far
 _STATES = memo_table()
+# id -> (replicated part, sorted finite ids), or None while the state's
+# replicated part is not indexed; it has an entry for every id
+_PARTS_OF = memo_table()
+# replicated part -> {sorted finite ids: id}, once a state with it fires
+_PARTS = memo_table()
+# replicated part -> ids numbered with it before it was indexed
+_UNINDEXED = memo_table()
 _COMP_IDS = memo_table()
 _COMPS = memo_table()
-_PARTS = memo_table()
 
 
 def _canonical_components(t: PrefixedTerm) -> tuple:
@@ -109,9 +121,57 @@ def state_id(c: Process) -> int:
     """The id of c, a process already in canonical form."""
     got = _STATE_IDS.get(c)
     if got is None:
-        got = _STATE_IDS[c] = len(_STATES)
+        reps = c.replicated
+        known = _PARTS.get(reps)
+        if known is None:
+            got = _new_state(None)
+            _UNINDEXED.setdefault(reps, []).append(got)
+        else:
+            fin = _finite_ids(c)
+            got = known.get(fin)
+            if got is None:  # else fired already, and c is its first read
+                got = known[fin] = _new_state((reps, fin))
         _STATES[got] = c
+        _STATE_IDS[c] = got
     return got
+
+
+def _new_state(parts) -> int:
+    """A new id, with its parts, or None for them until its replicated
+    part is indexed."""
+    got = len(_PARTS_OF)
+    _PARTS_OF[got] = parts
+    return got
+
+
+def _finite_ids(c: Process) -> tuple:
+    return tuple(sorted(map(component_id, c.finite.components)))
+
+
+def state(i: int) -> Process:
+    """The canonical process of state i, built on first read."""
+    got = _STATES.get(i)
+    if got is None:
+        reps, fin = _PARTS_OF[i]
+        got = _STATES[i] = Process(reps, map(_COMPS.__getitem__, fin))
+        _STATE_IDS[got] = i
+    return got
+
+
+def state_parts(i: int) -> tuple:
+    """State i as (replicated part, sorted finite ids, the index of its
+    replicated part); the part is indexed on the first call."""
+    parts = _PARTS_OF[i]
+    if parts is None:
+        reps = _STATES[i].replicated
+        known = _PARTS[reps] = {}
+        for j in _UNINDEXED.pop(reps):
+            fin = _finite_ids(_STATES[j])
+            _PARTS_OF[j] = (reps, fin)
+            known[fin] = j
+        parts = _PARTS_OF[i]
+    reps, fin = parts
+    return reps, fin, _PARTS[reps]
 
 
 def component_id(t: PrefixedTerm) -> int:
@@ -138,7 +198,7 @@ def canonical_id(p: Process) -> int:
 
 def canonicalize(p: Process) -> Process:
     """The canonical representative of p's congruence class."""
-    return _STATES[canonical_id(p)]
+    return _STATES[canonical_id(p)]  # numbering builds what it numbers
 
 
 def process_of(term: Union[Process, FiniteProcess, PrefixedTerm]) -> Process:

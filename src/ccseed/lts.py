@@ -12,26 +12,28 @@ A process fires as its canonical form.  The components of a canonical
 process and the bodies they spawn are canonical already, so a destination
 is made of them directly and never canonicalized again.
 
-A state fires on the ids ``congruence`` gives its components: a
+A state fires as its parts, the ids ``congruence`` gives its components: a
 destination is the sorted tuple of the finite ids kept plus the ids of the
-bodies spawned, next to the state's own replicated ids.  It is looked up in
-``congruence``'s parts index, and a ``Process`` is built and numbered only
-when the index does not know it yet.
+bodies spawned, next to the state's own replicated part.  It is looked up
+in ``congruence``'s parts index, or numbered there by its parts; firing
+builds no ``Process``.
 
 States are the ids of ``congruence``'s table of canonical states; this
 module keeps only the moves, one table per mode.  A state's moves in a
-mode are fired once and kept as {label: destination ids}, labels and each
-label's destinations in key order.  ``successors`` and ``unfold`` are
-views of them; ``bounded_class`` and the bounded game and witness search
-of ``oracle`` read them by id.
+mode are fired once and kept as {label: destination ids}, labels in key
+order and each label's destinations as sorted ids, a canonical order that
+the game compares.  ``successors`` and ``unfold`` are views of them: they
+build the states they return, through ``congruence.state``, and list each
+label's destinations in key order.  ``bounded_class`` and the bounded game
+and witness search of ``oracle`` read them by id.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .congruence import (_COMPS, _PARTS, _STATES, canonical_id,
-                         component_id, state_id)
+from .congruence import (_COMPS, _new_state, canonical_id, component_id,
+                         state, state_parts)
 from .syntax import Action, Keyed, Process, check_mode, memo_table
 
 __all__ = [
@@ -79,7 +81,7 @@ TAU = Label(None)
 
 
 _LABELS = memo_table()
-# A component id's action and the sorted ids of its body's components.
+# A component id's label and the sorted ids of its body's components.
 _FIRERS = memo_table()
 # The moves of state id i, at _BASE_MOVES[i] and _SYNC_MOVES[i].
 _BASE_MOVES = memo_table()
@@ -112,46 +114,42 @@ def successors(p: Process, mode: str = "base") -> tuple:
     """
     check_mode(mode)
     moves = _moves(canonical_id(p), mode)
-    return tuple((label, _STATES[j]) for label, ids in moves.items()
-                 for j in ids)
+    return tuple((label, state(j)) for label, ids in moves.items()
+                 for j in sorted(ids, key=_state_key))
 
 
 def _firer(k: int) -> tuple:
-    """Component k's action and the ids it spawns when it fires."""
+    """Component k's label and the ids it spawns when it fires."""
     got = _FIRERS.get(k)
     if got is None:
         t = _COMPS[k]
-        got = _FIRERS[k] = (t.action, tuple(sorted(
+        got = _FIRERS[k] = (_label(t.action), tuple(sorted(
             map(component_id, t.body.components))))
     return got
 
 
 def _state_key(j: int) -> tuple:
-    return _STATES[j].key
+    return state(j).key
 
 
 def _fire(i: int, mode: str) -> dict:
-    """The moves of state i, fired on the ids of its components."""
-    c = _STATES[i]
-    reps = c.replicated
-    rep_ids = tuple(map(component_id, reps))
-    fin = sorted(map(component_id, c.finite.components))
-    known = _PARTS.setdefault(rep_ids, {})
-    known[tuple(fin)] = i
+    """The moves of state i, fired on its parts; nothing is built."""
+    reps, fin, known = state_parts(i)
+    rep_ids = map(component_id, reps)
 
-    # (ids consumed, action, ids spawned) per distinct component
+    # (ids consumed, label, ids spawned) per distinct component
     firers = [((k,), *_firer(k)) for k in dict.fromkeys(fin)]
     firers += [((), *_firer(k)) for k in dict.fromkeys(rep_ids)]
-    moves = [(_label(act), gone, body) for gone, act, body in firers]
+    moves = firers
     if mode == "sync":
-        moves += [(TAU, gone + other_gone, body + other)
-                  for n, (gone, act, body) in enumerate(firers)
-                  for other_gone, other_act, other in firers[n + 1:]
-                  if act.handshakes(other_act)]
+        moves = firers + [(gone + other_gone, TAU, body + other)
+                          for n, (gone, label, body) in enumerate(firers)
+                          for other_gone, other_label, other in firers[n + 1:]
+                          if label.action.handshakes(other_label.action)]
 
     dests: dict = {}
-    for label, gone, spawned in moves:
-        kept = fin.copy()
+    for gone, label, spawned in moves:
+        kept = list(fin)
         for k in gone:
             kept.remove(k)
         kept += spawned
@@ -159,10 +157,9 @@ def _fire(i: int, mode: str) -> dict:
         dest = tuple(kept)
         j = known.get(dest)
         if j is None:
-            j = known[dest] = state_id(Process(reps, map(_COMPS.get, dest)))
+            j = known[dest] = _new_state((reps, dest))
         dests.setdefault(label, set()).add(j)
-    return {label: tuple(sorted(dests[label], key=_state_key))
-            for label in sorted(dests)}
+    return {label: tuple(sorted(dests[label])) for label in sorted(dests)}
 
 
 def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
@@ -183,7 +180,7 @@ def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
         nxt = []
         for i in frontier:
             for label, ids in _moves(i, mode).items():
-                for j in ids:
+                for j in sorted(ids, key=_state_key):
                     edges.append((i, label, j))
                     if j not in seen:
                         seen.add(j)
@@ -192,8 +189,8 @@ def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
             break
         order.extend(nxt)
         frontier = nxt
-    return ([_STATES[i] for i in order],
-            [(_STATES[i], label, _STATES[j]) for i, label, j in edges])
+    return ([state(i) for i in order],
+            [(state(i), label, state(j)) for i, label, j in edges])
 
 
 _CLASS = memo_table()

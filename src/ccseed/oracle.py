@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import corpus
-from .congruence import (_STATES, canonical_finite, canonical_id,
-                         canonicalize, process_of)
-from .lts import Label, TAU, _moves, bounded_class, check_depth, successors
+from .congruence import (canonical_finite, canonical_id, canonicalize,
+                         process_of, state)
+from .lts import (Label, TAU, _moves, _state_key, bounded_class, check_depth,
+                  successors)
 from .rewrite import _explore, compute_seed, convertible, rewrites_to
 from .syntax import (FiniteProcess, PrefixedTerm, Process,
                      apply_substitution, check_mode, memo_table, render)
@@ -195,7 +196,9 @@ def _witness(single: int, others: tuple, d: int, single_side: str,
         replies = [_moves(o, mode) for o in defenders]
         for lab, succs in _moves(attacker, mode).items():
             alive = tuple(sorted({y for m in replies for y in m.get(lab, ())}))
-            for succ in succs:
+            # in key order, so the witness found does not depend on the
+            # order in which ids were handed out
+            for succ in sorted(succs, key=_state_key):
                 # a defender equal to succ for d-1 rounds outlives any
                 # sub-witness; at d = 1 that is any defender
                 if any(_ids_eq(succ, y, d - 1, mode) for y in alive):
@@ -203,7 +206,7 @@ def _witness(single: int, others: tuple, d: int, single_side: str,
                 sub = _witness(succ, alive, d - 1, side, mode,
                                memo) if alive else ()
                 if sub is not None:
-                    move = Move(side, lab, _STATES[succ])
+                    move = Move(side, lab, state(succ))
                     memo[key] = result = (move,) + sub
                     return result
     memo[key] = None

@@ -190,17 +190,20 @@ def test_one_table_numbers_each_canonical_state_once():
     assert {congruence.canonical_id(x) for x in procs} == {
         congruence.state_id(canon)}
     assert all(canonicalize(x) is canon for x in procs)
-    parts = (congruence._COMP_IDS, congruence._COMPS, congruence._PARTS)
+    parts = (congruence._COMP_IDS, congruence._COMPS, congruence._PARTS,
+             congruence._PARTS_OF)
     assert all(parts)
     ccseed.clear_caches()
     assert not congruence._STATE_IDS and not congruence._STATES
     assert not any(parts)
     assert [congruence.canonical_id(x) for x in (fresh, raw, parse("a.0"))] == [
         0, 0, 1]
-    # component ids restart at 0 too, in the order firing meets them
+    # component ids restart at 0 too, in the order firing meets them: the
+    # first state with no replicated component to fire indexes that part,
+    # a.0, numbered before with it, first
     lts.successors(parse("b.0 | a.c.0"))
     assert {k: render(t) for k, t in congruence._COMPS.items()} == {
-        0: "b.0", 1: "a.c.0", 2: "c.0"}
+        0: "a.0", 1: "b.0", 2: "a.c.0", 3: "c.0"}
 
 
 def test_an_unnumbered_canonical_process_is_stored_itself():

@@ -240,7 +240,8 @@ def test_fired_corpora_keep_one_id_per_state():
     # ids: no canonical state gets a second id, every index entry names the
     # state its parts make up, and ids are handed out in an order that does
     # not depend on how objects hash (the digest holds under any
-    # PYTHONHASHSEED).
+    # PYTHONHASHSEED).  Every id is read through ``state``, which builds
+    # what firing left unbuilt.
     clear_caches()
     for mode in ("base", "sync"):
         # largest first, so that firing meets new destinations
@@ -248,16 +249,18 @@ def test_fired_corpora_keep_one_id_per_state():
                 5, corpus.default_actions(2, mode))):
             successors(p, "base")
             successors(p, "sync")
-    states = congruence._STATES
-    assert all(canonical_id(states[j]) == j for j in states)
+    states = [congruence.state(j) for j in range(len(congruence._PARTS_OF))]
+    assert all(canonical_id(s) == j for j, s in enumerate(states))
+    assert all(congruence.state(j) is s for j, s in enumerate(states))
     comps = congruence._COMPS
     indexed = 0
-    for rep_ids, known in congruence._PARTS.items():
+    for reps, known in congruence._PARTS.items():
         for fin_ids, j in known.items():
             indexed += 1
-            assert states[j].replicated == tuple(comps[k] for k in rep_ids)
+            assert states[j].replicated == reps
             assert fin_ids == tuple(sorted(
                 map(congruence.component_id, states[j].finite.components)))
+            assert congruence.state_parts(j) == (reps, fin_ids, known)
     assert (len(states), len(comps), indexed) == (4157, 328, 4157)
     digest = hashlib.sha256()
     for table in (states, comps):
@@ -268,25 +271,126 @@ def test_fired_corpora_keep_one_id_per_state():
 
 
 def test_firing_onto_numbered_destinations_builds_no_process(monkeypatch):
-    # A state's base-mode destinations are among its sync-mode ones, so
-    # once it has fired in sync mode, firing it in base mode finds every
-    # destination in the parts index and builds no Process.
+    # Firing reads its source's parts and hands out destination ids from
+    # the parts index, in either mode, for new destinations and numbered
+    # ones alike: it builds no Process.  Only the readers build, each state
+    # once, on first read: successors its destinations, unfold its states.
     clear_caches()
     p = parse("!a.b.0 | !~a.0 | a.0 | a.0 | ~a.b.0 | c.a.0", "sync")
+    i = canonical_id(p)
+    c = canonicalize(p)
     built = []
-    process = lts.Process
+    init = Process.__init__
 
-    def counting(*args):
-        built.append(args)
-        return process(*args)
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
 
-    monkeypatch.setattr(lts, "Process", counting)
+    monkeypatch.setattr(Process, "__init__", counting)
+    for mode in ("sync", "base"):
+        lts._moves(i, mode)
+        # fires every state within 3 steps
+        bounded_class(p, 4, mode)
+    assert built == [] and len(congruence._PARTS_OF) == 50
     sync = successors(p, "sync")
-    assert built
+    # one destination is p itself, built when p was numbered
+    assert c in [d for _lab, d in sync]
+    assert sorted(map(id, built)) == sorted(
+        {id(d) for _lab, d in sync} - {id(c)})
     built.clear()
-    base = successors(p, "base")
-    assert built == []
-    assert set(base) < set(sync)
+    assert successors(p, "sync") == sync and built == []
+    assert set(successors(p, "base")) < set(sync) and built == []
+    states, _edges = unfold(p, 2, "sync")
+    old = {id(c)} | {id(d) for _lab, d in sync}
+    assert sorted(map(id, built)) == sorted(
+        id(s) for s in states if id(s) not in old)
+    assert built
+
+
+def _fired(p, label, mode="base"):
+    """The destination ids of p's moves under ``label``, fired by id."""
+    moves = lts._moves(canonical_id(p), mode)
+    return next(ids for lab, ids in moves.items() if str(lab) == label)
+
+
+def test_a_state_numbered_before_firing_keeps_one_id_per_state():
+    # canonicalize first, then fire a state with the same replicated part
+    # that reaches it: once numbered before that part was indexed, once
+    # after; firing finds the numbered state, and its object stays the one
+    clear_caches()
+    before = canonicalize(parse("!a.0 | b.0"))
+    i = canonical_id(before)
+    assert congruence._PARTS_OF[i] is None
+    assert _fired(parse("!a.0 | c.b.0"), "c") == (i,)
+    after = canonicalize(parse("!a.0 | d.0"))
+    j = canonical_id(after)
+    assert congruence._PARTS_OF[j] is not None
+    assert _fired(parse("!a.0 | c.d.0"), "c") == (j,)
+    for text, state in (("!a.0 | c.b.0", before), ("!a.0 | c.d.0", after)):
+        [dest] = [d for lab, d in successors(parse(text)) if str(lab) == "c"]
+        assert dest is state and canonicalize(dest) is state
+    assert congruence.state(i) is before and congruence.state(j) is after
+
+
+def test_a_state_fired_before_it_is_read_keeps_one_id_per_state():
+    # fire first, by id, so the destinations are not built; then number
+    # equal processes parsed from text, canonical or not: each gets the
+    # fired id, and the object built on that first read is returned from
+    # then on
+    clear_caches()
+    [i] = _fired(parse("!a.0 | c.(b.0 | b.0) | d.e.e.0"), "c")
+    [j] = _fired(parse("!a.0 | c.(b.0 | b.0) | d.e.e.0"), "d")
+    assert i not in congruence._STATES and j not in congruence._STATES
+    canon = parse("!a.0 | b.0 | b.0 | d.(e.0 | e.0)")
+    assert canonical_id(canon) == i
+    assert canonicalize(canon) is canon and congruence.state(i) is canon
+    raw = parse("!a.0 | c.(b.0 | b.0) | e.e.0")
+    assert canonicalize(raw) != raw
+    assert canonical_id(raw) == j
+    built = congruence.state(j)
+    assert canonicalize(raw) is built
+    assert canonicalize(parse("!a.0 | c.(b.0 | b.0) | e.0 | e.0")) is built
+    dests = [d for _lab, d in successors(
+        parse("!a.0 | c.(b.0 | b.0) | d.e.e.0"))]
+    assert any(d is canon for d in dests) and any(d is built for d in dests)
+
+
+def _fire_corpora_by_id():
+    """Fire every process of both size-<=5 corpora in both modes, by id,
+    largest first; the ids numbered while firing each corpus end below the
+    returned bounds."""
+    clear_caches()
+    bounds = []
+    for mode in ("base", "sync"):
+        for p in reversed(corpus.enumerate_processes(
+                5, corpus.default_actions(2, mode))):
+            i = canonical_id(p)
+            lts._moves(i, "base")
+            lts._moves(i, "sync")
+        bounds.append(len(congruence._PARTS_OF))
+    return bounds
+
+
+def test_ids_read_back_after_firing_keep_one_id_per_state():
+    # Every id numbered while firing both corpora reads back, through
+    # ``state``, as a process whose id is that same id.  Fired again from
+    # empty tables, each id is then found for an equal process parsed from
+    # text before anything is built for it.
+    bounds = _fire_corpora_by_id()
+    n = bounds[-1]
+    assert sum(j not in congruence._STATES for j in range(n)) == 1460
+    states = [congruence.state(j) for j in range(n)]
+    assert [canonical_id(s) for s in states] == list(range(n))
+    assert len(set(states)) == n == len(congruence._PARTS_OF)
+    texts = [render(s) for s in states]
+    assert _fire_corpora_by_id() == bounds
+    unbuilt = [j not in congruence._STATES for j in range(n)]
+    for j, text in enumerate(texts):
+        x = parse(text, "base" if j < bounds[0] else "sync")
+        assert canonical_id(x) == j, text
+        assert canonicalize(x) is congruence.state(j)
+        assert not unbuilt[j] or congruence.state(j) is x
+    assert len(congruence._PARTS_OF) == n
 
 
 ACTIONS = corpus.default_actions(2, "base")
