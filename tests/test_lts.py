@@ -320,7 +320,8 @@ def test_a_state_numbered_before_firing_keeps_one_id_per_state():
     clear_caches()
     before = canonicalize(parse("!a.0 | b.0"))
     i = canonical_id(before)
-    assert congruence._PARTS_OF[i] is None
+    # numbered with a replicated part that has not fired: no component ids
+    assert congruence._PARTS_OF[i] is None and not congruence._COMP_IDS
     assert _fired(parse("!a.0 | c.b.0"), "c") == (i,)
     after = canonicalize(parse("!a.0 | d.0"))
     j = canonical_id(after)
