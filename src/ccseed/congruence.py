@@ -23,33 +23,32 @@ oracle rather than proved here.  The pass recurses twice per nesting level;
 StructureError on a term nested deeper than the recursion limit allows.
 
 Canonical states are numbered here, in one table: every process met maps
-to the id of its canonical form.  A state is also its parts: its
-replicated components, and the sorted ids that ``component_id`` gives its
-finite ones.  ``lts`` fires states as their parts and numbers the
-destinations it meets by them, so most states are never built as terms:
-``state`` builds the one canonical object of an id on first read, and
-``canonicalize`` returns that object.  A canonical process met first is
+to the id of its canonical form.  A state is its parts: its replicated
+components, and the sorted ids that ``component_id`` gives its finite
+ones.  ``canonical_id`` reads a process's parts off its components and
+numbers the state by them, and ``lts`` fires states as their parts and
+numbers the destinations it meets by them, so neither builds a
+``Process``: ``state`` builds the one canonical object of an id on first
+read, and ``canonicalize`` returns that object.  A canonical process met first is
 that object itself, not an equal copy.  ``lts`` and ``oracle`` read states
 by these ids.
 
 ``_PARTS`` indexes states by their parts, nested as {replicated part:
-{finite ids: state id}}.  A replicated part is indexed when a state with
-it first fires, and then holds the states numbered earlier with it too;
-a state whose replicated part has never fired is numbered by its
-``Process`` alone and gets no component ids.  So a process equal to a
-fired state is found in the index even when that state was never built,
-and firing finds the states numbered before.
+{finite ids: state id}}.  Every state is entered there when it is first
+numbered, so a process equal to a fired state is found in the index even
+when that state was never built, and firing finds the states numbered
+before.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from .syntax import (FiniteProcess, PrefixedTerm, Process, StructureError,
-                     memo_table)
+from .syntax import (_KEY, FiniteProcess, PrefixedTerm, Process,
+                     StructureError, memo_table)
 
 __all__ = [
-    "canonicalize", "canonical_id", "state_id", "state", "state_parts",
+    "canonicalize", "canonical_id", "state", "state_parts",
     "component_id",
     "canonical_finite",
     "congruent", "process_of",
@@ -60,13 +59,10 @@ _CANON_FIN = memo_table()
 _STATE_IDS = memo_table()
 # id -> canonical Process, for the states built so far
 _STATES = memo_table()
-# id -> (replicated part, sorted finite ids), or None while the state's
-# replicated part is not indexed; it has an entry for every id
+# id -> (replicated part, sorted finite ids), for every id
 _PARTS_OF = memo_table()
-# replicated part -> {sorted finite ids: id}, once a state with it fires
+# replicated part -> {sorted finite ids: id}
 _PARTS = memo_table()
-# replicated part -> ids numbered with it before it was indexed
-_UNINDEXED = memo_table()
 _COMP_IDS = memo_table()
 _COMPS = memo_table()
 
@@ -117,35 +113,22 @@ def canonical_finite(fp: FiniteProcess) -> FiniteProcess:
         raise StructureError("term nested too deeply") from None
 
 
-def state_id(c: Process) -> int:
-    """The id of c, a process already in canonical form."""
-    got = _STATE_IDS.get(c)
+def _number(reps: tuple, fin: tuple) -> int:
+    """The id of the state with these parts, numbered on first use."""
+    known = _PARTS.get(reps)
+    if known is None:
+        known = _PARTS[reps] = {}
+    got = known.get(fin)
     if got is None:
-        reps = c.replicated
-        known = _PARTS.get(reps)
-        if known is None:
-            got = _new_state(None)
-            _UNINDEXED.setdefault(reps, []).append(got)
-        else:
-            fin = _finite_ids(c)
-            got = known.get(fin)
-            if got is None:  # else fired already, and c is its first read
-                got = known[fin] = _new_state((reps, fin))
-        _STATES[got] = c
-        _STATE_IDS[c] = got
+        got = known[fin] = _new_state((reps, fin))
     return got
 
 
-def _new_state(parts) -> int:
-    """A new id, with its parts, or None for them until its replicated
-    part is indexed."""
+def _new_state(parts: tuple) -> int:
+    """A new id, with its parts."""
     got = len(_PARTS_OF)
     _PARTS_OF[got] = parts
     return got
-
-
-def _finite_ids(c: Process) -> tuple:
-    return tuple(sorted(map(component_id, c.finite.components)))
 
 
 def state(i: int) -> Process:
@@ -160,17 +143,8 @@ def state(i: int) -> Process:
 
 def state_parts(i: int) -> tuple:
     """State i as (replicated part, sorted finite ids, the index of its
-    replicated part); the part is indexed on the first call."""
-    parts = _PARTS_OF[i]
-    if parts is None:
-        reps = _STATES[i].replicated
-        known = _PARTS[reps] = {}
-        for j in _UNINDEXED.pop(reps):
-            fin = _finite_ids(_STATES[j])
-            _PARTS_OF[j] = (reps, fin)
-            known[fin] = j
-        parts = _PARTS_OF[i]
-    reps, fin = parts
+    replicated part)."""
+    reps, fin = _PARTS_OF[i]
     return reps, fin, _PARTS[reps]
 
 
@@ -184,13 +158,27 @@ def component_id(t: PrefixedTerm) -> int:
 
 
 def canonical_id(p: Process) -> int:
-    """The id of p's canonical form; p itself is stored when it is one."""
+    """The id of p's canonical form, numbered by its parts with no
+    ``Process`` built; p itself is stored as that form when it is one."""
     try:
         got = _STATE_IDS.get(p)
         if got is None:
-            c = Process((PrefixedTerm(t.action, _canonical_finite(t.body))
-                         for t in p.replicated), _canonical_finite(p.finite))
-            got = _STATE_IDS[p] = state_id(p if c == p else c)
+            reps = tuple(sorted(
+                (PrefixedTerm(t.action, _canonical_finite(t.body))
+                 for t in p.replicated), key=_KEY))
+            canonical = reps == p.replicated
+            fin = []
+            for t in p.finite.components:
+                comps = _canonical_components(t)
+                canonical = canonical and comps == (t,)
+                fin += map(component_id, comps)
+            fin.sort()
+            if canonical:  # the stored state shares its tuple with the key
+                got = _number(p.replicated, tuple(fin))
+                _STATES[got] = p
+            else:
+                got = _number(reps, tuple(fin))
+            _STATE_IDS[p] = got
         return got
     except RecursionError:
         raise StructureError("term nested too deeply") from None
@@ -198,7 +186,7 @@ def canonical_id(p: Process) -> int:
 
 def canonicalize(p: Process) -> Process:
     """The canonical representative of p's congruence class."""
-    return _STATES[canonical_id(p)]  # numbering builds what it numbers
+    return state(canonical_id(p))
 
 
 def process_of(term: Union[Process, FiniteProcess, PrefixedTerm]) -> Process:
@@ -214,4 +202,4 @@ def process_of(term: Union[Process, FiniteProcess, PrefixedTerm]) -> Process:
 
 def congruent(p: Process, q: Process) -> bool:
     """Decide the congruence: equal canonical forms."""
-    return canonicalize(process_of(p)) == canonicalize(process_of(q))
+    return canonical_id(process_of(p)) == canonical_id(process_of(q))

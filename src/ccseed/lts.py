@@ -15,8 +15,9 @@ is made of them directly and never canonicalized again.
 A state fires as its parts, the ids ``congruence`` gives its components: a
 destination is the sorted tuple of the finite ids kept plus the ids of the
 bodies spawned, next to the state's own replicated part.  It is looked up
-in ``congruence``'s parts index, or numbered there by its parts; firing
-builds no ``Process``.
+in ``congruence``'s parts index, which holds every state numbered so far,
+however it was met, or numbered there by its parts; firing builds no
+``Process``.
 
 States are the ids of ``congruence``'s table of canonical states; this
 module keeps only the moves, one table per mode.  A state's moves in a

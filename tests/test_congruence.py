@@ -188,7 +188,7 @@ def test_one_table_numbers_each_canonical_state_once():
     assert raw != canon and fresh == canon and fresh is not canon
     procs = [raw, canon, fresh, dest]
     assert {congruence.canonical_id(x) for x in procs} == {
-        congruence.state_id(canon)}
+        congruence.canonical_id(canon)}
     assert all(canonicalize(x) is canon for x in procs)
     parts = (congruence._COMP_IDS, congruence._COMPS, congruence._PARTS,
              congruence._PARTS_OF)
@@ -198,12 +198,12 @@ def test_one_table_numbers_each_canonical_state_once():
     assert not any(parts)
     assert [congruence.canonical_id(x) for x in (fresh, raw, parse("a.0"))] == [
         0, 0, 1]
-    # component ids restart at 0 too, in the order firing meets them: the
-    # first state with no replicated component to fire indexes that part,
-    # a.0, numbered before with it, first
+    # component ids restart at 0 too, in the order numbering meets them:
+    # fresh's finite component, then a.0, then b.0 | a.c.0 and what its
+    # a.c.0 spawns when it fires
     lts.successors(parse("b.0 | a.c.0"))
     assert {k: render(t) for k, t in congruence._COMPS.items()} == {
-        0: "a.0", 1: "b.0", 2: "a.c.0", 3: "c.0"}
+        0: "b.(a.0 | a.0)", 1: "a.0", 2: "b.0", 3: "a.c.0", 4: "c.0"}
 
 
 def test_an_unnumbered_canonical_process_is_stored_itself():

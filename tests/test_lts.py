@@ -315,13 +315,15 @@ def _fired(p, label, mode="base"):
 
 def test_a_state_numbered_before_firing_keeps_one_id_per_state():
     # canonicalize first, then fire a state with the same replicated part
-    # that reaches it: once numbered before that part was indexed, once
-    # after; firing finds the numbered state, and its object stays the one
+    # that reaches it: once numbered before that part fired, once after;
+    # firing finds the numbered state, and its object stays the one
     clear_caches()
     before = canonicalize(parse("!a.0 | b.0"))
     i = canonical_id(before)
-    # numbered with a replicated part that has not fired: no component ids
-    assert congruence._PARTS_OF[i] is None and not congruence._COMP_IDS
+    # numbered by its parts at once, though its replicated part never fired
+    assert congruence._PARTS_OF[i] == (before.replicated, (0,))
+    assert congruence._COMPS == {0: before.finite.components[0]}
+    assert congruence.state_parts(i)[2] == {(0,): i}
     assert _fired(parse("!a.0 | c.b.0"), "c") == (i,)
     after = canonicalize(parse("!a.0 | d.0"))
     j = canonical_id(after)
@@ -354,6 +356,35 @@ def test_a_state_fired_before_it_is_read_keeps_one_id_per_state():
     dests = [d for _lab, d in successors(
         parse("!a.0 | c.(b.0 | b.0) | d.e.e.0"))]
     assert any(d is canon for d in dests) and any(d is built for d in dests)
+
+
+def test_a_raw_process_numbered_by_its_parts_keeps_one_id_per_state(
+        monkeypatch):
+    # numbering a raw process reads its parts off its components and builds
+    # nothing; the first canonicalize builds its canonical form once and
+    # later calls build nothing; firing onto that state later hands out the
+    # same id
+    clear_caches()
+    raw = parse("!c.a.a.0 | b.a.a.0 | d.d.0")
+    source = parse("!c.a.a.0 | e.(b.a.a.0 | d.d.0)")
+    built = []
+    init = Process.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Process, "__init__", counting)
+    i = canonical_id(raw)
+    assert built == []
+    c = canonicalize(raw)
+    assert c != raw and built == [c]
+    assert canonicalize(raw) is c and canonicalize(c) is c
+    assert canonical_id(c) == i and built == [c]
+    assert _fired(source, "e") == (i,) and built == [c]
+    [dest] = [d for lab, d in successors(source) if str(lab) == "e"]
+    assert dest is c
+    assert render(c) == "!c.(a.0 | a.0) | d.0 | d.0 | b.(a.0 | a.0)"
 
 
 def _fire_corpora_by_id():
