@@ -23,21 +23,17 @@ oracle rather than proved here.  The pass recurses twice per nesting level;
 StructureError on a term nested deeper than the recursion limit allows.
 
 Canonical states are numbered here, in one table: every process met maps
-to the id of its canonical form.  A state is its parts: its replicated
-components, and the sorted ids that ``component_id`` gives its finite
-ones.  ``canonical_id`` reads a process's parts off its components and
-numbers the state by them, and ``lts`` fires states as their parts and
-numbers the destinations it meets by them, so neither builds a
-``Process``: ``state`` builds the one canonical object of an id on first
-read, and ``canonicalize`` returns that object.  A canonical process met first is
-that object itself, not an equal copy.  ``lts`` and ``oracle`` read states
-by these ids.
-
-``_PARTS`` indexes states by their parts, nested as {replicated part:
-{finite ids: state id}}.  Every state is entered there when it is first
-numbered, so a process equal to a fired state is found in the index even
-when that state was never built, and firing finds the states numbered
-before.
+to the id of its canonical form.  A state is its parts, two tuples of the
+ids that ``component_id`` gives its components: its replicated ones in
+key order and its finite ones sorted.  ``parts_id`` numbers a state by
+its parts, in the flat bijection ``_PARTS`` / ``_PARTS_OF``, and is the
+only writer of either.  ``canonical_id`` reads a process's parts off its
+components and numbers the state by them, and ``lts`` fires states as
+their parts and numbers the destinations it meets by them, so neither
+builds a ``Process``: ``state`` builds the one canonical object of an id
+on first read, and ``canonicalize`` returns that object.  A canonical
+process met first is that object itself, not an equal copy.  ``lts`` and
+``oracle`` read states by these ids.
 """
 
 from __future__ import annotations
@@ -48,8 +44,7 @@ from .syntax import (_KEY, FiniteProcess, PrefixedTerm, Process,
                      StructureError, memo_table)
 
 __all__ = [
-    "canonicalize", "canonical_id", "state", "state_parts",
-    "component_id",
+    "canonicalize", "canonical_id", "state", "parts_id", "component_id",
     "canonical_finite",
     "congruent", "process_of",
 ]
@@ -59,9 +54,9 @@ _CANON_FIN = memo_table()
 _STATE_IDS = memo_table()
 # id -> canonical Process, for the states built so far
 _STATES = memo_table()
-# id -> (replicated part, sorted finite ids), for every id
+# id -> (replicated ids in key order, sorted finite ids), for every id
 _PARTS_OF = memo_table()
-# replicated part -> {sorted finite ids: id}
+# the inverse of _PARTS_OF
 _PARTS = memo_table()
 _COMP_IDS = memo_table()
 _COMPS = memo_table()
@@ -88,9 +83,14 @@ def _canonical_components(t: PrefixedTerm) -> tuple:
                 result = (c,) * (len(body) - len(rest) + 1)
                 break
     else:
-        result = (PrefixedTerm(t.action, body),)
+        result = (_with_body(t, body),)
     _CANON_COMPS[t] = result
     return result
+
+
+def _with_body(t: PrefixedTerm, body: FiniteProcess) -> PrefixedTerm:
+    """t with this body: t itself when the body is t's own."""
+    return t if body == t.body else PrefixedTerm(t.action, body)
 
 
 def _canonical_finite(fp: FiniteProcess) -> FiniteProcess:
@@ -113,39 +113,25 @@ def canonical_finite(fp: FiniteProcess) -> FiniteProcess:
         raise StructureError("term nested too deeply") from None
 
 
-def _number(reps: tuple, fin: tuple) -> int:
-    """The id of the state with these parts, numbered on first use."""
-    known = _PARTS.get(reps)
-    if known is None:
-        known = _PARTS[reps] = {}
-    got = known.get(fin)
-    if got is None:
-        got = known[fin] = _new_state((reps, fin))
-    return got
-
-
-def _new_state(parts: tuple) -> int:
-    """A new id, with its parts."""
-    got = len(_PARTS_OF)
-    _PARTS_OF[got] = parts
-    return got
-
-
 def state(i: int) -> Process:
     """The canonical process of state i, built on first read."""
     got = _STATES.get(i)
     if got is None:
         reps, fin = _PARTS_OF[i]
-        got = _STATES[i] = Process(reps, map(_COMPS.__getitem__, fin))
+        got = _STATES[i] = Process(map(_COMPS.__getitem__, reps),
+                                   map(_COMPS.__getitem__, fin))
         _STATE_IDS[got] = i
     return got
 
 
-def state_parts(i: int) -> tuple:
-    """State i as (replicated part, sorted finite ids, the index of its
-    replicated part)."""
-    reps, fin = _PARTS_OF[i]
-    return reps, fin, _PARTS[reps]
+def parts_id(reps: tuple, fin: tuple) -> int:
+    """The id of the state with these parts, numbered on first use."""
+    parts = (reps, fin)
+    got = _PARTS.get(parts)
+    if got is None:
+        got = _PARTS[parts] = len(_PARTS_OF)
+        _PARTS_OF[got] = parts
+    return got
 
 
 def component_id(t: PrefixedTerm) -> int:
@@ -164,7 +150,7 @@ def canonical_id(p: Process) -> int:
         got = _STATE_IDS.get(p)
         if got is None:
             reps = tuple(sorted(
-                (PrefixedTerm(t.action, _canonical_finite(t.body))
+                (_with_body(t, _canonical_finite(t.body))
                  for t in p.replicated), key=_KEY))
             canonical = reps == p.replicated
             fin = []
@@ -173,11 +159,10 @@ def canonical_id(p: Process) -> int:
                 canonical = canonical and comps == (t,)
                 fin += map(component_id, comps)
             fin.sort()
-            if canonical:  # the stored state shares its tuple with the key
-                got = _number(p.replicated, tuple(fin))
+            # replicated ids after the finite ones: a digest pins the order
+            got = parts_id(tuple(map(component_id, reps)), tuple(fin))
+            if canonical:
                 _STATES[got] = p
-            else:
-                got = _number(reps, tuple(fin))
             _STATE_IDS[p] = got
         return got
     except RecursionError:

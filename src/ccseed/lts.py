@@ -14,10 +14,10 @@ is made of them directly and never canonicalized again.
 
 A state fires as its parts, the ids ``congruence`` gives its components: a
 destination is the sorted tuple of the finite ids kept plus the ids of the
-bodies spawned, next to the state's own replicated part.  It is looked up
-in ``congruence``'s parts index, which holds every state numbered so far,
-however it was met, or numbered there by its parts; firing builds no
-``Process``.
+bodies spawned, next to the state's own replicated ids.  ``parts_id``
+finds it among every state numbered so far, however it was met, or
+numbers it; firing builds no ``Process`` and writes no ``congruence``
+table.
 
 States are the ids of ``congruence``'s table of canonical states; this
 module keeps only the moves, one table per mode.  A state's moves in a
@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .congruence import (_COMPS, _new_state, canonical_id, component_id,
-                         state, state_parts)
+from .congruence import (_COMPS, _PARTS_OF, canonical_id, component_id,
+                         parts_id, state)
 from .syntax import Action, Keyed, Process, check_mode, memo_table
 
 __all__ = [
@@ -135,12 +135,11 @@ def _state_key(j: int) -> tuple:
 
 def _fire(i: int, mode: str) -> dict:
     """The moves of state i, fired on its parts; nothing is built."""
-    reps, fin, known = state_parts(i)
-    rep_ids = map(component_id, reps)
+    reps, fin = _PARTS_OF[i]
 
     # (ids consumed, label, ids spawned) per distinct component
     firers = [((k,), *_firer(k)) for k in dict.fromkeys(fin)]
-    firers += [((), *_firer(k)) for k in dict.fromkeys(rep_ids)]
+    firers += [((), *_firer(k)) for k in dict.fromkeys(reps)]
     moves = firers
     if mode == "sync":
         moves = firers + [(gone + other_gone, TAU, body + other)
@@ -155,11 +154,7 @@ def _fire(i: int, mode: str) -> dict:
             kept.remove(k)
         kept += spawned
         kept.sort()
-        dest = tuple(kept)
-        j = known.get(dest)
-        if j is None:
-            j = known[dest] = _new_state((reps, dest))
-        dests.setdefault(label, set()).add(j)
+        dests.setdefault(label, set()).add(parts_id(reps, tuple(kept)))
     return {label: tuple(sorted(dests[label])) for label in sorted(dests)}
 
 

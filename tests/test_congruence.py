@@ -199,11 +199,12 @@ def test_one_table_numbers_each_canonical_state_once():
     assert [congruence.canonical_id(x) for x in (fresh, raw, parse("a.0"))] == [
         0, 0, 1]
     # component ids restart at 0 too, in the order numbering meets them:
-    # fresh's finite component, then a.0, then b.0 | a.c.0 and what its
-    # a.c.0 spawns when it fires
+    # fresh's finite component, then its replicated one, then a.0, then
+    # b.0 | a.c.0 and what its a.c.0 spawns when it fires
     lts.successors(parse("b.0 | a.c.0"))
     assert {k: render(t) for k, t in congruence._COMPS.items()} == {
-        0: "b.(a.0 | a.0)", 1: "a.0", 2: "b.0", 3: "a.c.0", 4: "c.0"}
+        0: "b.(a.0 | a.0)", 1: "c.(a.0 | a.0)", 2: "a.0", 3: "b.0",
+        4: "a.c.0", 5: "c.0"}
 
 
 def test_an_unnumbered_canonical_process_is_stored_itself():

@@ -9,7 +9,7 @@ from ccseed import clear_caches, congruence, corpus, lts
 from ccseed.congruence import canonical_id, canonicalize, congruent
 from ccseed.lts import (DEFAULT_DEPTH_CAP, DepthExceeded, Label, TAU,
                         bounded_class, successors, unfold)
-from ccseed.syntax import Action, Process, parse, render
+from ccseed.syntax import Action, PrefixedTerm, Process, parse, render
 
 
 def succ_strs(text, mode="base"):
@@ -236,12 +236,13 @@ def test_successors_deterministic_and_cached(monkeypatch):
 
 
 def test_fired_corpora_keep_one_id_per_state():
-    # Firing numbers destinations through the parts index, by component
-    # ids: no canonical state gets a second id, every index entry names the
-    # state its parts make up, and ids are handed out in an order that does
-    # not depend on how objects hash (the digest holds under any
-    # PYTHONHASHSEED).  Every id is read through ``state``, which builds
-    # what firing left unbuilt.
+    # Firing numbers destinations by their parts, component ids: no
+    # canonical state gets a second id, every state's parts are the ids of
+    # its replicated components in key order and the sorted ids of its
+    # finite ones, the parts index is the exact inverse, and ids are handed
+    # out in an order that does not depend on how objects hash (the digest
+    # holds under any PYTHONHASHSEED).  Every id is read through ``state``,
+    # which builds what firing left unbuilt.
     clear_caches()
     for mode in ("base", "sync"):
         # largest first, so that firing meets new destinations
@@ -253,14 +254,15 @@ def test_fired_corpora_keep_one_id_per_state():
     assert all(canonical_id(s) == j for j, s in enumerate(states))
     assert all(congruence.state(j) is s for j, s in enumerate(states))
     comps = congruence._COMPS
-    indexed = 0
-    for reps, known in congruence._PARTS.items():
-        for fin_ids, j in known.items():
-            indexed += 1
-            assert states[j].replicated == reps
-            assert fin_ids == tuple(sorted(
-                map(congruence.component_id, states[j].finite.components)))
-            assert congruence.state_parts(j) == (reps, fin_ids, known)
+    ids = congruence.component_id
+    for j, s in enumerate(states):
+        reps, fin = parts = congruence._PARTS_OF[j]
+        assert type(reps) is tuple and type(fin) is tuple
+        assert all(type(k) is int for k in reps + fin)
+        assert reps == tuple(map(ids, s.replicated))
+        assert fin == tuple(sorted(map(ids, s.finite.components)))
+        assert congruence._PARTS[parts] == j
+    indexed = len(congruence._PARTS)
     assert (len(states), len(comps), indexed) == (4157, 328, 4157)
     digest = hashlib.sha256()
     for table in (states, comps):
@@ -321,9 +323,10 @@ def test_a_state_numbered_before_firing_keeps_one_id_per_state():
     before = canonicalize(parse("!a.0 | b.0"))
     i = canonical_id(before)
     # numbered by its parts at once, though its replicated part never fired
-    assert congruence._PARTS_OF[i] == (before.replicated, (0,))
-    assert congruence._COMPS == {0: before.finite.components[0]}
-    assert congruence.state_parts(i)[2] == {(0,): i}
+    assert congruence._PARTS_OF[i] == ((1,), (0,))
+    assert congruence._PARTS[congruence._PARTS_OF[i]] == i
+    assert congruence._COMPS == {0: before.finite.components[0],
+                                 1: before.replicated[0]}
     assert _fired(parse("!a.0 | c.b.0"), "c") == (i,)
     after = canonicalize(parse("!a.0 | d.0"))
     j = canonical_id(after)
@@ -385,6 +388,23 @@ def test_a_raw_process_numbered_by_its_parts_keeps_one_id_per_state(
     [dest] = [d for lab, d in successors(source) if str(lab) == "e"]
     assert dest is c
     assert render(c) == "!c.(a.0 | a.0) | d.0 | d.0 | b.(a.0 | a.0)"
+    # a new state whose components are canonical already: once its bodies
+    # are canonicalized, numbering it reuses each component, building no
+    # term, and stores the process itself
+    q = parse("!c.(a.0 | a.0) | b.(a.0 | a.0) | d.0")
+    for t in q.replicated + q.finite.components:
+        congruence.canonical_finite(t.body)
+    terms = []
+    term_init = PrefixedTerm.__init__
+
+    def counting_terms(self, *args):
+        terms.append(self)
+        term_init(self, *args)
+
+    monkeypatch.setattr(PrefixedTerm, "__init__", counting_terms)
+    built.clear()
+    assert canonical_id(q) != i and terms == []
+    assert canonicalize(q) is q and built == []
 
 
 def _fire_corpora_by_id():
