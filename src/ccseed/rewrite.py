@@ -16,15 +16,15 @@ component, and B2 drops one of two equal components, so a guided
 exploration of the part is a product of its components' explorations.
 Each component's deletions form one graph, walked per guide, and stage 1
 matches sets of the components' descendants instead of exploring the
-part.  Stage 2 seeds the finite part under the guide of that part's
-seed, one finite component at a time: B1 edits one finite component and
-canonical forms are built per component, so what the finite part
-reaches is the multiset sums of what its components reach alone.  A
-component's reach is a set of processes, not of components (``b.b.a.0``
-less ``a.0`` is ``b.0 | b.0``), so stage 2 explores each distinct
-component instead of walking a graph.  No call explores the whole
-process, a stage that can delete nothing is skipped, and the trace is
-found on first read.  Stage 1 rests on the seed theorem and the
+part, and returns the seed's replicated part as a set.  Stage 2 seeds
+the finite part under that set's guide, one finite component at a time:
+B1 edits one finite component and canonical forms are built per
+component, so what the finite part reaches is the multiset sums of what
+its components reach alone.  A component's reach is a set of processes,
+not of components (``b.b.a.0`` less ``a.0`` is ``b.0 | b.0``), so stage
+2 explores each distinct component instead of walking a graph.  No call
+explores the whole process, an empty part explores nothing, and the
+trace is found on first read.  Stage 1 rests on the seed theorem and the
 cancellation law for replicated parts; this is argued and checked, not
 proved.
 ``convertible`` compares seeds.
@@ -319,12 +319,13 @@ def _onto(part: frozenset, copies: tuple, reach: dict) -> bool:
     return all(place(d, set()) for d in part)
 
 
-def _seed_replicated(rep: Process) -> Process:
-    """Stage 1: the seed of a canonical replicated-only process.
+def _seed_replicated(copies: tuple) -> frozenset:
+    """Stage 1: the seed's replicated part, a set, from the canonical
+    replicated components ``copies = (t_1, ..., t_n)`` of the input.
 
-    Under a fixed guide g every deletion of ``rep = !t_1 | ... | !t_n``
-    edits one component, which stays one (B1), or drops one of two equal
-    components (B2).  So rep reaches exactly the processes whose
+    Under a fixed guide g every deletion of ``!t_1 | ... | !t_n`` edits
+    one component, which stays one (B1), or drops one of two equal
+    components (B2).  So the part reaches exactly the processes whose
     components are the images of a map sending each copy t_i to a member
     of ``_reach(t_i, g)``.  A reached process with duplicates is not
     minimal (its B2 reduct has the same guide and is smaller), so the
@@ -339,18 +340,17 @@ def _seed_replicated(rep: Process) -> Process:
     best-first search sends the copies in turn, each to a member already
     chosen that it reaches or to a new one, so every complete set maps
     onto under B; its priority adds the least member size still needed.
-    The first size with a verified set must have exactly one.  When each
-    copy reaches only itself under B, that set is the deduplicated input
-    and is returned at once.
+    Every set verified has the size of the first, and exactly one must
+    verify, else UniquenessError.  When each copy reaches only itself
+    under B, the set of the copies is returned at once.
     """
-    copies = rep.replicated
     bound = frozenset().union(*map(_generated, copies))
     reach = {t: _reach(t, bound) for t in copies}
     if all(len(r) == 1 for r in reach.values()):
-        return rep if len(reach) == len(copies) else Process(reach)
+        return frozenset(reach)
     members = [sorted(reach[t]) for t in copies]  # smallest first
     least = [m[0].size for m in members]
-    limit = sum(t.size for t in reach)  # the deduplicated input verifies
+    limit = sum(t.size for t in reach)  # no larger: the deduplicated input
 
     def priority(j, part, size):
         return size + max((least[i] for i in range(j, len(copies))
@@ -359,12 +359,13 @@ def _seed_replicated(rep: Process) -> Process:
     queue = [(priority(0, frozenset(), 0), 0, 0, frozenset(), 0)]
     seen = {(0, frozenset())}
     verified = []
-    while queue and (not verified or queue[0][0] == verified[0].size):
+    while queue and (not verified or queue[0][0] == limit):
         _, _, j, part, size = heapq.heappop(queue)
         if j == len(copies):
             guide = _guide_of(part)
             if _onto(part, copies, {t: _reach(t, guide) for t in reach}):
-                verified.append(Process(part))
+                verified.append(part)
+                limit = size  # every later verified set has this size
             continue
         sent = [(part, size)] if not reach[copies[j]].isdisjoint(part) else []
         sent += [(part | {d}, size + d.size) for d in members[j]
@@ -374,7 +375,9 @@ def _seed_replicated(rep: Process) -> Process:
                 seen.add((j + 1, after))
                 heapq.heappush(queue, (priority(j + 1, after, after_size),
                                        len(seen), j + 1, after, after_size))
-    return _smallest(verified, rep)
+    if len(verified) != 1:
+        raise UniquenessError(f"minimal seeds for {copies!r}: {verified!r}")
+    return verified[0]
 
 
 def _seed_component(c: PrefixedTerm, guide: frozenset,
@@ -397,22 +400,21 @@ def _seed_component(c: PrefixedTerm, guide: frozenset,
 def compute_seed(p: Process) -> SeedResult:
     """The minimal process p rewrites to under its own guidance.
 
-    Stage 1 (``_seed_replicated``) seeds p's replicated part alone.
-    Stage 2 seeds p's finite part under the guide of that part's seed,
-    and the seed is that part beside the result.  Under a fixed guide
-    every deletion touches one part only and ``canonicalize`` works per
-    component, so exploring p would give exactly the pairs of a state of
-    each part.  The finite part has no B2 step and each B1 step edits one
-    of its components, so the states it reaches are the multiset sums of
-    a state reached by each component alone, and its smallest state is
-    the sum of the components' smallest states (``_seed_component``), one
-    per component of p, copies included.  That sum is the one smallest
-    exactly when each component's smallest is unique: with two tied
-    states for one component, fixing the others gives two sums of equal
-    size.  A stage with nothing to delete is skipped: without replicated
-    components there is no guide and no B2 step, so a replication-free p
-    is its own seed, and a replicated-only p has no finite part.  Each
-    stage raises UniquenessError unless exactly one state is minimal.
+    Stage 1 (``_seed_replicated``) seeds p's replicated part alone, as a
+    set.  Stage 2 seeds p's finite part under that set's guide, and the
+    seed, the one process built, is the set beside the result.  Under a
+    fixed guide every deletion touches one part only and ``canonicalize``
+    works per component, so exploring p would give exactly the pairs of
+    a state of each part.  The finite part has no B2 step and each B1
+    step edits one of its components, so the states it reaches are the
+    multiset sums of a state reached by each component alone, and its
+    smallest state is the sum of the components' smallest states
+    (``_seed_component``), one per component of p, copies included.
+    That sum is the one smallest exactly when each component's smallest
+    is unique: with two tied states for one component, fixing the others
+    gives two sums of equal size.  A replication-free p has no guide and no B2 step, so it is
+    its own seed and neither stage runs.  Each stage raises
+    UniquenessError unless exactly one state is minimal.
     """
     start = canonicalize(p)
     cached = _SEED_CACHE.get(start)
@@ -421,13 +423,10 @@ def compute_seed(p: Process) -> SeedResult:
 
     seed = start
     if start.replicated:
-        rep = Process(start.replicated)  # canonical already
-        seed = _seed_replicated(rep)
-        if start.finite.components:
-            guide = _guide(seed)
-            seed = Process(seed.replicated, [
-                d for c in start.finite.components
-                for d in _seed_component(c, guide, start)])
+        part = _seed_replicated(start.replicated)
+        guide = _guide_of(part)
+        seed = Process(part, [d for c in start.finite.components
+                              for d in _seed_component(c, guide, start)])
     result = SeedResult(seed, start)
     _SEED_CACHE[start] = result
     return result

@@ -14,7 +14,7 @@ Concrete syntax::
     term    := "0" | "!"? act "." atom | "(" process ")"
     atom    := "0" | act "." atom | "(" process ")"
     act     := "~"? name          # "~" marks an output, sync mode only
-    name    := [a-z][a-z0-9_]*
+    name    := [a-z][a-z0-9_]*    # but not "tau" in sync mode
 
 Whitespace is insignificant.  Parentheses are grouping only: a group under
 a prefix is a finite process (no "!"), while a group at the top level may
@@ -110,7 +110,10 @@ class Keyed:
 
 
 class Action(Keyed):
-    """An action symbol: a name plus a polarity (plain, input or output)."""
+    """An action symbol: a name plus a polarity (plain, input or output).
+
+    Inputs and outputs may not be named ``tau``, the label of a handshake.
+    """
 
     __slots__ = ("name", "polarity")
 
@@ -119,6 +122,9 @@ class Action(Keyed):
             raise ValueError(f"illegal action name {name!r}")
         if polarity not in (PLAIN, INPUT, OUTPUT):
             raise ValueError(f"illegal polarity {polarity!r}")
+        if name == "tau" and polarity != PLAIN:
+            raise ValueError("the name tau is reserved for the silent "
+                             "label in sync mode")
         self.name = name
         self.polarity = polarity
         self.key = (name, polarity)
@@ -260,8 +266,12 @@ class _Parser:
         m = _NAME_RE.match(self.text, self.pos)
         if not m:
             raise self.error("expected an action name")
+        try:
+            act = Action(m.group(), polarity)
+        except ValueError as exc:  # a reserved name
+            raise StructureError(str(exc), self.pos) from None
         self.pos = m.end()
-        return Action(m.group(), polarity)
+        return act
 
     def process(self, top_level: bool) -> Process:
         replicated = []

@@ -133,6 +133,18 @@ def test_structure_error_exits_2(capsys):
     assert "replication" in err
 
 
+def test_tau_is_a_name_in_base_mode_and_reserved_in_sync_mode(capsys):
+    # In sync mode an action named tau would print, and go into --json,
+    # like the label of the handshake it takes part in.
+    code, out, _ = run(capsys, "lts", "tau.0")
+    assert code == 0
+    assert out.splitlines() == ["state: tau.0", "  tau -> 0"]
+    code, out, err = run(capsys, "lts", "--sync", "tau.0|~tau.0")
+    assert (code, out) == (2, "")
+    assert err == ("error: the name tau is reserved for the silent label "
+                   "in sync mode (at position 0)\n")
+
+
 def test_sync_flag_required_for_outputs(capsys):
     code, _out, err = run(capsys, "normalize", "~a.0")
     assert code == 2

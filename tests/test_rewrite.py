@@ -306,6 +306,31 @@ def test_each_seed_stage_raises_uniqueness_error_on_a_tie(monkeypatch, part,
         compute_seed(p)
 
 
+@pytest.mark.parametrize("text", [
+    "!a.b.0",                   # each copy reaches only itself
+    "!a.0 | !a.0",              # the same, with a duplicate to drop
+    "!a.0 | !b.a.0",            # the search over sets
+    "!a.0 | !b.a.0 | c.b.a.0",  # the search, then a finite part
+])
+def test_a_seed_from_warm_tables_builds_one_process(monkeypatch, text):
+    # Stage 1 returns the seed's replicated part as a set and stage 2
+    # reads its guide off that set, so with every table but the seed
+    # cache warm, the seed is the one Process that compute_seed builds.
+    p = parse(text)
+    seed = compute_seed(p).seed
+    monkeypatch.setattr(rewrite, "_SEED_CACHE", {})
+    built = []
+    init = Process.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Process, "__init__", counting)
+    assert compute_seed(p).seed == seed
+    assert len(built) == 1
+
+
 def _mixed_processes(rng, count, acts):
     """``count`` random processes of sizes 11-15, each with a non-empty
     replicated and a non-empty finite part."""
@@ -606,7 +631,8 @@ def test_stage_1_matches_the_whole_part_search(mode):
     for rep in sorted(parts) + randoms + [unmatched]:
         if rep.replicated:
             checked += 1
-            assert (_outcome(rewrite._seed_replicated, rep)
+            assert (_outcome(lambda r: Process(rewrite._seed_replicated(
+                        r.replicated)), rep)
                     == _outcome(_listed_seed_replicated, rep)), render(rep)
     assert checked >= 550
 
@@ -646,10 +672,10 @@ def _whole_part_seed(p):
     component at a time: the smallest state of one exploration of the
     whole finite part, under the guide of the replicated part's seed."""
     start = canonicalize(p)
-    rep = rewrite._seed_replicated(Process(start.replicated))
+    rep = rewrite._seed_replicated(start.replicated)
     finite = rewrite._smallest(list(rewrite._explore(
-        Process((), start.finite), rewrite._guide(rep))), start)
-    return Process(rep.replicated, finite.finite)
+        Process((), start.finite), rewrite._guide_of(rep))), start)
+    return Process(rep, finite.finite)
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])

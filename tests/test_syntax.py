@@ -74,6 +74,19 @@ def test_parse_sync_polarities():
     assert parse("~a.b.0", mode="sync").finite.components[0].action.polarity == OUTPUT
 
 
+@pytest.mark.parametrize("text, position", [("tau.0", 0), ("a.~tau.0", 3)])
+def test_sync_mode_reserves_tau_for_the_silent_label(text, position):
+    # An input or output named tau would print like a handshake's label;
+    # base mode has no silent label, so tau.0 stays legal there.
+    with pytest.raises(StructureError, match="reserved") as err:
+        parse(text, mode="sync")
+    assert err.value.position == position
+    for polarity in (INPUT, OUTPUT):
+        with pytest.raises(ValueError):
+            Action("tau", polarity)
+    assert render(parse("tau.0")) == "tau.0"
+
+
 def test_output_action_rejected_in_base_mode():
     with pytest.raises(StructureError):
         parse("~a.0")
