@@ -14,9 +14,11 @@ first seeds the replicated part alone (stage 1), one component at a
 time: B1 edits the body of one replicated component, which stays one
 component, and B2 drops one of two equal components, so a guided
 exploration of the part is a product of its components' explorations.
-Each component's deletions form one graph, walked per guide, and stage 1
-matches sets of the components' descendants instead of exploring the
-part, and returns the seed's replicated part as a set.  Stage 2 seeds
+Each component's deletions form one graph, walked per guide.  Stage 1
+lists each component's descendants with one walk under the widest guide
+a seed can have (every term carrying a component's top action, which B1
+never deletes), matches sets of them instead of exploring the part, and
+returns the seed's replicated part as a set.  Stage 2 seeds
 the finite part under that set's guide, one finite component at a time:
 B1 edits one finite component and canonical forms are built per
 component, so what the finite part reaches is the multiset sums of what
@@ -147,8 +149,8 @@ def step_b2(p: Process) -> tuple:
 
 
 # Audit trail for termination checks: one (start size, states visited)
-# entry per guided exploration and per guided walk of a component's
-# deletion graph; empty it with search_audit.clear().
+# entry per guided exploration and per walk of a component's deletion
+# graph; empty it with search_audit.clear().
 search_audit: list = []
 
 
@@ -244,24 +246,27 @@ def _component_deletions(d: PrefixedTerm) -> tuple:
     B1 edits the body of one replicated component, which stays one
     component, and B2 needs two; so every deletion from ``!d`` is a B1
     step to some ``!d'``.  The edges are the distinct pairs (deleted
-    occurrence, d'), unguided: a guide keeps those whose occurrence is in
-    it.  The graph of a component is what its edges reach.
+    occurrence, d'), read off every B1 deletion from ``!d``: a guide
+    keeps those whose occurrence it holds.  The graph of a component is
+    what its edges reach.
     """
     edges = _DELETIONS.get(d)
     if edges is None:
-        state = Process((d,))
+        deletions = _b1_deletions(Process((d,)), None)
         edges = _DELETIONS[d] = tuple(dict.fromkeys(
-            (occ, canonicalize(delete_at(state, path)).replicated[0])
-            for path, occ in occurrences(state)))
+            (resolve(before, path), after.replicated[0])
+            for _, before, after, path, _ in deletions))
     return edges
 
 
-def _reach(t: PrefixedTerm, guide: Optional[frozenset]) -> frozenset:
+def _reach(t: PrefixedTerm, guide: frozenset) -> frozenset:
     """The components d such that ``!t`` rewrites to ``!d`` under ``guide``.
 
     A walk of t's deletion graph over the edges whose occurrence is in
-    ``guide`` (every edge when it is None); it builds no terms beyond the
-    graph, and each guided walk logs one ``search_audit`` entry.
+    ``guide``, or whose action is, for the widest guide: a set of
+    actions standing for every term that carries one (``Keyed`` equality
+    tells a term from an action).  It builds no terms beyond the graph,
+    and each walk logs one ``search_audit`` entry.
     """
     key = (t, guide)
     reached = _REACH.get(key)
@@ -270,24 +275,12 @@ def _reach(t: PrefixedTerm, guide: Optional[frozenset]) -> frozenset:
         todo = [t]
         while todo:
             for occ, d in _component_deletions(todo.pop()):
-                if d not in seen and (guide is None or occ in guide):
+                if d not in seen and (occ in guide or occ.action in guide):
                     seen.add(d)
                     todo.append(d)
         reached = _REACH[key] = frozenset(seen)
-        if guide is not None:
-            search_audit.append((t.size, len(seen)))
+        search_audit.append((t.size, len(seen)))
     return reached
-
-
-def _generated(t: PrefixedTerm) -> frozenset:
-    """Every guide term that unguided deletion can make from ``!t``.
-
-    The union of the guides of the deletion descendants of ``!t`` alone,
-    read off its deletion graph: a deletion descendant of a replicated
-    part has each replicated component from one of its components, so its
-    guide lies in the union of ``_generated`` over those components.
-    """
-    return _guide_of(_reach(t, None))
 
 
 def _smallest(states: list, start: Process) -> Process:
@@ -334,18 +327,21 @@ def _seed_replicated(copies: tuple) -> frozenset:
     ``_guide_of(S)``.
 
     The sets S are searched smallest first over the members of
-    ``_reach(t_i, B)``, under the bound B, the union of ``_generated``
-    over the components: every verifying guide lies in B and reaches
-    grow with the guide, so B drops only sets that cannot verify.  A
-    best-first search sends the copies in turn, each to a member already
-    chosen that it reaches or to a new one, so every complete set maps
-    onto under B; its priority adds the least member size still needed.
-    Every set verified has the size of the first, and exactly one must
-    verify, else UniquenessError.  When each copy reaches only itself
-    under B, the set of the copies is returned at once.
+    ``_reach(t_i, tops)``, under the widest guide: ``tops``, the copies'
+    top actions, stands for every term carrying one.  B1 never edits a
+    component's top prefix, so each member of S keeps the top action of
+    a copy that reaches it, ``_guide_of(S)`` lies in the widest guide,
+    and reaches grow with the guide: it drops only sets that cannot
+    verify.  A best-first search sends the copies in turn, each to a
+    member already chosen that it reaches or to a new one, so every
+    complete set maps onto under the widest guide; its priority adds the
+    least member size still needed.  Every set verified has the size of
+    the first, and exactly one must verify, else UniquenessError.  When
+    each copy reaches only itself under the widest guide, the set of the
+    copies is returned at once.
     """
-    bound = frozenset().union(*map(_generated, copies))
-    reach = {t: _reach(t, bound) for t in copies}
+    tops = frozenset(t.action for t in copies)
+    reach = {t: _reach(t, tops) for t in copies}
     if all(len(r) == 1 for r in reach.values()):
         return frozenset(reach)
     members = [sorted(reach[t]) for t in copies]  # smallest first

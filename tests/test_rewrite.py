@@ -489,26 +489,59 @@ def test_fattened_draw_stays_within_work_budget(monkeypatch):
     assert convertible(p, q).equivalent
 
 
+def test_one_large_sync_component_builds_a_small_deletion_graph(monkeypatch):
+    # A size-29 sync term whose one large component has a body full of
+    # actions other than its top action ~a: its unguided deletion graph
+    # has 105,735 nodes and took about a minute to build.  Stage 1 walks
+    # only the edges that delete an occurrence carrying a top action.
+    p = parse("!~a.(~a.~b.0 | b.(~b.0 | ~a.(~a.~b.0 | b.(~b.0 | a.b.0)) | "
+              "a.(b.0 | ~a.(~a.~b.0 | b.(~b.0 | a.b.0 | ~a.(~a.~b.0 | "
+              "b.(~b.0 | a.b.0))))))) | ~a.0", "sync")
+    component_deletions = rewrite._component_deletions
+
+    def counting(d):
+        if len(rewrite._DELETIONS) > 100:
+            pytest.fail("more than 100 deletion-graph nodes")
+        return component_deletions(d)
+
+    monkeypatch.setattr(rewrite, "_component_deletions", counting)
+    clear_caches()
+    assert (render(compute_seed(p).seed)
+            == "!~a.(~a.~b.0 | b.(~b.0 | a.b.0)) | ~a.0")
+    assert len(rewrite._DELETIONS) <= 100
+
+
 @pytest.mark.parametrize("mode", ["base", "sync"])
-def test_stage_1_bound_holds_every_guide_and_every_verified_part(mode):
-    # Every unguided deletion descendant r of a replicated part R0 has its
-    # guide inside the bound B (the union of _generated over R0's
-    # components), and every r that verifies lies in R0's exploration
-    # under B, so listing the candidates under B drops none that verify.
+def test_stage_1_candidates_hold_every_guide_and_every_verified_part(mode):
+    # B1 never edits a component's top prefix, so every unguided deletion
+    # descendant r of a replicated part R0 has a guide made of terms that
+    # carry a top action of R0's copies, and each copy reaches no more
+    # under that guide than under the widest guide, the set ``tops`` of
+    # those actions.  So every r that verifies is made of candidates,
+    # members of the copies' walks under ``tops``.  Those walks stay
+    # inside each copy's unguided deletion graph and prune it for some.
     parts = {Process(canonicalize(p).replicated)
              for p in corpus.enumerate_processes(5, corpus.default_actions(
                  2, mode))}
-    verified = 0
+    verified = pruned = 0
     for rep in parts:
-        bound = frozenset().union(*map(rewrite._generated, rep.replicated))
-        bounded = rewrite._explore(rep, bound)
+        tops = frozenset(t.action for t in rep.replicated)
+        widest = {t: rewrite._reach(t, tops) for t in rep.replicated}
+        for t in rep.replicated:
+            graph = {s.replicated[0]
+                     for s in rewrite._explore(Process((t,)), None)}
+            assert widest[t] <= graph, render(t)
+            pruned += widest[t] < graph
+        candidates = frozenset().union(*widest.values())
         for r in rewrite._explore(rep, None):
             guide = rewrite._guide(r)
-            assert guide <= bound, render(r)
+            assert all(g.action in tops for g in guide), render(r)
+            assert all(rewrite._reach(t, guide) <= reached
+                       for t, reached in widest.items()), render(r)
             if r in rewrite._explore(rep, guide):
                 verified += 1
-                assert r in bounded, render(r)
-    assert verified > len(parts)
+                assert set(r.replicated) <= candidates, render(r)
+    assert verified > len(parts) and pruned
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
