@@ -19,14 +19,17 @@ finds it among every state numbered so far, however it was met, or
 numbers it; firing builds no ``Process`` and writes no ``congruence``
 table.
 
-States are the ids of ``congruence``'s table of canonical states; this
-module keeps only the moves, one table per mode.  A state's moves in a
-mode are fired once and kept as {label: destination ids}, labels in key
-order and each label's destinations as sorted ids, a canonical order that
-the game compares.  ``successors`` and ``unfold`` are views of them: they
-build the states they return, through ``congruence.state``, and list each
-label's destinations in key order.  ``bounded_class`` and the bounded game
-and witness search of ``oracle`` read them by id.
+States are the ids of ``congruence``'s table of canonical states, and
+labels are small int ids too, handed out as labels are first met; this
+module keeps the labels and the moves, one table per mode.  A state's
+moves in a mode are fired once and kept as {label id: destination ids},
+labels in the key order of their ``Label`` and each label's destinations
+as sorted ids, a canonical order that the game compares.  Keyed by ints
+only, a moves dict is not tracked by the garbage collector.
+``successors`` and ``unfold`` are views of them: they build the labels and
+states they return, through ``_LABEL_OF`` and ``congruence.state``, and
+list each label's destinations in key order.  ``bounded_class`` and the
+bounded game and witness search of ``oracle`` read them by id.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Optional
 
 from .congruence import (_COMPS, _PARTS_OF, canonical_id, component_id,
                          parts_id, state)
-from .syntax import Action, Keyed, Process, check_mode, memo_table
+from .syntax import PLAIN, Action, Keyed, Process, check_mode, memo_table
 
 __all__ = [
     "Label", "TAU", "DepthExceeded", "DEFAULT_DEPTH_CAP", "check_depth",
@@ -81,20 +84,33 @@ class Label(Keyed):
 TAU = Label(None)
 
 
-_LABELS = memo_table()
-# A component id's label and the sorted ids of its body's components.
+# The id of each label met, by its action (None for tau); the one Label of
+# id n at _LABEL_OF[n], and the id of the label it handshakes with at
+# _CO[n], None when it has none.
+_LABEL_IDS = memo_table()
+_LABEL_OF = memo_table()
+_CO = memo_table()
+# A component id's label id and the sorted ids of its body's components.
 _FIRERS = memo_table()
 # The moves of state id i, at _BASE_MOVES[i] and _SYNC_MOVES[i].
 _BASE_MOVES = memo_table()
 _SYNC_MOVES = memo_table()
 
 
-def _label(action: Action) -> Label:
-    """The one Label of a visible action."""
-    label = _LABELS.get(action)
-    if label is None:
-        label = _LABELS[action] = Label(action)
-    return label
+def _label(action: Optional[Action]) -> int:
+    """The id of an action's label, tau's for None; numbered on first use,
+    together with the label it handshakes with."""
+    n = _LABEL_IDS.get(action)
+    if n is None:
+        n = _LABEL_IDS[action] = len(_LABEL_OF)
+        _LABEL_OF[n] = TAU if action is None else Label(action)
+        _CO[n] = (None if action is None or action.polarity == PLAIN
+                  else _label(action.co()))
+    return n
+
+
+def _label_key(n: int) -> tuple:
+    return _LABEL_OF[n].key
 
 
 def _moves(i: int, mode: str) -> dict:
@@ -115,12 +131,12 @@ def successors(p: Process, mode: str = "base") -> tuple:
     """
     check_mode(mode)
     moves = _moves(canonical_id(p), mode)
-    return tuple((label, state(j)) for label, ids in moves.items()
+    return tuple((_LABEL_OF[lab], state(j)) for lab, ids in moves.items()
                  for j in sorted(ids, key=_state_key))
 
 
 def _firer(k: int) -> tuple:
-    """Component k's label and the ids it spawns when it fires."""
+    """Component k's label id and the ids it spawns when it fires."""
     got = _FIRERS.get(k)
     if got is None:
         t = _COMPS[k]
@@ -142,10 +158,11 @@ def _fire(i: int, mode: str) -> dict:
     firers += [((), *_firer(k)) for k in dict.fromkeys(reps)]
     moves = firers
     if mode == "sync":
-        moves = firers + [(gone + other_gone, TAU, body + other)
+        tau = _label(None)
+        moves = firers + [(gone + other_gone, tau, body + other)
                           for n, (gone, label, body) in enumerate(firers)
                           for other_gone, other_label, other in firers[n + 1:]
-                          if label.action.handshakes(other_label.action)]
+                          if _CO[label] == other_label]
 
     dests: dict = {}
     for gone, label, spawned in moves:
@@ -155,7 +172,8 @@ def _fire(i: int, mode: str) -> dict:
         kept += spawned
         kept.sort()
         dests.setdefault(label, set()).add(parts_id(reps, tuple(kept)))
-    return {label: tuple(sorted(dests[label])) for label in sorted(dests)}
+    return {label: tuple(sorted(dests[label]))
+            for label in sorted(dests, key=_label_key)}
 
 
 def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
@@ -186,7 +204,7 @@ def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
         order.extend(nxt)
         frontier = nxt
     return ([state(i) for i in order],
-            [(state(i), label, state(j)) for i, label, j in edges])
+            [(state(i), _LABEL_OF[lab], state(j)) for i, lab, j in edges])
 
 
 _CLASS = memo_table()
@@ -212,7 +230,7 @@ def _class(i: int, depth: int, mode: str) -> int:
     key = (i, depth, mode)
     got = _CLASS.get(key)
     if got is None:
-        sig = frozenset((label.key, _class(j, depth - 1, mode))
+        sig = frozenset((label, _class(j, depth - 1, mode))
                         for label, ids in _moves(i, mode).items()
                         for j in ids)
         got = _CLASS_IDS.setdefault((depth, mode, sig), len(_CLASS_IDS))

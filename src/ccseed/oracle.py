@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import corpus
 from .congruence import (canonical_finite, canonical_id, canonicalize,
                          process_of, state)
-from .lts import (Label, TAU, _moves, _state_key, bounded_class, check_depth,
-                  successors)
+from .lts import (Label, TAU, _LABEL_OF, _moves, _state_key, bounded_class,
+                  check_depth, successors)
 from .rewrite import _explore, compute_seed, convertible, rewrites_to
 from .syntax import (FiniteProcess, PrefixedTerm, Process,
                      apply_substitution, check_mode, memo_table, render)
@@ -131,7 +131,8 @@ class GameResult:
 
 
 # The game plays on the state ids of ``congruence``'s table of canonical
-# states and on the moves ``lts`` keeps for them.
+# states and on the moves ``lts`` keeps for them, {label id: destination
+# ids}, so it hashes and compares plain ints only.
 # Its memo keys an unordered pair of distinct ids by (i, j, mode) with
 # i < j and holds (deepest depth known equal, shallowest depth known
 # distinguished): k-round equivalence only shrinks as k grows, so one entry
@@ -164,11 +165,8 @@ def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
             ys = gj[lab]
             if xs == ys:
                 continue
-            if not (all(x in ys or any(_ids_eq(x, y, d - 1, mode) for y in ys)
-                        for x in xs)
-                    and all(y in xs or any(_ids_eq(x, y, d - 1, mode)
-                                           for x in xs)
-                            for y in ys)):
+            if not (_covers(xs, ys, d - 1, mode)
+                    and _covers(ys, xs, d - 1, mode)):
                 result = False
                 break
     # the recursion may have stored a bound for this pair meanwhile
@@ -176,6 +174,19 @@ def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
     _GAME[key] = ((max(equal_to, d), apart_from) if result
                   else (equal_to, min(apart_from, d)))
     return result
+
+
+def _covers(xs: tuple, ys: tuple, d: int, mode: str) -> bool:
+    """Every state in xs is in ys or survives d rounds against one there."""
+    for x in xs:
+        if x in ys:
+            continue
+        for y in ys:
+            if _ids_eq(x, y, d, mode):
+                break
+        else:
+            return False
+    return True
 
 
 def _witness(single: int, others: tuple, d: int, single_side: str,
@@ -206,7 +217,7 @@ def _witness(single: int, others: tuple, d: int, single_side: str,
                 sub = _witness(succ, alive, d - 1, side, mode,
                                memo) if alive else ()
                 if sub is not None:
-                    move = Move(side, lab, state(succ))
+                    move = Move(side, _LABEL_OF[lab], state(succ))
                     memo[key] = result = (move,) + sub
                     return result
     memo[key] = None

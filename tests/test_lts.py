@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -309,10 +310,39 @@ def test_firing_onto_numbered_destinations_builds_no_process(monkeypatch):
     assert built
 
 
+def test_moves_dicts_are_keyed_by_ints_and_left_untracked():
+    # A state's moves are {label id: destination ids}, ints only, so the
+    # cyclic garbage collector untracks each moves dict and never scans it
+    # again.
+    clear_caches()
+    p = parse("!a.b.0 | !~a.0 | a.0 | a.0 | ~a.b.0 | c.a.0", "sync")
+    unfold(p, 5, "sync")
+    gc.collect()
+    moves = list(lts._SYNC_MOVES.values())
+    assert len(moves) == 50
+    assert all(type(k) is int for m in moves for k in m)
+    assert not any(gc.is_tracked(m) for m in moves)
+
+
+@pytest.mark.parametrize("first,label", [("!~a.0", "~a"), ("!a.0", "a")])
+def test_handshakes_do_not_depend_on_which_polarity_is_numbered_first(
+        first, label):
+    # Label ids are handed out as labels are first met; a handshake pair is
+    # found by comparing ids, whichever of its two labels came first.
+    clear_caches()
+    successors(parse(first, "sync"), "sync")
+    assert str(lts._LABEL_OF[0]) == label
+    p = parse("a.0 | ~a.b.0 | !~a.0", "sync")
+    got = successors(p, "sync")
+    assert got == _successors_canonicalizing_each_destination(p, "sync")
+    assert sum(lab == TAU for lab, _dest in got) == 2
+
+
 def _fired(p, label, mode="base"):
     """The destination ids of p's moves under ``label``, fired by id."""
     moves = lts._moves(canonical_id(p), mode)
-    return next(ids for lab, ids in moves.items() if str(lab) == label)
+    return next(ids for lab, ids in moves.items()
+                if str(lts._LABEL_OF[lab]) == label)
 
 
 def test_a_state_numbered_before_firing_keeps_one_id_per_state():

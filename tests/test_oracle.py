@@ -240,7 +240,9 @@ def test_game_answers_each_depth_alike_in_any_query_order(mode):
 
 def _replicated_synchronise(p) -> bool:
     """Two replicated components of p have co-named prefixes (a and ~a):
-    such a pair spawns tau material forever, and its game may not end."""
+    such a pair fires tau forever, spawning both bodies at every step.
+    ``_game_pairs`` leaves these out, so the recorded digest keeps its
+    pairs; ``test_game_on_co_named_replicated_pairs`` plays them."""
     acts = {t.action for t in p.replicated}
     return any(a.co() in acts for a in acts)
 
@@ -291,6 +293,36 @@ def test_verdicts_and_distinguishers_match_recorded_digest():
     assert lengths == {1, 2, 3, 4, 5, 6}
     assert h.hexdigest() == (
         "f852c2495b288e56044857f478ce3f7123ea3bde67bde2bc1efa80fcdcdea59a")
+
+
+def test_game_on_co_named_replicated_pairs():
+    # Sync pairs whose left side, and every other right side, has two
+    # co-named replicated components; the other right sides are fattened
+    # copies of the left, bisimilar by construction.  At every depth the
+    # game's verdict is the bounded classes' and each witness replays.
+    rng = random.Random(25)
+    acts = corpus.default_actions(4, "sync")
+
+    def draw():
+        while True:
+            p = corpus.random_process(rng, rng.randint(3, 6), acts)
+            if _replicated_synchronise(p):
+                return p
+
+    distinguished = 0
+    for n in range(150):
+        p = draw()
+        q = (corpus.make_redundant(rng, p, rng.randint(1, 2)) if n % 2 == 0
+             else draw())
+        for depth in range(1, 7):
+            assert _game_eq(p, q, depth, "sync") == (
+                bounded_class(p, depth, "sync")
+                == bounded_class(q, depth, "sync")), (render(p), render(q))
+        result = bounded_bisim(p, q, GameConfig(mode="sync"))
+        if not result.equivalent:
+            distinguished += 1
+            assert replay_distinguisher(p, q, result.distinguisher, "sync")
+    assert distinguished == 73
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
