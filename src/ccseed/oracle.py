@@ -5,7 +5,13 @@ interning recursive transition signatures over the raw multiset terms; it
 never consults the congruence machinery, so it can sit on the other side of
 a cross-check.  ``bounded_bisim`` plays the k-round bisimulation game on
 arbitrary processes (states identified up to the congruence, a sound up-to
-technique here) and produces a replayable distinguisher on failure.
+technique here) and produces a replayable distinguisher on failure.  The
+game is also played up to parallel context: k-round bisimilarity is
+preserved by parallel composition, so a pair that survives k rounds with
+the finite components it shares taken out survives them with those put
+back.  Only that "survives" answer is used; the converse fails, so a pair
+whose smaller pair is told apart is played in full, and every verdict is
+exact.
 ``dis_check`` and ``purg_check`` decide the two finite-process predicates
 the theory leans on.  ``lemma_suite`` fuzzes the lot and reports hypothesis
 hits so vacuous passes are visible.
@@ -20,10 +26,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import corpus
-from .congruence import (canonical_finite, canonical_id, canonicalize,
-                         process_of, state)
-from .lts import (Label, TAU, _LABEL_OF, _moves, _state_key, bounded_class,
-                  check_depth, successors)
+from .congruence import (_PARTS_OF, canonical_finite, canonical_id,
+                         canonicalize, parts_id, process_of, state)
+from .lts import (Label, TAU, _LABEL_OF, _firer, _moves, _state_key,
+                  bounded_class, check_depth, successors)
 from .rewrite import _explore, compute_seed, convertible, rewrites_to
 from .syntax import (FiniteProcess, PrefixedTerm, Process,
                      apply_substitution, check_mode, memo_table, render)
@@ -132,11 +138,16 @@ class GameResult:
 
 # The game plays on the state ids of ``congruence``'s table of canonical
 # states and on the moves ``lts`` keeps for them, {label id: destination
-# ids}, so it hashes and compares plain ints only.
+# ids}, so it hashes and compares plain ints only.  Depth 1 compares the
+# visible labels two states can fire, read off their components with
+# nothing fired (``_labels``).  From depth 2 a pair that shares finite
+# components is first played with them taken out (``_cancels``): a
+# "survives" answer of that smaller pair answers the pair, a
+# "distinguished" one does not, and the pair is then played in full.
 # Its memo keys an unordered pair of distinct ids by (i, j, mode) with
 # i < j and holds (deepest depth known equal, shallowest depth known
 # distinguished): k-round equivalence only shrinks as k grows, so one entry
-# answers every depth outside that gap.
+# answers every depth outside that gap.  The smaller pairs share it.
 _GAME = memo_table()
 _UNKNOWN = (0, math.inf)
 
@@ -158,22 +169,60 @@ def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
         return True
     if d >= apart_from:
         return False
-    gi, gj = _moves(i, mode), _moves(j, mode)
-    result = gi.keys() == gj.keys()
-    if result and d > 1:
-        for lab, xs in gi.items():
-            ys = gj[lab]
-            if xs == ys:
-                continue
-            if not (_covers(xs, ys, d - 1, mode)
-                    and _covers(ys, xs, d - 1, mode)):
-                result = False
-                break
+    if d == 1:
+        result = _labels(i) == _labels(j)
+    elif _cancels(i, j, d, mode):
+        result = True
+    else:
+        gi, gj = _moves(i, mode), _moves(j, mode)
+        result = gi.keys() == gj.keys()
+        if result:
+            for lab, xs in gi.items():
+                ys = gj[lab]
+                if xs == ys:
+                    continue
+                if not (_covers(xs, ys, d - 1, mode)
+                        and _covers(ys, xs, d - 1, mode)):
+                    result = False
+                    break
     # the recursion may have stored a bound for this pair meanwhile
     equal_to, apart_from = _GAME.get(key, _UNKNOWN)
     _GAME[key] = ((max(equal_to, d), apart_from) if result
                   else (equal_to, min(apart_from, d)))
     return result
+
+
+def _cancels(i: int, j: int, d: int, mode: str) -> bool:
+    """States i and j survive d rounds with the finite components they
+    share taken out; False also when they share none.
+
+    Each move of a shared component, alone or in a handshake, is answered
+    by the same move on the other side, so a pair that survives d rounds
+    still does with the same components put back on both sides.  The
+    converse fails (a.0 | a.0 and a.0 at depth 1), so only a True is an
+    answer for i and j.
+    """
+    reps_i, fin_i = _PARTS_OF[i]
+    reps_j, fin_j = _PARTS_OF[j]
+    if set(fin_i).isdisjoint(fin_j):
+        return False
+    rest_i, rest_j = list(fin_i), []
+    for k in fin_j:
+        if k in rest_i:
+            rest_i.remove(k)
+        else:
+            rest_j.append(k)
+    a, b = parts_id(reps_i, tuple(rest_i)), parts_id(reps_j, tuple(rest_j))
+    # labels apart is the depth-1 answer, which needs nothing fired
+    return _labels(a) == _labels(b) and _ids_eq(a, b, d, mode)
+
+
+def _labels(i: int) -> set:
+    """The ids of the visible labels state i can fire, read off its
+    components.  In sync mode it also fires tau exactly when two of them
+    handshake, so states with equal visible labels fire equal labels."""
+    reps, fin = _PARTS_OF[i]
+    return {_firer(k)[0] for k in reps + fin}
 
 
 def _covers(xs: tuple, ys: tuple, d: int, mode: str) -> bool:
@@ -228,16 +277,23 @@ def bounded_bisim(p: Process, q: Process,
                   cfg: GameConfig = GameConfig()) -> GameResult:
     """Play the k-round game.
 
-    A distinguished result carries the shortest linear witness of at most
-    ``cfg.depth`` moves, or None when there is no such witness.
+    The pair is played at depths 1, 2, ... up to ``cfg.depth`` and stops
+    at the first depth that tells it apart; the memo carries what each
+    depth learnt to the next.  A distinguished result carries the shortest
+    linear witness of at most ``cfg.depth`` moves, searched from that first
+    depth on, since no shorter one exists, or None when there is no such
+    witness.
     """
     check_depth(cfg.depth)
     check_mode(cfg.mode)
     i, j = (canonical_id(process_of(x)) for x in (p, q))
-    if _ids_eq(i, j, cfg.depth, cfg.mode):
+    # apart at some depth is apart at every deeper one
+    first = next((d for d in range(1, cfg.depth + 1)
+                  if not _ids_eq(i, j, d, cfg.mode)), None)
+    if first is None:
         return GameResult(True)
     memo: dict = {}
-    for d in range(1, cfg.depth + 1):
+    for d in range(first, cfg.depth + 1):
         moves = _witness(i, (j,), d, "left", cfg.mode, memo)
         if moves is not None:
             return GameResult(False, Distinguisher(moves))

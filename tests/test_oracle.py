@@ -7,15 +7,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccseed import clear_caches, corpus
-from ccseed.congruence import canonicalize
+from ccseed import clear_caches, corpus, lts, oracle
+from ccseed.congruence import canonical_id, canonicalize, state
 from ccseed.lts import DepthExceeded, bounded_class, unfold
 from ccseed.oracle import (Distinguisher, GameConfig, _game_eq, bounded_bisim,
                            bounded_partition, dis_check, finite_bisim,
                            finite_partition, lemma_suite, lemma_suite_sharded,
                            purg_check, replay_distinguisher)
 from ccseed.rewrite import convertible
-from ccseed.syntax import Process, parse, render
+from ccseed.syntax import (FiniteProcess, PrefixedTerm, Process, parse,
+                           render)
 
 P1 = "!a.(b.0|a.c.0) | !a.(c.0|a.b.0)"
 P2 = "!a.b.0 | !a.c.0"
@@ -323,6 +324,186 @@ def test_game_on_co_named_replicated_pairs():
             distinguished += 1
             assert replay_distinguisher(p, q, result.distinguisher, "sync")
     assert distinguished == 73
+
+
+def _shared_context_pairs(rng, mode, count):
+    """Pairs that share finite components: a random process against a
+    fattening of it, or two random processes in one finite context."""
+    acts = corpus.default_actions(2, mode)
+    pairs = []
+    for n in range(count):
+        p = corpus.random_process(rng, rng.randint(2, 5), acts)
+        if n % 2 == 0:
+            q = corpus.make_redundant(rng, p, rng.randint(1, 2))
+        else:
+            r = Process((), corpus.random_finite(rng, rng.randint(1, 3), acts))
+            q = corpus.compose(
+                corpus.random_process(rng, rng.randint(1, 4), acts), r)
+            p = corpus.compose(p, r)
+        pairs.append((p, q))
+    return pairs
+
+
+@pytest.mark.parametrize("mode,cancelled", [("base", 152), ("sync", 151)])
+def test_game_cancelling_shared_components_matches_bounded_classes(
+        mode, cancelled, monkeypatch):
+    # The game plays a pair that shares finite components without them
+    # first, and takes only a "survives" answer of the smaller pair.  At
+    # every depth its verdict is the bounded classes', which know nothing
+    # of cancellation; the recorded count of root pairs decided by it keeps
+    # the test from passing with cancellation never taken.
+    decided = set()
+    cancels = oracle._cancels
+
+    def recording(i, j, d, mode):
+        held = cancels(i, j, d, mode)
+        if held:
+            decided.add((i, j, d))
+        return held
+
+    monkeypatch.setattr(oracle, "_cancels", recording)
+    clear_caches()
+    by_cancellation = 0
+    for p, q in _shared_context_pairs(random.Random(26), mode, 150):
+        i, j = sorted((canonical_id(p), canonical_id(q)))
+        for depth in range(1, 7):
+            assert _game_eq(p, q, depth, mode) == (
+                bounded_class(p, depth, mode)
+                == bounded_class(q, depth, mode)), (render(p), render(q),
+                                                    depth)
+            by_cancellation += (i, j, depth) in decided
+    assert by_cancellation == cancelled
+
+
+def _handshakes(r, p) -> bool:
+    """A component of r has a prefix co-named to one of p's."""
+    tops = {t.action for t in p.replicated + p.finite.components}
+    return any(t.action.handshakes(a) for t in r.finite.components
+               for a in tops)
+
+
+@pytest.mark.parametrize("mode,expected", [("base", (201, 0)),
+                                           ("sync", (214, 175))])
+def test_bounded_classes_survive_a_finite_parallel_context(mode, expected):
+    # The law the game's cancellation rests on, on bounded classes alone:
+    # p and q equal at depth k stay equal at k beside a finite r, also
+    # when r handshakes with them.
+    rng = random.Random(27)
+    acts = corpus.default_actions(2 if mode == "base" else 4, mode)
+    procs = [corpus.random_process(rng, rng.randint(1, 5), acts)
+             for _ in range(40)]
+    procs += [corpus.make_redundant(rng, p, 1) for p in procs[:10]]
+    instances = handshaking = 0
+    for k in range(1, 7):
+        by_class: dict = {}
+        for p in procs:
+            by_class.setdefault(bounded_class(p, k, mode), []).append(p)
+        for group in by_class.values():
+            for p, q in zip(group, group[1:]):
+                if canonicalize(p) == canonicalize(q):
+                    continue
+                contexts = [corpus.random_finite(rng, rng.randint(1, 3), acts)]
+                if mode == "sync":
+                    # a prefix co-named to one of p's, so r handshakes
+                    act = rng.choice([t.action for t in p.replicated
+                                      + p.finite.components])
+                    body = corpus.random_finite(rng, rng.randint(0, 2), acts)
+                    contexts.append(FiniteProcess(
+                        (PrefixedTerm(act.co(), body),)
+                        + contexts[0].components))
+                for fin_r in contexts:
+                    r = Process((), fin_r)
+                    assert bounded_class(corpus.compose(p, r), k, mode) == (
+                        bounded_class(corpus.compose(q, r), k, mode)), (
+                        render(p), render(q), render(r), k)
+                    instances += 1
+                    handshaking += _handshakes(r, p) or _handshakes(r, q)
+    assert (instances, handshaking) == expected
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_a_shared_context_does_not_cancel_from_equal_bounded_classes(mode):
+    # The converse of the law fails: a.0 | a.0 and a.0 agree at depth 1,
+    # a.0 and 0 do not.  So the game never takes a "distinguished" answer
+    # of a pair with its shared components taken out.
+    two, one, nil = (parse(t, mode) for t in ("a.0 | a.0", "a.0", "0"))
+    assert bounded_class(two, 1, mode) == bounded_class(one, 1, mode)
+    assert bounded_class(one, 1, mode) != bounded_class(nil, 1, mode)
+    assert _game_eq(two, one, 1, mode) and not _game_eq(one, nil, 1, mode)
+    assert not _game_eq(two, one, 2, mode)
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_labels_read_off_components_tell_states_apart_as_fired_labels(mode):
+    # Depth 1 of the game compares the visible labels of two states, read
+    # off their components with nothing fired; that must answer as the
+    # labels their moves are keyed by, tau included.
+    rng = random.Random(28)
+    acts = corpus.default_actions(2, mode)
+    ids = sorted({canonical_id(s) for _ in range(40)
+                  for s in unfold(corpus.random_process(rng, rng.randint(1, 6),
+                                                        acts), 3, mode)[0]})
+    fired = {i: lts._moves(i, mode).keys() for i in ids}
+    for i in ids:
+        for j in ids:
+            assert (oracle._labels(i) == oracle._labels(j)) == (
+                fired[i] == fired[j]), (render(state(i)), render(state(j)))
+    assert len(ids) > 100
+
+
+WORK_LEFT = ("!a.0 | b.0 | c.0 | d.0 | b.c.0 | c.d.0 | d.b.0 | b.d.0 | "
+             "c.b.0 | d.c.0")
+WORK_RIGHT = ("!a.0 | b.0 | c.0 | d.0 | b.c.0 | c.b.0 | c.d.0 | d.b.0 | "
+              "d.c.0 | b.d.a.0")
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_game_on_a_pair_sharing_nine_components_fires_few_states(mode):
+    # The two sides differ in one component, b.d.0 against b.d.a.0, which
+    # !a.0 makes alike; the game once replayed every interleaving of the
+    # nine shared ones and fired 1151 states.
+    clear_caches()
+    assert _game_eq(parse(WORK_LEFT, mode), parse(WORK_RIGHT, mode), 6, mode)
+    assert len(lts._BASE_MOVES) + len(lts._SYNC_MOVES) <= 50
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_witness_search_starts_at_the_first_separating_depth(mode,
+                                                             monkeypatch):
+    # No witness is shorter than the first depth that tells a pair apart,
+    # so bounded_bisim asks for none below it; the recursion inside the
+    # search asks for shallower ones and is not counted.
+    asked = []
+    nesting = 0
+    witness = oracle._witness
+
+    def recording(single, others, d, *rest):
+        nonlocal nesting
+        if nesting == 0:
+            asked.append(d)
+        nesting += 1
+        try:
+            return witness(single, others, d, *rest)
+        finally:
+            nesting -= 1
+
+    monkeypatch.setattr(oracle, "_witness", recording)
+    deep = [parse(t, mode) for t in DEEP_TERMS]
+    firsts = set()
+    for p in deep:
+        for q in deep:
+            if p == q:
+                continue
+            first = next(k for k in range(1, 7)
+                         if bounded_class(p, k, mode) != bounded_class(q, k,
+                                                                       mode))
+            asked.clear()
+            result = bounded_bisim(p, q, GameConfig(mode=mode))
+            assert not result.equivalent
+            assert asked == list(range(first, first + len(asked)))
+            assert len(result.distinguisher.moves) == asked[-1]
+            firsts.add(first)
+    assert firsts == {1, 2, 5, 6}
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
