@@ -35,6 +35,20 @@ A target's guide is the set of its canonical replicated components that
 stay one component: B1 deletes an occurrence exactly when it is in the
 guide.  So a B1 step's justification, ``RewriteStep.matched``, is the
 deleted occurrence itself, read off the step's path.
+
+Deletions run on state ids, as firing does in ``lts``.  Each distinct
+component has a memoized deletion table: its occurrences in preorder,
+each with its steps and the component ids of what deleting it leaves,
+canonical.  As a finite component the table starts with the component
+itself, and a deletion leaves the canonical components of the rest; as a
+replicated one it lists the body's occurrences, and a deletion leaves
+``_with_body`` of the canonical body, one component.  A state's
+deletions splice these tables into its parts (``congruence._PARTS_OF``)
+and number each destination with ``parts_id``: no process is rebuilt
+or canonicalized again, and they come out in ``occurrences`` order,
+with its paths.  ``_explore`` walks ids and reads back, through
+``congruence.state``, only the deletion that discovers each state;
+stage 1's deletion graph reads its edges off the replicated tables.
 """
 
 from __future__ import annotations
@@ -44,10 +58,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .congruence import _canonical_components, canonicalize, process_of
+from .congruence import (_COMPS, _PARTS_OF, _canonical_components,
+                         _with_body, canonical_id, canonicalize,
+                         component_id, parts_id, process_of, state)
 from .lts import bounded_class
-from .syntax import (Path, PrefixedTerm, Process, delete_at, memo_table,
-                     occurrences, resolve)
+from .syntax import (FiniteProcess, Path, PrefixedTerm, Process, memo_table,
+                     resolve)
 
 __all__ = [
     "RewriteStep", "SeedResult", "ConvertibilityResult", "UniquenessError",
@@ -105,47 +121,124 @@ def _guide_of(replicated) -> frozenset:
                      if len(_canonical_components(t)) == 1)
 
 
-def _b1_deletions(state: Process, guide: Optional[frozenset]):
-    """Every B1 deletion from a canonical state, as ``RewriteStep`` fields.
+# A component id's deletions, one entry per occurrence in preorder:
+# (steps to it, the occurrence, what is left).  As a finite component it
+# is deleted itself first, and what is left is the ids of the canonical
+# components of the rest; as a replicated one only its body's
+# occurrences are, and what is left is the id of ``_with_body`` of the
+# canonical body.
+_FINITE_DELETIONS = memo_table()
+_REPLICATED_DELETIONS = memo_table()
 
-    Yields ("B1", state, after, path, None) with ``after`` canonical and
-    ``path`` the deleted occurrence.  ``guide`` is a ``_guide``; ``None``
-    deletes every occurrence unguided.
+
+def _body_deletions(t: PrefixedTerm) -> list:
+    """(steps, occurrence, canonical body left) for every occurrence in
+    t's body, in preorder, spliced from its components' finite tables."""
+    comps = t.body.components
+    out = []  # a loop, not a comprehension: two frames per nesting level
+    for n, h in enumerate(comps):
+        for steps, occ, left in _finite_deletions(component_id(h)):
+            body = comps[:n] + tuple(map(_COMPS.__getitem__, left))
+            out.append(((n,) + steps, occ,
+                        FiniteProcess(body + comps[n + 1:])))
+    return out
+
+
+def _finite_deletions(k: int) -> tuple:
+    """Component k's deletion table as a finite component."""
+    got = _FINITE_DELETIONS.get(k)
+    if got is None:
+        t = _COMPS[k]
+        got = _FINITE_DELETIONS[k] = (((), t, ()),) + tuple(
+            (steps, occ, tuple(map(component_id, _canonical_components(
+                PrefixedTerm(t.action, body)))))
+            for steps, occ, body in _body_deletions(t))
+    return got
+
+
+def _replicated_deletions(k: int) -> tuple:
+    """Component k's deletion table as a replicated component."""
+    got = _REPLICATED_DELETIONS.get(k)
+    if got is None:
+        t = _COMPS[k]
+        got = _REPLICATED_DELETIONS[k] = tuple(
+            (steps, occ, component_id(_with_body(t, body)))
+            for steps, occ, body in _body_deletions(t))
+    return got
+
+
+def _comp_key(k: int) -> tuple:
+    return _COMPS[k].key
+
+
+def _b1_deletions(i: int, guide: Optional[frozenset]):
+    """Every B1 deletion from state i, in ``occurrences`` order.
+
+    Yields (destination id, "B1", rep index or None, steps), a ``Path``'s
+    fields.  Each component's table is spliced into i's parts and the
+    destination numbered by ``parts_id``: nothing is built.  ``guide`` is
+    a ``_guide``; ``None`` deletes every occurrence unguided.
     """
     if guide is not None and not guide:
         return  # an empty guide justifies nothing: walk no occurrence
-    for path, occ in occurrences(state):
-        if guide is None or occ in guide:
-            yield ("B1", state, canonicalize(delete_at(state, path)), path,
-                   None)
+    reps, fin = _PARTS_OF[i]
+    spliced = {}  # finite component id -> its (destination, steps)
+    for n, k in enumerate(sorted(fin, key=_comp_key)):
+        dests = spliced.get(k)
+        if dests is None:
+            cut = fin.index(k)
+            rest = fin[:cut] + fin[cut + 1:]
+            dests = spliced[k] = [
+                (parts_id(reps, tuple(sorted(rest + left))), steps)
+                for steps, occ, left in _finite_deletions(k)
+                if guide is None or occ in guide]
+        for j, steps in dests:
+            yield j, "B1", None, (n,) + steps
+    for r, k in enumerate(reps):
+        for steps, occ, d in _replicated_deletions(k):
+            if guide is None or occ in guide:
+                after = list(reps)
+                after[r] = d
+                after.sort(key=_comp_key)
+                yield parts_id(tuple(after), fin), "B1", r, steps
 
 
-def _b2_deletions(state: Process):
-    """Every B2 deletion: ("B2", state, after, None, dropped component)."""
-    reps = state.replicated
-    for i, t in enumerate(reps):
-        if (not i or t != reps[i - 1]) and reps.count(t) >= 2:
-            remaining = list(reps)
-            remaining.remove(t)
-            yield ("B2", state, canonicalize(Process(remaining, state.finite)),
-                   None, t)
+def _b2_deletions(i: int):
+    """Every B2 deletion from state i: (destination id, "B2", dropped
+    component id, None), one per duplicated replicated component."""
+    reps, fin = _PARTS_OF[i]
+    for n, k in enumerate(reps):
+        if (not n or k != reps[n - 1]) and reps.count(k) >= 2:
+            yield parts_id(reps[:n] + reps[n + 1:], fin), "B2", k, None
 
 
-def _deletions(state: Process, guide: Optional[frozenset]):
-    """Every B1, then every B2 deletion from a canonical state."""
-    yield from _b1_deletions(state, guide)
-    yield from _b2_deletions(state)
+def _deletions(i: int, guide: Optional[frozenset]):
+    """Every B1, then every B2 deletion from state i."""
+    yield from _b1_deletions(i, guide)
+    yield from _b2_deletions(i)
+
+
+def _step_fields(before: Process, deletion: tuple) -> tuple:
+    """A deletion from ``before`` as ``RewriteStep`` fields, its
+    destination read through ``state``."""
+    j, axiom, where, steps = deletion
+    if axiom == "B1":
+        return ("B1", before, state(j), Path(where, steps), None)
+    return ("B2", before, state(j), None, _COMPS[where])
 
 
 def step_b1(p: Process, target: Process) -> tuple:
     """All single B1 steps from p guided by target."""
-    return tuple(RewriteStep(*d)
-                 for d in _b1_deletions(canonicalize(p), _guide(target)))
+    i = canonical_id(p)
+    return tuple(RewriteStep(*_step_fields(state(i), d))
+                 for d in _b1_deletions(i, _guide(target)))
 
 
 def step_b2(p: Process) -> tuple:
     """All single B2 steps from p (one per duplicated replicated component)."""
-    return tuple(RewriteStep(*d) for d in _b2_deletions(canonicalize(p)))
+    i = canonical_id(p)
+    return tuple(RewriteStep(*_step_fields(state(i), d))
+                 for d in _b2_deletions(i))
 
 
 # Audit trail for termination checks: one (start size, states visited)
@@ -160,20 +253,29 @@ def _explore(start: Process, guide: Optional[frozenset]) -> dict:
     Maps every state that B1 (guided by ``guide``, unguided when it is
     None) and B2 reach from ``start`` to the deletion that first
     discovered it, as ``RewriteStep`` fields; ``start`` maps to None.
+    The walk runs on state ids; only the discovering deletions are read
+    back as processes and paths.
     """
-    parents = {start: None}
-    frontier = [start]
+    first = canonical_id(start)
+    found = {first: None}  # state id -> (source id, discovering deletion)
+    frontier = [first]
     while frontier:
         nxt = []
-        for state in frontier:
-            for deletion in _deletions(state, guide):
-                after = deletion[2]
-                if after not in parents:
-                    parents[after] = deletion
-                    nxt.append(after)
+        for i in frontier:
+            for deletion in _deletions(i, guide):
+                j = deletion[0]
+                if j not in found:
+                    found[j] = (i, deletion)
+                    nxt.append(j)
         frontier = nxt
     if guide is not None:
-        search_audit.append((start.size, len(parents)))
+        search_audit.append((start.size, len(found)))
+    parents = {start: None}
+    for j, how in found.items():
+        if how is not None:
+            i, deletion = how
+            before = start if i == first else state(i)
+            parents[state(j)] = _step_fields(before, deletion)
     return parents
 
 
@@ -246,16 +348,15 @@ def _component_deletions(d: PrefixedTerm) -> tuple:
     B1 edits the body of one replicated component, which stays one
     component, and B2 needs two; so every deletion from ``!d`` is a B1
     step to some ``!d'``.  The edges are the distinct pairs (deleted
-    occurrence, d'), read off every B1 deletion from ``!d``: a guide
+    occurrence, d'), read off d's replicated deletion table: a guide
     keeps those whose occurrence it holds.  The graph of a component is
     what its edges reach.
     """
     edges = _DELETIONS.get(d)
     if edges is None:
-        deletions = _b1_deletions(Process((d,)), None)
         edges = _DELETIONS[d] = tuple(dict.fromkeys(
-            (resolve(before, path), after.replicated[0])
-            for _, before, after, path, _ in deletions))
+            (occ, _COMPS[k])
+            for _, occ, k in _replicated_deletions(component_id(d))))
     return edges
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccseed import clear_caches, corpus
+from ccseed import clear_caches, congruence, corpus
 from ccseed.cli import _trace_json
 from ccseed.congruence import canonicalize
 from ccseed.oracle import finite_bisim
@@ -14,7 +14,8 @@ from ccseed import rewrite
 from ccseed.rewrite import (RewriteStep, UniquenessError, compute_seed,
                             convertible, rewrites_to, search_audit, step_b1,
                             step_b2)
-from ccseed.syntax import Process, parse, render
+from ccseed.syntax import (Process, delete_at, occurrences, parse,
+                           render)
 
 P1 = "!a.(b.0|a.c.0) | !a.(c.0|a.b.0)"
 P2 = "!a.b.0 | !a.c.0"
@@ -62,20 +63,18 @@ def test_step_b1_requires_target_justification():
     assert step_b1(parse("a.b.0 | c.0"), parse("!c.b.0")) == ()
 
 
-def test_step_b1_builds_no_b2_destinations(monkeypatch):
+def test_step_b1_builds_no_b2_destinations():
     # B2 could drop either duplicated bang (two size-4 destinations); a B1
     # step never needs them, so only p, the target and c.0's deletion are
-    # canonicalized.
-    sizes = []
-
-    def recording(p):
-        sizes.append(p.size)
-        return canonicalize(p)
-
-    monkeypatch.setattr(rewrite, "canonicalize", recording)
+    # numbered as states.
+    clear_caches()
     steps = step_b1(parse("!a.0|!a.0|!b.0|!b.0|c.0"), parse("!c.0"))
     assert [render(s.after) for s in steps] == ["!a.0 | !a.0 | !b.0 | !b.0"]
-    assert sizes == [5, 1, 4]
+    a, b, c = (congruence.component_id(parse(t).finite.components[0])
+               for t in ("a.0", "b.0", "c.0"))
+    for reps in ((a, b, b), (a, a, b)):
+        assert (reps, (c,)) not in congruence._PARTS
+    assert len(congruence._PARTS) == 3
 
 
 def test_step_b2_drops_duplicate_replicated_component():
@@ -489,6 +488,24 @@ def test_fattened_draw_stays_within_work_budget(monkeypatch):
     assert convertible(p, q).equivalent
 
 
+def test_work_budget_inputs_number_few_states():
+    # The work budgets above and in test_cli.py count rewrite.canonicalize
+    # calls, and deletions no longer make any: they splice component
+    # tables into state ids.  States numbered count that work instead.
+    # Walking the deletion descendants would number 9212 states of the
+    # replication-free size-21 pair, and 4949 of the size-24 fattening's
+    # replicated part.
+    free = ("a.0 | b.0 | c.0 | a.b.0 | b.c.0 | c.a.0 | a.b.c.0 | b.c.a.0 | "
+            "c.a.b.0 | a.c.b.0")
+    rng = random.Random(1418937128)
+    p = corpus.random_process(rng, rng.randint(0, 6), ACTIONS)
+    q = corpus.make_redundant(rng, p, rng.randint(1, 3))
+    for left, right in ((parse(free), parse(free)), (p, q)):
+        clear_caches()
+        assert convertible(left, right).equivalent
+        assert len(congruence._PARTS_OF) <= 100
+
+
 def test_one_large_sync_component_builds_a_small_deletion_graph(monkeypatch):
     # A size-29 sync term whose one large component has a body full of
     # actions other than its top action ~a: its unguided deletion graph
@@ -760,3 +777,106 @@ def test_each_distinct_finite_component_is_explored_once(monkeypatch):
     starts.clear()
     compute_seed(parse("!a.0 | b.b.a.0 | c.a.0 | b.a.0"))
     assert not starts
+
+
+def _rebuilt_deletions(c, guide):
+    """The deletions from canonical c as ``RewriteStep`` fields, each
+    destination rebuilt whole: ``delete_at`` and ``canonicalize`` over
+    ``occurrences`` (B1), then one dropped copy of each duplicated
+    replicated component (B2)."""
+    out = [("B1", c, canonicalize(delete_at(c, path)), path, None)
+           for path, occ in occurrences(c) if guide is None or occ in guide]
+    reps = c.replicated
+    out += [("B2", c, canonicalize(Process(reps[:n] + reps[n + 1:],
+                                           c.finite)), None, t)
+            for n, t in enumerate(reps)
+            if (not n or t != reps[n - 1]) and reps.count(t) >= 2]
+    return out
+
+
+def _deletion_states(source):
+    """Canonical states: the exhaustive corpora of size 5 (base over three
+    actions, sync over ``a, ~a``), or 300 random fattened states with
+    their first finite and first replicated component doubled."""
+    if source != "random":
+        acts = corpus.default_actions(3 if source == "base" else 2, source)
+        return {canonicalize(p): None
+                for p in corpus.enumerate_processes(5, acts)}
+    rng = random.Random(2727)
+    states = {}
+    for n in range(300):
+        mode = ("base", "sync")[n % 2]
+        p = corpus.make_redundant(rng, corpus.random_process(
+            rng, rng.randint(6, 12), corpus.default_actions(3, mode)), 2)
+        states[canonicalize(Process(
+            p.replicated + p.replicated[:1],
+            p.finite.components + p.finite.components[:1]))] = None
+    return states
+
+
+@pytest.mark.parametrize("source", ["base", "sync", "random"])
+def test_spliced_deletions_match_whole_rebuilt_deletions(source):
+    # Deletions splice each component's table into a state's parts; every
+    # one must be the rebuilt deletion at the same place, in the same
+    # order, unguided, under the empty guide, under the state's own guide
+    # and under a guide of every other occurrence.  The random states hold
+    # duplicated finite and replicated components, and deletions that fire
+    # the distribution law (one component left as several).
+    clear_caches()
+    dup_fin = dup_rep = fired = 0
+    for c in _deletion_states(source):
+        i = congruence.canonical_id(c)
+        others = frozenset(occ for n, (_, occ) in enumerate(occurrences(c))
+                           if n % 2)
+        for guide in (others, rewrite._guide(c), frozenset(), None):
+            deletions = list(rewrite._deletions(i, guide))
+            spliced = [rewrite._step_fields(c, d) for d in deletions]
+            assert spliced == _rebuilt_deletions(c, guide), render(c)
+            # each destination id has the parts its process has: replicated
+            # ids in key order and sorted finite ids, so one id per state
+            assert all(congruence._PARTS_OF[d[0]] == (
+                tuple(map(congruence.component_id, s[2].replicated)),
+                tuple(sorted(map(congruence.component_id, s[2].finite))))
+                for d, s in zip(deletions, spliced)), render(c)
+        comps = c.finite.components
+        dup_fin += len(set(comps)) < len(comps)
+        dup_rep += len(set(c.replicated)) < len(c.replicated)
+        fired += sum(1 for _, _, after, path, _ in spliced
+                     if path and len(after.finite) > len(comps))
+    assert dup_fin and dup_rep and fired
+    if source == "random":
+        assert (dup_fin, dup_rep, fired) == (278, 262, 57)
+
+
+def test_deleting_onto_numbered_destinations_builds_no_process(monkeypatch):
+    # Deleting reads a state's parts, splices its components' tables into
+    # them and hands out destination ids from the parts index, for new
+    # destinations and numbered ones alike: it builds no Process.  Only
+    # reading a deletion as a step builds, each destination once, so an
+    # exploration from the state builds only the states two or more
+    # deletions away.
+    clear_caches()
+    p = parse("!a.b.0 | !a.b.0 | !b.(a.0 | b.a.0) | b.b.a.0 | b.b.a.0 | "
+              "c.(a.0 | c.a.0)")
+    i = congruence.canonical_id(p)
+    c = canonicalize(p)
+    built = []
+    init = Process.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Process, "__init__", counting)
+    deletions = list(rewrite._deletions(i, None))
+    numbered = len(congruence._PARTS_OF)
+    assert built == [] and numbered > 1 and len(deletions) == 16
+    assert list(rewrite._deletions(i, None)) == deletions
+    assert built == [] and len(congruence._PARTS_OF) == numbered
+    steps = [rewrite._step_fields(c, d) for d in deletions]
+    assert sorted(map(id, built)) == sorted({id(s[2]) for s in steps})
+    assert len(built) == numbered - 1
+    built.clear()
+    assert [rewrite._step_fields(c, d) for d in deletions] == steps
+    assert set(rewrite._explore(c, None)) > {s[2] for s in steps}
+    assert built and all(s.size < p.size - 1 for s in built)
