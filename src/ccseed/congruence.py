@@ -75,11 +75,10 @@ def _canonical_components(t: PrefixedTerm) -> tuple:
     body = _canonical_finite(t.body)
     # c = a.F fires when the body is F plus copies of c.  Two firing
     # components would each lie in the other's F, so at most one fires.
-    act_key = t.action.key
     for c in set(body.components):
-        if c.action.key == act_key:
-            rest = tuple(k for k in body.key if k != c.key)
-            if rest == c.body.key:
+        if c.action is t.action:
+            rest = tuple(k for k in body.components if k is not c)
+            if rest == c.body.components:
                 result = (c,) * (len(body) - len(rest) + 1)
                 break
     else:
@@ -90,7 +89,7 @@ def _canonical_components(t: PrefixedTerm) -> tuple:
 
 def _with_body(t: PrefixedTerm, body: FiniteProcess) -> PrefixedTerm:
     """t with this body: t itself when the body is t's own."""
-    return t if body == t.body else PrefixedTerm(t.action, body)
+    return t if body is t.body else PrefixedTerm(t.action, body)
 
 
 def _canonical_finite(fp: FiniteProcess) -> FiniteProcess:

@@ -35,6 +35,7 @@ bounded game and witness search of ``oracle`` read them by id.
 from __future__ import annotations
 
 from typing import Optional
+from weakref import WeakValueDictionary
 
 from .congruence import (_COMPS, _PARTS_OF, canonical_id, component_id,
                          parts_id, state)
@@ -62,17 +63,23 @@ def check_depth(depth: int) -> None:
 
 
 class Label(Keyed):
-    """A visible action or the silent label tau."""
+    """A visible action or the silent label tau; one object per action."""
 
     __slots__ = ("action",)
 
-    def __init__(self, action: Optional[Action]):
-        self.action = action
-        if action is None:
-            self.key = (1, "", 0)
-        else:
-            self.key = (0, action.name, action.polarity)
-        self._hash = hash(self.key)
+    def __new__(cls, action: Optional[Action]):
+        self = _LABELS.get(action)
+        if self is None:
+            self = _LABELS[action] = object.__new__(cls)
+            self.action = action
+            if action is None:
+                self.key = (1, "", 0)
+            else:
+                self.key = (0, action.name, action.polarity)
+        return self
+
+    def __reduce__(self):
+        return Label, (self.action,)
 
     def __repr__(self):
         return f"Label({self!s})"
@@ -81,6 +88,7 @@ class Label(Keyed):
         return "tau" if self.action is None else str(self.action)
 
 
+_LABELS = WeakValueDictionary()  # the intern table of labels, by action
 TAU = Label(None)
 
 

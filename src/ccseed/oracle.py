@@ -68,8 +68,8 @@ def _finite_successors(fp: FiniteProcess, mode: str) -> tuple:
     for label, fired in moves:
         dest = FiniteProcess([c for k, c in enumerate(comps) if k not in fired]
                              + [b for k in fired for b in comps[k].body])
-        out[(label.key, dest.key)] = (label, dest)
-    return tuple(out.values())
+        out[(label, dest)] = None
+    return tuple(out)
 
 
 _FIN_CLASS = memo_table()
@@ -81,7 +81,7 @@ def _finite_class(fp: FiniteProcess, mode: str) -> int:
     got = _FIN_CLASS.get(key)
     if got is not None:
         return got
-    sig = frozenset((lab.key, _finite_class(dest, mode))
+    sig = frozenset((lab, _finite_class(dest, mode))
                     for lab, dest in _finite_successors(fp, mode))
     cid = _FIN_INTERN.setdefault((mode, sig), len(_FIN_INTERN))
     _FIN_CLASS[key] = cid

@@ -46,22 +46,27 @@ replicated one it lists the body's occurrences, and a deletion leaves
 deletions splice these tables into its parts (``congruence._PARTS_OF``)
 and number each destination with ``parts_id``: no process is rebuilt
 or canonicalized again, and they come out in ``occurrences`` order,
-with its paths.  ``_explore`` walks ids and reads back, through
-``congruence.state``, only the deletion that discovers each state;
-stage 1's deletion graph reads its edges off the replicated tables.
+with its paths; a state's finite ids are put in key order, the order
+``occurrences`` walks them, once per state.  ``_explore`` walks ids and
+reads a state and the deletion that discovered it back, through
+``congruence.state``, only when asked, so a trace reads back only its
+chain and the count of candidates none; stage 1's deletion graph reads
+its edges off the replicated tables.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .congruence import (_COMPS, _PARTS_OF, _canonical_components,
-                         _with_body, canonical_id, canonicalize,
-                         component_id, parts_id, process_of, state)
-from .lts import bounded_class
+from .congruence import (_COMPS, _PARTS_OF, _STATE_IDS,
+                         _canonical_components, _with_body, canonical_id,
+                         canonicalize, component_id, parts_id, process_of,
+                         state)
+from .lts import _class, bounded_class
 from .syntax import (FiniteProcess, Path, PrefixedTerm, Process, memo_table,
                      resolve)
 
@@ -171,6 +176,26 @@ def _comp_key(k: int) -> tuple:
     return _COMPS[k].key
 
 
+# A state id's finite ids in component key order, the order in which
+# ``occurrences`` walks them (its parts keep them in id order).
+_FINITE_ORDER = memo_table()
+
+
+def _finite_order(i: int) -> tuple:
+    """State i's finite ids in key order, sorted on i's first visit."""
+    got = _FINITE_ORDER.get(i)
+    if got is None:
+        got = _FINITE_ORDER[i] = tuple(sorted(_PARTS_OF[i][1],
+                                              key=_comp_key))
+    return got
+
+
+def _state_size(i: int) -> int:
+    """The size of state i, read off its parts."""
+    reps, fin = _PARTS_OF[i]
+    return sum(_COMPS[k].size for k in reps + fin)
+
+
 def _b1_deletions(i: int, guide: Optional[frozenset]):
     """Every B1 deletion from state i, in ``occurrences`` order.
 
@@ -183,7 +208,7 @@ def _b1_deletions(i: int, guide: Optional[frozenset]):
         return  # an empty guide justifies nothing: walk no occurrence
     reps, fin = _PARTS_OF[i]
     spliced = {}  # finite component id -> its (destination, steps)
-    for n, k in enumerate(sorted(fin, key=_comp_key)):
+    for n, k in enumerate(_finite_order(i)):
         dests = spliced.get(k)
         if dests is None:
             cut = fin.index(k)
@@ -247,14 +272,14 @@ def step_b2(p: Process) -> tuple:
 search_audit: list = []
 
 
-def _explore(start: Process, guide: Optional[frozenset]) -> dict:
+def _explore(start: Process, guide: Optional[frozenset]) -> "_Explored":
     """Breadth-first closure of a canonical state under deletions.
 
     Maps every state that B1 (guided by ``guide``, unguided when it is
     None) and B2 reach from ``start`` to the deletion that first
     discovered it, as ``RewriteStep`` fields; ``start`` maps to None.
-    The walk runs on state ids; only the discovering deletions are read
-    back as processes and paths.
+    The walk runs on state ids; a state and its discovering deletion are
+    read back as a process and a path only when asked for.
     """
     first = canonical_id(start)
     found = {first: None}  # state id -> (source id, discovering deletion)
@@ -270,24 +295,49 @@ def _explore(start: Process, guide: Optional[frozenset]) -> dict:
         frontier = nxt
     if guide is not None:
         search_audit.append((start.size, len(found)))
-    parents = {start: None}
-    for j, how in found.items():
-        if how is not None:
-            i, deletion = how
-            before = start if i == first else state(i)
-            parents[state(j)] = _step_fields(before, deletion)
-    return parents
+    return _Explored(found)
 
 
-def _trace(parents: dict, goal: Process) -> Optional[tuple]:
+class _Explored(Mapping):
+    """An exploration's map from states to discovering deletions, over
+    the state ids it found; a state and its deletion are read back
+    through ``state`` on demand, so a trace reads back only its chain.
+    States iterate in discovery order, the (canonical) start first."""
+
+    def __init__(self, found: dict):
+        self._found = found
+
+    def __len__(self):
+        return len(self._found)
+
+    def __iter__(self):
+        return map(state, self._found)
+
+    def ids(self):
+        """The state ids found, in discovery order, none read back."""
+        return iter(self._found)
+
+    def __contains__(self, p):
+        i = _STATE_IDS.get(p)
+        return i in self._found and state(i) is p
+
+    def __getitem__(self, p):
+        if p not in self:
+            raise KeyError(p)
+        how = self._found[_STATE_IDS[p]]
+        return None if how is None else _step_fields(state(how[0]), how[1])
+
+
+def _trace(parents: Mapping, goal: Process) -> Optional[tuple]:
     """The steps from an exploration's start to ``goal``, or None."""
     if goal not in parents:
         return None
     trace = []
-    while parents[goal] is not None:
-        step = RewriteStep(*parents[goal])
+    how = parents[goal]
+    while how is not None:
+        step = RewriteStep(*how)
         trace.append(step)
-        goal = step.before
+        how = parents[step.before]
     return tuple(reversed(trace))
 
 
@@ -324,9 +374,9 @@ class SeedResult:
         """Deletion descendants of the input, at most the seed's size, that
         pass the prefilter: the candidates an exhaustive search checks."""
         pcls = bounded_class(self.start, _PREFILTER_DEPTH)
-        return sum(1 for c in _explore(self.start, None)
-                   if c.size <= self.seed.size
-                   and bounded_class(c, _PREFILTER_DEPTH) == pcls)
+        return sum(1 for i in _explore(self.start, None).ids()
+                   if _state_size(i) <= self.seed.size
+                   and _class(i, _PREFILTER_DEPTH, "base") == pcls)
 
 
 _SEED_CACHE = memo_table()
@@ -365,9 +415,10 @@ def _reach(t: PrefixedTerm, guide: frozenset) -> frozenset:
 
     A walk of t's deletion graph over the edges whose occurrence is in
     ``guide``, or whose action is, for the widest guide: a set of
-    actions standing for every term that carries one (``Keyed`` equality
-    tells a term from an action).  It builds no terms beyond the graph,
-    and each walk logs one ``search_audit`` entry.
+    actions standing for every term that carries one (equality is
+    identity, so a term is never equal to an action).  It builds no
+    terms beyond the graph, and each walk logs one ``search_audit``
+    entry.
     """
     key = (t, guide)
     reached = _REACH.get(key)

@@ -8,6 +8,15 @@ part of a process and every prefix body are stored as flattened multisets
 (sorted tuples) of prefixed terms.  Structural equality of two terms
 therefore already identifies them up to the abelian-monoid laws.
 
+Terms are hash-consed: every constructor returns the one live object of
+its term, found in a weak intern table by its arguments (an action by
+name and polarity, a prefixed term by its action and body objects, a
+multiset by its sorted component tuple, a process by its replicated
+tuple and finite part).  Structurally equal terms are therefore one
+object, and equality and hashing are by identity, in constant time
+however deep the term.  The tables are weak, so a term no one else holds
+is freed, and they are not memo tables: ``clear_caches`` leaves them.
+
 Concrete syntax::
 
     process := term ("|" term)*
@@ -29,6 +38,7 @@ import re
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from weakref import WeakValueDictionary
 
 __all__ = [
     "PLAIN", "INPUT", "OUTPUT", "check_mode", "Keyed", "memo_table",
@@ -82,7 +92,12 @@ def memo_table() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty the memo tables of every layer; results do not change."""
+    """Empty the memo tables of every layer; results do not change.
+
+    The intern tables of the term classes are not memo tables and stay:
+    a term kept across a clear is still the object equal terms built
+    after it are.
+    """
     for table in _MEMO_TABLES:
         table.clear()
 
@@ -91,19 +106,26 @@ _KEY = attrgetter("key")
 
 
 class Keyed:
-    """Identity by structural key: equal, hashed and ordered by ``key``.
+    """A hash-consed term: one live object per distinct term.
 
-    Subclasses set ``key`` and ``_hash = hash(key)`` once, in ``__init__``;
-    two objects are equal when they are of the same class with equal keys.
+    Each subclass builds its objects in ``__new__``, which looks the
+    constructor's arguments up (component tuples sorted, subterms by
+    identity) in the class's weak intern table, a ``WeakValueDictionary``,
+    and returns the live object when there is one.  So equal terms are
+    one object, and equality and hashing are the built-in identity ones.
+    ``key``, the structural key set once per object, only orders terms
+    (render order, state order) and is never hashed.  ``__init__`` only
+    accepts the constructor's arguments, and ``__reduce__`` rebuilds
+    through the constructor, so a pickled or copied term comes back as
+    the live one.
     """
 
-    __slots__ = ("key", "_hash")
+    __slots__ = ("key", "__weakref__")
 
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
+    def __init__(self, *args, **kwargs):
+        # Kept so that construction can still be counted by wrapping
+        # ``__init__``, as perfbench's tracer does for ``terms_built``.
+        pass
 
     def __lt__(self, other):
         return self.key < other.key
@@ -117,18 +139,25 @@ class Action(Keyed):
 
     __slots__ = ("name", "polarity")
 
-    def __init__(self, name: str, polarity: int = PLAIN):
-        if not _NAME_RE.fullmatch(name):
-            raise ValueError(f"illegal action name {name!r}")
-        if polarity not in (PLAIN, INPUT, OUTPUT):
-            raise ValueError(f"illegal polarity {polarity!r}")
-        if name == "tau" and polarity != PLAIN:
-            raise ValueError("the name tau is reserved for the silent "
-                             "label in sync mode")
-        self.name = name
-        self.polarity = polarity
-        self.key = (name, polarity)
-        self._hash = hash(self.key)
+    def __new__(cls, name: str, polarity: int = PLAIN):
+        key = (name, polarity)
+        self = _ACTIONS.get(key)
+        if self is None:
+            if not _NAME_RE.fullmatch(name):
+                raise ValueError(f"illegal action name {name!r}")
+            if polarity not in (PLAIN, INPUT, OUTPUT):
+                raise ValueError(f"illegal polarity {polarity!r}")
+            if name == "tau" and polarity != PLAIN:
+                raise ValueError("the name tau is reserved for the silent "
+                                 "label in sync mode")
+            self = _ACTIONS[key] = object.__new__(cls)
+            self.name = name
+            self.polarity = polarity
+            self.key = key
+        return self
+
+    def __reduce__(self):
+        return Action, self.key
 
     def co(self) -> "Action":
         """The complementary action (inputs and outputs swap)."""
@@ -154,12 +183,18 @@ class FiniteProcess(Keyed):
 
     __slots__ = ("components", "size")
 
-    def __init__(self, components: Iterable["PrefixedTerm"] = ()):
-        comps = sorted(components, key=_KEY)
-        self.components = tuple(comps)
-        self.size = sum(t.size for t in comps)
-        self.key = tuple(t.key for t in comps)
-        self._hash = hash(self.key)
+    def __new__(cls, components: Iterable["PrefixedTerm"] = ()):
+        comps = tuple(sorted(components, key=_KEY))
+        self = _FINITES.get(comps)
+        if self is None:
+            self = _FINITES[comps] = object.__new__(cls)
+            self.components = comps
+            self.size = sum(t.size for t in comps)
+            self.key = tuple(t.key for t in comps)
+        return self
+
+    def __reduce__(self):
+        return FiniteProcess, (self.components,)
 
     def is_nil(self) -> bool:
         return not self.components
@@ -179,16 +214,23 @@ class PrefixedTerm(Keyed):
 
     __slots__ = ("action", "body", "size")
 
-    def __init__(self, action: Action, body: FiniteProcess = None):
+    def __new__(cls, action: Action, body: FiniteProcess = None):
         if body is None:
             body = NIL_FINITE
-        self.action = action
-        self.body = body
-        self.size = 1 + body.size
-        # Size leads the key so small terms order first; acceptance rendering
-        # depends on this (b.0 sorts before a.c.0).
-        self.key = (self.size, action.name, action.polarity, body.key)
-        self._hash = hash(self.key)
+        pair = (action, body)
+        self = _PREFIXED.get(pair)
+        if self is None:
+            self = _PREFIXED[pair] = object.__new__(cls)
+            self.action = action
+            self.body = body
+            self.size = 1 + body.size
+            # Size leads the key so small terms order first; acceptance
+            # rendering depends on this (b.0 sorts before a.c.0).
+            self.key = (self.size, action.name, action.polarity, body.key)
+        return self
+
+    def __reduce__(self):
+        return PrefixedTerm, (self.action, self.body)
 
     def __repr__(self):
         return f"PrefixedTerm({render(self)!r})"
@@ -204,16 +246,23 @@ class Process(Keyed):
 
     __slots__ = ("replicated", "finite", "size")
 
-    def __init__(self, replicated: Iterable[PrefixedTerm] = (),
-                 finite: Union[FiniteProcess, Iterable[PrefixedTerm]] = ()):
-        reps = sorted(replicated, key=_KEY)
+    def __new__(cls, replicated: Iterable[PrefixedTerm] = (),
+                finite: Union[FiniteProcess, Iterable[PrefixedTerm]] = ()):
+        reps = tuple(sorted(replicated, key=_KEY))
         if not isinstance(finite, FiniteProcess):
             finite = FiniteProcess(finite)
-        self.replicated = tuple(reps)
-        self.finite = finite
-        self.size = sum(t.size for t in reps) + finite.size
-        self.key = (tuple(t.key for t in reps), finite.key)
-        self._hash = hash(self.key)
+        pair = (reps, finite)
+        self = _PROCESSES.get(pair)
+        if self is None:
+            self = _PROCESSES[pair] = object.__new__(cls)
+            self.replicated = reps
+            self.finite = finite
+            self.size = sum(t.size for t in reps) + finite.size
+            self.key = (tuple(t.key for t in reps), finite.key)
+        return self
+
+    def __reduce__(self):
+        return Process, (self.replicated, self.finite)
 
     def is_finite(self) -> bool:
         return not self.replicated
@@ -224,6 +273,13 @@ class Process(Keyed):
     def __repr__(self):
         return f"Process({render(self)!r})"
 
+
+# The intern tables: the live term of each construction key.  Weak, so an
+# entry dies with its term; not memo tables, so ``clear_caches`` keeps them.
+_ACTIONS = WeakValueDictionary()
+_FINITES = WeakValueDictionary()
+_PREFIXED = WeakValueDictionary()
+_PROCESSES = WeakValueDictionary()
 
 NIL_FINITE = FiniteProcess(())
 

@@ -177,15 +177,15 @@ def test_clear_caches_keeps_results_stable():
 
 def test_one_table_numbers_each_canonical_state_once():
     # a raw process, its canonical form, an equal canonical process built
-    # fresh and an equal successor destination are one state: one id and
-    # one stored object
+    # fresh (the same object: terms are hash-consed) and an equal successor
+    # destination are one state: one id and one stored object
     ccseed.clear_caches()
     raw = parse("!c.a.a.0 | b.a.a.0")
     canon = canonicalize(raw)
     fresh = parse(render(canon))
     [dest] = [d for label, d in lts.successors(parse("!c.a.a.0 | d.b.a.a.0"))
               if str(label) == "d"]
-    assert raw != canon and fresh == canon and fresh is not canon
+    assert raw != canon and fresh is canon
     procs = [raw, canon, fresh, dest]
     assert {congruence.canonical_id(x) for x in procs} == {
         congruence.canonical_id(canon)}

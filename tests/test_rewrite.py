@@ -779,6 +779,37 @@ def test_each_distinct_finite_component_is_explored_once(monkeypatch):
     assert not starts
 
 
+def test_a_trace_reads_back_only_its_chain(monkeypatch):
+    # The trace's exploration of 6 finite components, each holding one
+    # deletable a.0, finds all 2^6 sums of their states, but reading the
+    # trace builds only the states on its chain to the seed: one per
+    # step.  Reading every found state back built 62 of them.
+    p = parse("!a.0 | b.a.0 | c.a.0 | b.b.a.0 | b.c.a.0 | c.b.a.0 | c.c.a.0")
+    clear_caches()
+    result = compute_seed(p)
+    sizes = []
+    explore = rewrite._explore
+
+    def recording(start, guide):
+        parents = explore(start, guide)
+        sizes.append(len(parents))
+        return parents
+
+    built = []
+    init = Process.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(rewrite, "_explore", recording)
+    monkeypatch.setattr(Process, "__init__", counting)
+    trace = result.trace
+    assert sizes == [2 ** 6] and len(trace) == 6
+    assert [s.after for s in trace][-1] is result.seed
+    assert len(built) == len(trace) - 1  # the seed was built by the seed
+
+
 def _rebuilt_deletions(c, guide):
     """The deletions from canonical c as ``RewriteStep`` fields, each
     destination rebuilt whole: ``delete_at`` and ``canonicalize`` over

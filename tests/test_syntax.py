@@ -1,6 +1,9 @@
+import copy
+import gc
 import hashlib
 import importlib
 import json
+import pickle
 import pkgutil
 import random
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ccseed
-from ccseed import corpus
+from ccseed import corpus, lts, syntax
 from ccseed.syntax import (INPUT, OUTPUT, PLAIN, Action, FiniteProcess,
                            ParseError, Path, PrefixedTerm, Process,
                            StructureError, apply_substitution,
@@ -154,6 +157,55 @@ def test_equality_and_hash_are_structural():
     assert p == q
     assert hash(p) == hash(q)
     assert p != parse("a.0 | b.0")
+
+
+def _one_of_each_term_class():
+    p = parse("!a.(b.0 | c.d.0) | ~e.0 | e.(a.0 | a.0)", mode="sync")
+    return [p, p.finite, p.replicated[0], p.replicated[0].action,
+            lts.Label(p.finite.components[0].action), lts.TAU]
+
+
+def test_equal_terms_are_one_object():
+    p = parse("a.0 | b.c.0 | !d.(a.0 | b.0)")
+    q = parse("!d.(b.0 | a.0) | b.c.0 | a.0")
+    assert p is q and p.finite is q.finite
+    assert Process(p.replicated, p.finite) is p
+    assert FiniteProcess(reversed(p.finite.components)) is p.finite
+    t = p.finite.components[1]
+    assert PrefixedTerm(Action("b"), parse("c.0").finite) is t
+    assert Action("b") is t.action
+    assert lts.Label(Action("b")) is lts.Label(t.action)
+    assert lts.Label(None) is lts.TAU
+
+
+@pytest.mark.parametrize("term", _one_of_each_term_class(), ids=[
+    "Process", "FiniteProcess", "PrefixedTerm", "Action", "Label", "TAU"])
+def test_pickle_and_copy_keep_identity(term):
+    assert pickle.loads(pickle.dumps(term)) is term
+    assert copy.deepcopy(term) is term
+    assert copy.copy(term) is term
+
+
+def test_a_term_kept_across_clear_caches_is_an_equal_term_built_after():
+    p = parse("!a.b.0 | c.(a.0 | b.0)")
+    ccseed.canonicalize(p)
+    ccseed.clear_caches()
+    assert parse(render(p)) is p
+    assert PrefixedTerm(Action("c"), parse("a.0 | b.0").finite) is (
+        p.finite.components[0])
+
+
+def test_a_dropped_term_leaves_no_intern_entry():
+    tables = (syntax._ACTIONS, syntax._FINITES, syntax._PREFIXED,
+              syntax._PROCESSES, lts._LABELS)
+    gc.collect()
+    before = [len(t) for t in tables]
+    p = parse("!unseen.(once.0 | only.here.0) | twice.(unseen.0 | here.0)")
+    label = lts.Label(p.finite.components[0].action)
+    assert all(len(t) > n for t, n in zip(tables, before))
+    del p, label
+    gc.collect()
+    assert [len(t) for t in tables] == before
 
 
 def test_occurrences_exclude_replicated_roots():
