@@ -46,12 +46,11 @@ replicated one it lists the body's occurrences, and a deletion leaves
 deletions splice these tables into its parts (``congruence._PARTS_OF``)
 and number each destination with ``parts_id``: no process is rebuilt
 or canonicalized again, and they come out in ``occurrences`` order,
-with its paths; a state's finite ids are put in key order, the order
-``occurrences`` walks them, once per state.  ``_explore`` walks ids and
-reads a state and the deletion that discovered it back, through
-``congruence.state``, only when asked, so a trace reads back only its
-chain and the count of candidates none; stage 1's deletion graph reads
-its edges off the replicated tables.
+with its paths.  ``_explore`` walks ids and reads a state and the
+deletion that discovered it back, through ``congruence.state``, only
+when asked, so a trace reads back only its chain and the count of
+candidates none; stage 1's deletion graph reads its edges off the
+replicated tables.
 """
 
 from __future__ import annotations
@@ -176,20 +175,6 @@ def _comp_key(k: int) -> tuple:
     return _COMPS[k].key
 
 
-# A state id's finite ids in component key order, the order in which
-# ``occurrences`` walks them (its parts keep them in id order).
-_FINITE_ORDER = memo_table()
-
-
-def _finite_order(i: int) -> tuple:
-    """State i's finite ids in key order, sorted on i's first visit."""
-    got = _FINITE_ORDER.get(i)
-    if got is None:
-        got = _FINITE_ORDER[i] = tuple(sorted(_PARTS_OF[i][1],
-                                              key=_comp_key))
-    return got
-
-
 def _state_size(i: int) -> int:
     """The size of state i, read off its parts."""
     reps, fin = _PARTS_OF[i]
@@ -208,7 +193,7 @@ def _b1_deletions(i: int, guide: Optional[frozenset]):
         return  # an empty guide justifies nothing: walk no occurrence
     reps, fin = _PARTS_OF[i]
     spliced = {}  # finite component id -> its (destination, steps)
-    for n, k in enumerate(_finite_order(i)):
+    for n, k in enumerate(sorted(fin, key=_comp_key)):
         dests = spliced.get(k)
         if dests is None:
             cut = fin.index(k)
@@ -302,7 +287,11 @@ class _Explored(Mapping):
     """An exploration's map from states to discovering deletions, over
     the state ids it found; a state and its deletion are read back
     through ``state`` on demand, so a trace reads back only its chain.
-    States iterate in discovery order, the (canonical) start first."""
+    States iterate in discovery order, the (canonical) start first.
+
+    It is valid only until the next ``clear_caches()``, which renumbers
+    state ids: read what is needed from it before clearing.
+    """
 
     def __init__(self, found: dict):
         self._found = found

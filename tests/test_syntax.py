@@ -3,9 +3,14 @@ import gc
 import hashlib
 import importlib
 import json
+import os
 import pickle
 import pkgutil
+import platform
 import random
+import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +211,45 @@ def test_a_dropped_term_leaves_no_intern_entry():
     del p, label
     gc.collect()
     assert [len(t) for t in tables] == before
+
+
+_SET_ORDER = """
+import shift_addresses, sys
+from ccseed.syntax import parse, render
+if sys.argv[1] == "shift":
+    shift_addresses.shift()
+terms = set(parse("p.0 | q.0 | r.0 | p.q.0 | q.r.0 | r.p.0 | p.p.0 | q.q.0")
+            .finite.components)
+print(" | ".join(render(t) for t in terms))
+"""
+
+
+def test_shift_addresses_reorders_a_set_of_terms():
+    """``shift_addresses``, the plugin of CI's third digest run, moves
+    terms to addresses at which a set of them iterates in another order.
+    Run with address space randomization off, so that without the shift
+    the order repeats."""
+    setarch = shutil.which("setarch")
+    if setarch is None:
+        pytest.skip("needs setarch to turn address randomization off")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(syntax.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, here)),
+           "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def order(mode):
+        done = subprocess.run(
+            [setarch, platform.machine(), "-R", sys.executable, "-c",
+             _SET_ORDER, mode],
+            capture_output=True, text=True, env=env, timeout=60)
+        if done.returncode:
+            pytest.skip(f"setarch -R failed: {done.stderr.strip()}")
+        return done.stdout
+
+    plain = order("plain")
+    if order("plain") != plain:
+        pytest.skip("address randomization stayed on")
+    assert order("shift") != plain
 
 
 def test_occurrences_exclude_replicated_roots():
