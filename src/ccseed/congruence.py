@@ -23,17 +23,18 @@ oracle rather than proved here.  The pass recurses twice per nesting level;
 StructureError on a term nested deeper than the recursion limit allows.
 
 Canonical states are numbered here, in one table: every process met maps
-to the id of its canonical form.  A state is its parts, two tuples of the
-ids that ``component_id`` gives its components: its replicated ones in
-key order and its finite ones sorted.  ``parts_id`` numbers a state by
-its parts, in the flat bijection ``_PARTS`` / ``_PARTS_OF``, and is the
-only writer of either.  ``canonical_id`` reads a process's parts off its
-components and numbers the state by them, and ``lts`` fires states as
-their parts and numbers the destinations it meets by them, so neither
-builds a ``Process``: ``state`` builds the one canonical object of an id
-on first read, and ``canonicalize`` returns that object.  A canonical
-process met first is that object itself, not an equal copy.  ``lts`` and
-``oracle`` read states by these ids.
+to the id of its canonical form.  A state is its parts, the two tuples
+of its canonical process: its replicated components and its finite
+ones, each in key order.  Terms are hash-consed, so a component is its
+own id.  ``parts_id`` numbers a state by its parts, in the flat
+bijection ``_PARTS`` / ``_PARTS_OF``, and is the only writer of either.
+``canonical_id`` reads a process's parts off its components and numbers
+the state by them, and ``lts`` fires states as their parts and numbers
+the destinations it meets by them, so neither builds a ``Process``:
+``state`` builds the one canonical object of an id on first read, and
+``canonicalize`` returns that object.  A canonical process met first is
+that object itself, not an equal copy.  ``lts`` and ``oracle`` read
+states by these ids.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .syntax import (_KEY, FiniteProcess, PrefixedTerm, Process,
                      StructureError, memo_table)
 
 __all__ = [
-    "canonicalize", "canonical_id", "state", "parts_id", "component_id",
-    "canonical_finite",
+    "canonicalize", "canonical_id", "state", "parts_id", "canonical_finite",
     "congruent", "process_of",
 ]
 
@@ -54,12 +54,11 @@ _CANON_FIN = memo_table()
 _STATE_IDS = memo_table()
 # id -> canonical Process, for the states built so far
 _STATES = memo_table()
-# id -> (replicated ids in key order, sorted finite ids), for every id
+# id -> (replicated components, finite components), each in key order,
+# for every id
 _PARTS_OF = memo_table()
 # the inverse of _PARTS_OF
 _PARTS = memo_table()
-_COMP_IDS = memo_table()
-_COMPS = memo_table()
 
 
 def _canonical_components(t: PrefixedTerm) -> tuple:
@@ -117,8 +116,7 @@ def state(i: int) -> Process:
     got = _STATES.get(i)
     if got is None:
         reps, fin = _PARTS_OF[i]
-        got = _STATES[i] = Process(map(_COMPS.__getitem__, reps),
-                                   map(_COMPS.__getitem__, fin))
+        got = _STATES[i] = Process(reps, fin)
         _STATE_IDS[got] = i
     return got
 
@@ -130,15 +128,6 @@ def parts_id(reps: tuple, fin: tuple) -> int:
     if got is None:
         got = _PARTS[parts] = len(_PARTS_OF)
         _PARTS_OF[got] = parts
-    return got
-
-
-def component_id(t: PrefixedTerm) -> int:
-    """The id of t, a component of a canonical state."""
-    got = _COMP_IDS.get(t)
-    if got is None:
-        got = _COMP_IDS[t] = len(_COMPS)
-        _COMPS[got] = t
     return got
 
 
@@ -156,10 +145,9 @@ def canonical_id(p: Process) -> int:
             for t in p.finite.components:
                 comps = _canonical_components(t)
                 canonical = canonical and comps == (t,)
-                fin += map(component_id, comps)
-            fin.sort()
-            # replicated ids after the finite ones: a digest pins the order
-            got = parts_id(tuple(map(component_id, reps)), tuple(fin))
+                fin += comps
+            fin.sort(key=_KEY)
+            got = parts_id(reps, tuple(fin))
             if canonical:
                 _STATES[got] = p
             _STATE_IDS[p] = got

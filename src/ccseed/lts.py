@@ -12,12 +12,12 @@ A process fires as its canonical form.  The components of a canonical
 process and the bodies they spawn are canonical already, so a destination
 is made of them directly and never canonicalized again.
 
-A state fires as its parts, the ids ``congruence`` gives its components: a
-destination is the sorted tuple of the finite ids kept plus the ids of the
-bodies spawned, next to the state's own replicated ids.  ``parts_id``
-finds it among every state numbered so far, however it was met, or
-numbers it; firing builds no ``Process`` and writes no ``congruence``
-table.
+A state fires as its parts, the key-ordered tuples of its components
+that ``congruence`` keeps: a destination is the finite components kept
+plus the components of the body spawned, in key order, next to the
+state's own replicated ones.  ``parts_id`` finds it among every state
+numbered so far, however it was met, or numbers it; firing builds no
+``Process`` and writes no ``congruence`` table.
 
 States are the ids of ``congruence``'s table of canonical states, and
 labels are small int ids too, handed out as labels are first met; this
@@ -34,12 +34,13 @@ bounded game and witness search of ``oracle`` read them by id.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Optional
 from weakref import WeakValueDictionary
 
-from .congruence import (_COMPS, _PARTS_OF, canonical_id, component_id,
-                         parts_id, state)
-from .syntax import PLAIN, Action, Keyed, Process, check_mode, memo_table
+from .congruence import _PARTS_OF, canonical_id, parts_id, state
+from .syntax import (_KEY, PLAIN, Action, Keyed, Process, check_mode,
+                     memo_table)
 
 __all__ = [
     "Label", "TAU", "DepthExceeded", "DEFAULT_DEPTH_CAP", "check_depth",
@@ -98,8 +99,6 @@ TAU = Label(None)
 _LABEL_IDS = memo_table()
 _LABEL_OF = memo_table()
 _CO = memo_table()
-# A component id's label id and the sorted ids of its body's components.
-_FIRERS = memo_table()
 # The moves of state id i, at _BASE_MOVES[i] and _SYNC_MOVES[i].
 _BASE_MOVES = memo_table()
 _SYNC_MOVES = memo_table()
@@ -143,16 +142,6 @@ def successors(p: Process, mode: str = "base") -> tuple:
                  for j in sorted(ids, key=_state_key))
 
 
-def _firer(k: int) -> tuple:
-    """Component k's label id and the ids it spawns when it fires."""
-    got = _FIRERS.get(k)
-    if got is None:
-        t = _COMPS[k]
-        got = _FIRERS[k] = (_label(t.action), tuple(sorted(
-            map(component_id, t.body.components))))
-    return got
-
-
 def _state_key(j: int) -> tuple:
     return state(j).key
 
@@ -161,9 +150,12 @@ def _fire(i: int, mode: str) -> dict:
     """The moves of state i, fired on its parts; nothing is built."""
     reps, fin = _PARTS_OF[i]
 
-    # (ids consumed, label, ids spawned) per distinct component
-    firers = [((k,), *_firer(k)) for k in dict.fromkeys(fin)]
-    firers += [((), *_firer(k)) for k in dict.fromkeys(reps)]
+    # (finite positions consumed, label, components spawned) per distinct
+    # component; copies are adjacent in key order
+    firers = [((n,), _label(t.action), t.body.components)
+              for n, t in enumerate(fin) if not n or t is not fin[n - 1]]
+    firers += [((), _label(t.action), t.body.components)
+               for n, t in enumerate(reps) if not n or t is not reps[n - 1]]
     moves = firers
     if mode == "sync":
         tau = _label(None)
@@ -175,10 +167,10 @@ def _fire(i: int, mode: str) -> dict:
     dests: dict = {}
     for gone, label, spawned in moves:
         kept = list(fin)
-        for k in gone:
-            kept.remove(k)
-        kept += spawned
-        kept.sort()
+        for n in reversed(gone):  # ascending: firers come in fin's order
+            del kept[n]
+        for t in spawned:
+            insort(kept, t, key=_KEY)
         dests.setdefault(label, set()).add(parts_id(reps, tuple(kept)))
     return {label: tuple(sorted(dests[label]))
             for label in sorted(dests, key=_label_key)}

@@ -28,9 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import corpus
 from .congruence import (_PARTS_OF, canonical_finite, canonical_id,
                          canonicalize, parts_id, process_of, state)
-from .lts import (Label, TAU, _LABEL_OF, _firer, _moves, _state_key,
+from .lts import (Label, TAU, _LABEL_OF, _label, _moves, _state_key,
                   bounded_class, check_depth, successors)
-from .rewrite import _explore, compute_seed, convertible, rewrites_to
+from .rewrite import (_explore, _state_size, compute_seed, convertible,
+                      rewrites_to)
 from .syntax import (FiniteProcess, PrefixedTerm, Process,
                      apply_substitution, check_mode, memo_table, render)
 
@@ -206,12 +207,23 @@ def _cancels(i: int, j: int, d: int, mode: str) -> bool:
     reps_j, fin_j = _PARTS_OF[j]
     if set(fin_i).isdisjoint(fin_j):
         return False
-    rest_i, rest_j = list(fin_i), []
-    for k in fin_j:
-        if k in rest_i:
-            rest_i.remove(k)
+    # merge the two key-ordered parts, by identity and key: ``==``
+    # between terms is slow
+    rest_i, rest_j = [], []
+    m = n = 0
+    while m < len(fin_i) and n < len(fin_j):
+        x, y = fin_i[m], fin_j[n]
+        if x is y:
+            m += 1
+            n += 1
+        elif x.key < y.key:
+            rest_i.append(x)
+            m += 1
         else:
-            rest_j.append(k)
+            rest_j.append(y)
+            n += 1
+    rest_i += fin_i[m:]
+    rest_j += fin_j[n:]
     a, b = parts_id(reps_i, tuple(rest_i)), parts_id(reps_j, tuple(rest_j))
     # labels apart is the depth-1 answer, which needs nothing fired
     return _labels(a) == _labels(b) and _ids_eq(a, b, d, mode)
@@ -222,7 +234,7 @@ def _labels(i: int) -> set:
     components.  In sync mode it also fires tau exactly when two of them
     handshake, so states with equal visible labels fire equal labels."""
     reps, fin = _PARTS_OF[i]
-    return {_firer(k)[0] for k in reps + fin}
+    return {_label(t.action) for t in reps + fin}
 
 
 def _covers(xs: tuple, ys: tuple, d: int, mode: str) -> bool:
@@ -687,9 +699,11 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
         p = corpus.random_process(rng, rng.randint(0, max_size + 1), actions)
         st.probe(True)
         sd = compute_seed(p).seed
-        rival = next((d for d in _explore(canonicalize(p), None)
-                      if d.size <= sd.size and d != sd
-                      and rewrites_to(p, d) is not None), None)
+        # read back only the descendants no larger than the seed
+        small = (state(i) for i in _explore(canonicalize(p), None).ids()
+                 if _state_size(i) <= sd.size)
+        rival = next((d for d in small
+                      if d != sd and rewrites_to(p, d) is not None), None)
         if rival is not None:
             st.fail(process=_pp(p), seed=_pp(sd), rival=_pp(rival))
 

@@ -38,7 +38,7 @@ deleted occurrence itself, read off the step's path.
 
 Deletions run on state ids, as firing does in ``lts``.  Each distinct
 component has a memoized deletion table: its occurrences in preorder,
-each with its steps and the component ids of what deleting it leaves,
+each with its steps and the components of what deleting it leaves,
 canonical.  As a finite component the table starts with the component
 itself, and a deletion leaves the canonical components of the rest; as a
 replicated one it lists the body's occurrences, and a deletion leaves
@@ -56,18 +56,18 @@ replicated tables.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .congruence import (_COMPS, _PARTS_OF, _STATE_IDS,
-                         _canonical_components, _with_body, canonical_id,
-                         canonicalize, component_id, parts_id, process_of,
-                         state)
+from .congruence import (_PARTS_OF, _STATE_IDS, _canonical_components,
+                         _with_body, canonical_id, canonicalize, parts_id,
+                         process_of, state)
 from .lts import _class, bounded_class
-from .syntax import (FiniteProcess, Path, PrefixedTerm, Process, memo_table,
-                     resolve)
+from .syntax import (_KEY, FiniteProcess, Path, PrefixedTerm, Process,
+                     memo_table, resolve)
 
 __all__ = [
     "RewriteStep", "SeedResult", "ConvertibilityResult", "UniquenessError",
@@ -125,11 +125,11 @@ def _guide_of(replicated) -> frozenset:
                      if len(_canonical_components(t)) == 1)
 
 
-# A component id's deletions, one entry per occurrence in preorder:
+# A component's deletions, one entry per occurrence in preorder:
 # (steps to it, the occurrence, what is left).  As a finite component it
-# is deleted itself first, and what is left is the ids of the canonical
-# components of the rest; as a replicated one only its body's
-# occurrences are, and what is left is the id of ``_with_body`` of the
+# is deleted itself first, and what is left is the canonical components
+# of the rest, none or copies of one term; as a replicated one only its
+# body's occurrences are, and what is left is ``_with_body`` of the
 # canonical body.
 _FINITE_DELETIONS = memo_table()
 _REPLICATED_DELETIONS = memo_table()
@@ -141,44 +141,45 @@ def _body_deletions(t: PrefixedTerm) -> list:
     comps = t.body.components
     out = []  # a loop, not a comprehension: two frames per nesting level
     for n, h in enumerate(comps):
-        for steps, occ, left in _finite_deletions(component_id(h)):
-            body = comps[:n] + tuple(map(_COMPS.__getitem__, left))
+        for steps, occ, left in _finite_deletions(h):
             out.append(((n,) + steps, occ,
-                        FiniteProcess(body + comps[n + 1:])))
+                        FiniteProcess(comps[:n] + left + comps[n + 1:])))
     return out
 
 
-def _finite_deletions(k: int) -> tuple:
-    """Component k's deletion table as a finite component."""
-    got = _FINITE_DELETIONS.get(k)
+def _finite_deletions(t: PrefixedTerm) -> tuple:
+    """t's deletion table as a finite component."""
+    got = _FINITE_DELETIONS.get(t)
     if got is None:
-        t = _COMPS[k]
-        got = _FINITE_DELETIONS[k] = (((), t, ()),) + tuple(
-            (steps, occ, tuple(map(component_id, _canonical_components(
-                PrefixedTerm(t.action, body)))))
+        got = _FINITE_DELETIONS[t] = (((), t, ()),) + tuple(
+            (steps, occ, _canonical_components(PrefixedTerm(t.action, body)))
             for steps, occ, body in _body_deletions(t))
     return got
 
 
-def _replicated_deletions(k: int) -> tuple:
-    """Component k's deletion table as a replicated component."""
-    got = _REPLICATED_DELETIONS.get(k)
+def _replicated_deletions(t: PrefixedTerm) -> tuple:
+    """t's deletion table as a replicated component."""
+    got = _REPLICATED_DELETIONS.get(t)
     if got is None:
-        t = _COMPS[k]
-        got = _REPLICATED_DELETIONS[k] = tuple(
-            (steps, occ, component_id(_with_body(t, body)))
+        got = _REPLICATED_DELETIONS[t] = tuple(
+            (steps, occ, _with_body(t, body))
             for steps, occ, body in _body_deletions(t))
     return got
-
-
-def _comp_key(k: int) -> tuple:
-    return _COMPS[k].key
 
 
 def _state_size(i: int) -> int:
     """The size of state i, read off its parts."""
     reps, fin = _PARTS_OF[i]
-    return sum(_COMPS[k].size for k in reps + fin)
+    return sum(t.size for t in reps + fin)
+
+
+def _insert(rest: tuple, left: tuple) -> tuple:
+    """rest, key-ordered, with ``left`` put in: none or copies of one
+    term.  Positions and keys only: ``==`` between terms is slow."""
+    if not left:
+        return rest
+    at = bisect_left(rest, left[0].key, key=_KEY)
+    return rest[:at] + left + rest[at:]
 
 
 def _b1_deletions(i: int, guide: Optional[frozenset]):
@@ -192,34 +193,32 @@ def _b1_deletions(i: int, guide: Optional[frozenset]):
     if guide is not None and not guide:
         return  # an empty guide justifies nothing: walk no occurrence
     reps, fin = _PARTS_OF[i]
-    spliced = {}  # finite component id -> its (destination, steps)
-    for n, k in enumerate(sorted(fin, key=_comp_key)):
-        dests = spliced.get(k)
-        if dests is None:
-            cut = fin.index(k)
-            rest = fin[:cut] + fin[cut + 1:]
-            dests = spliced[k] = [
-                (parts_id(reps, tuple(sorted(rest + left))), steps)
-                for steps, occ, left in _finite_deletions(k)
+    spliced = {}  # finite component -> its (destination, steps)
+    for n, t in enumerate(fin):
+        dests = spliced.get(t)
+        if dests is None:  # t's first copy, at n
+            rest = fin[:n] + fin[n + 1:]
+            dests = spliced[t] = [
+                (parts_id(reps, _insert(rest, left)), steps)
+                for steps, occ, left in _finite_deletions(t)
                 if guide is None or occ in guide]
         for j, steps in dests:
             yield j, "B1", None, (n,) + steps
-    for r, k in enumerate(reps):
-        for steps, occ, d in _replicated_deletions(k):
+    for r, t in enumerate(reps):
+        rest = reps[:r] + reps[r + 1:]
+        for steps, occ, d in _replicated_deletions(t):
             if guide is None or occ in guide:
-                after = list(reps)
-                after[r] = d
-                after.sort(key=_comp_key)
-                yield parts_id(tuple(after), fin), "B1", r, steps
+                yield parts_id(_insert(rest, (d,)), fin), "B1", r, steps
 
 
 def _b2_deletions(i: int):
     """Every B2 deletion from state i: (destination id, "B2", dropped
-    component id, None), one per duplicated replicated component."""
+    component, None), one per duplicated replicated component."""
     reps, fin = _PARTS_OF[i]
-    for n, k in enumerate(reps):
-        if (not n or k != reps[n - 1]) and reps.count(k) >= 2:
-            yield parts_id(reps[:n] + reps[n + 1:], fin), "B2", k, None
+    for n, t in enumerate(reps[:-1]):
+        # copies are adjacent in key order
+        if reps[n + 1] is t and (not n or reps[n - 1] is not t):
+            yield parts_id(reps[:n] + reps[n + 1:], fin), "B2", t, None
 
 
 def _deletions(i: int, guide: Optional[frozenset]):
@@ -234,7 +233,7 @@ def _step_fields(before: Process, deletion: tuple) -> tuple:
     j, axiom, where, steps = deletion
     if axiom == "B1":
         return ("B1", before, state(j), Path(where, steps), None)
-    return ("B2", before, state(j), None, _COMPS[where])
+    return ("B2", before, state(j), None, where)
 
 
 def step_b1(p: Process, target: Process) -> tuple:
@@ -394,8 +393,7 @@ def _component_deletions(d: PrefixedTerm) -> tuple:
     edges = _DELETIONS.get(d)
     if edges is None:
         edges = _DELETIONS[d] = tuple(dict.fromkeys(
-            (occ, _COMPS[k])
-            for _, occ, k in _replicated_deletions(component_id(d))))
+            (occ, after) for _, occ, after in _replicated_deletions(d)))
     return edges
 
 

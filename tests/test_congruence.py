@@ -190,21 +190,13 @@ def test_one_table_numbers_each_canonical_state_once():
     assert {congruence.canonical_id(x) for x in procs} == {
         congruence.canonical_id(canon)}
     assert all(canonicalize(x) is canon for x in procs)
-    parts = (congruence._COMP_IDS, congruence._COMPS, congruence._PARTS,
-             congruence._PARTS_OF)
+    parts = (congruence._PARTS, congruence._PARTS_OF)
     assert all(parts)
     ccseed.clear_caches()
     assert not congruence._STATE_IDS and not congruence._STATES
     assert not any(parts)
     assert [congruence.canonical_id(x) for x in (fresh, raw, parse("a.0"))] == [
         0, 0, 1]
-    # component ids restart at 0 too, in the order numbering meets them:
-    # fresh's finite component, then its replicated one, then a.0, then
-    # b.0 | a.c.0 and what its a.c.0 spawns when it fires
-    lts.successors(parse("b.0 | a.c.0"))
-    assert {k: render(t) for k, t in congruence._COMPS.items()} == {
-        0: "b.(a.0 | a.0)", 1: "c.(a.0 | a.0)", 2: "a.0", 3: "b.0",
-        4: "a.c.0", 5: "c.0"}
 
 
 def test_an_unnumbered_canonical_process_is_stored_itself():

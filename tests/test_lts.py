@@ -237,13 +237,13 @@ def test_successors_deterministic_and_cached(monkeypatch):
 
 
 def test_fired_corpora_keep_one_id_per_state():
-    # Firing numbers destinations by their parts, component ids: no
-    # canonical state gets a second id, every state's parts are the ids of
-    # its replicated components in key order and the sorted ids of its
-    # finite ones, the parts index is the exact inverse, and ids are handed
-    # out in an order that does not depend on how objects hash (the digest
-    # holds under any PYTHONHASHSEED).  Every id is read through ``state``,
-    # which builds what firing left unbuilt.
+    # Firing numbers destinations by their parts, their components: no
+    # canonical state gets a second id, every state's parts are its
+    # replicated and its finite components, each in key order, the parts
+    # index is the exact inverse, and ids are handed out in an order that
+    # does not depend on how objects hash (the digest holds under any
+    # PYTHONHASHSEED).  Every id is read through ``state``, which builds
+    # what firing left unbuilt.
     clear_caches()
     for mode in ("base", "sync"):
         # largest first, so that firing meets new destinations
@@ -254,21 +254,18 @@ def test_fired_corpora_keep_one_id_per_state():
     states = [congruence.state(j) for j in range(len(congruence._PARTS_OF))]
     assert all(canonical_id(s) == j for j, s in enumerate(states))
     assert all(congruence.state(j) is s for j, s in enumerate(states))
-    comps = congruence._COMPS
-    ids = congruence.component_id
+    comps = {}  # the components, in the order the states first hold them
     for j, s in enumerate(states):
         reps, fin = parts = congruence._PARTS_OF[j]
         assert type(reps) is tuple and type(fin) is tuple
-        assert all(type(k) is int for k in reps + fin)
-        assert reps == tuple(map(ids, s.replicated))
-        assert fin == tuple(sorted(map(ids, s.finite.components)))
+        assert parts == (s.replicated, s.finite.components)
         assert congruence._PARTS[parts] == j
+        comps.update(dict.fromkeys(reps + fin))
     indexed = len(congruence._PARTS)
     assert (len(states), len(comps), indexed) == (4157, 328, 4157)
     digest = hashlib.sha256()
-    for table in (states, comps):
-        for j in range(len(table)):
-            digest.update(render(table[j]).encode() + b"\n")
+    for t in states + list(comps):
+        digest.update(render(t).encode() + b"\n")
     assert digest.hexdigest() == (
         "6f2d7f89c6d146ffaed252e41ad9ecf77774d9b86d19a64e1edc1df179ec7b5f")
 
@@ -353,10 +350,9 @@ def test_a_state_numbered_before_firing_keeps_one_id_per_state():
     before = canonicalize(parse("!a.0 | b.0"))
     i = canonical_id(before)
     # numbered by its parts at once, though its replicated part never fired
-    assert congruence._PARTS_OF[i] == ((1,), (0,))
+    assert congruence._PARTS_OF[i] == (before.replicated,
+                                       before.finite.components)
     assert congruence._PARTS[congruence._PARTS_OF[i]] == i
-    assert congruence._COMPS == {0: before.finite.components[0],
-                                 1: before.replicated[0]}
     assert _fired(parse("!a.0 | c.b.0"), "c") == (i,)
     after = canonicalize(parse("!a.0 | d.0"))
     j = canonical_id(after)
