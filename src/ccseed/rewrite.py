@@ -37,20 +37,19 @@ guide.  So a B1 step's justification, ``RewriteStep.matched``, is the
 deleted occurrence itself, read off the step's path.
 
 Deletions run on state ids, as firing does in ``lts``.  Each distinct
-component has a memoized deletion table: its occurrences in preorder,
-each with its steps and the components of what deleting it leaves,
-canonical.  As a finite component the table starts with the component
-itself, and a deletion leaves the canonical components of the rest; as a
-replicated one it lists the body's occurrences, and a deletion leaves
-``_with_body`` of the canonical body, one component.  A state's
-deletions splice these tables into its parts (``congruence._PARTS_OF``)
-and number each destination with ``parts_id``: no process is rebuilt
-or canonicalized again, and they come out in ``occurrences`` order,
-with its paths.  ``_explore`` walks ids and reads a state and the
-deletion that discovered it back, through ``congruence.state``, only
-when asked, so a trace reads back only its chain and the count of
-candidates none; stage 1's deletion graph reads its edges off the
-replicated tables.
+component has one memoized deletion table: its body's occurrences in
+preorder, each with its steps, the component with it deleted and that
+term's canonical components.  A deletion in a replicated component
+leaves the third field, one component; in a finite one it leaves the
+fourth, and the component's own deletion, which leaves nothing, comes
+first.  A state's deletions splice these tables into its parts
+(``congruence._PARTS_OF``) and number each destination with
+``parts_id``: no process is rebuilt or canonicalized again, and they
+come out in ``occurrences`` order, with its paths.  ``_explore`` walks
+ids and reads a state and the deletion that discovered it back, through
+``congruence.state``, only when asked, so a trace reads back only its
+chain and the count of candidates none; stage 1's walks read their
+edges off the same tables.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ from functools import cached_property
 from typing import Optional
 
 from .congruence import (_PARTS_OF, _STATE_IDS, _canonical_components,
-                         _with_body, canonical_id, canonicalize, parts_id,
-                         process_of, state)
+                         canonical_id, canonicalize, parts_id, process_of,
+                         state)
 from .lts import _class, bounded_class
 from .syntax import (_KEY, FiniteProcess, Path, PrefixedTerm, Process,
                      memo_table, resolve)
@@ -125,45 +124,29 @@ def _guide_of(replicated) -> frozenset:
                      if len(_canonical_components(t)) == 1)
 
 
-# A component's deletions, one entry per occurrence in preorder:
-# (steps to it, the occurrence, what is left).  As a finite component it
-# is deleted itself first, and what is left is the canonical components
-# of the rest, none or copies of one term; as a replicated one only its
-# body's occurrences are, and what is left is ``_with_body`` of the
-# canonical body.
-_FINITE_DELETIONS = memo_table()
-_REPLICATED_DELETIONS = memo_table()
+# A component's deletions, one row per occurrence in its body, in
+# preorder: (steps to it, the occurrence, the component with it deleted,
+# that term's canonical components).  As a replicated component a
+# deletion leaves the third field, whose body is canonical: one
+# component.  As a finite one it leaves the fourth, none or copies of one
+# term, and the component's own deletion, which leaves nothing, is not a
+# row: ``_b1_deletions`` puts it first.
+_DELETION_TABLES = memo_table()
 
 
-def _body_deletions(t: PrefixedTerm) -> list:
-    """(steps, occurrence, canonical body left) for every occurrence in
-    t's body, in preorder, spliced from its components' finite tables."""
-    comps = t.body.components
-    out = []  # a loop, not a comprehension: two frames per nesting level
-    for n, h in enumerate(comps):
-        for steps, occ, left in _finite_deletions(h):
-            out.append(((n,) + steps, occ,
-                        FiniteProcess(comps[:n] + left + comps[n + 1:])))
-    return out
-
-
-def _finite_deletions(t: PrefixedTerm) -> tuple:
-    """t's deletion table as a finite component."""
-    got = _FINITE_DELETIONS.get(t)
+def _deletion_table(t: PrefixedTerm) -> list:
+    """t's deletion table, spliced from its body components' tables."""
+    got = _DELETION_TABLES.get(t)
     if got is None:
-        got = _FINITE_DELETIONS[t] = (((), t, ()),) + tuple(
-            (steps, occ, _canonical_components(PrefixedTerm(t.action, body)))
-            for steps, occ, body in _body_deletions(t))
-    return got
-
-
-def _replicated_deletions(t: PrefixedTerm) -> tuple:
-    """t's deletion table as a replicated component."""
-    got = _REPLICATED_DELETIONS.get(t)
-    if got is None:
-        got = _REPLICATED_DELETIONS[t] = tuple(
-            (steps, occ, _with_body(t, body))
-            for steps, occ, body in _body_deletions(t))
+        comps = t.body.components
+        got = []  # a loop, not a comprehension: one frame per nesting level
+        for n, h in enumerate(comps):
+            rows = [((), h, None, ())] + _deletion_table(h)  # h itself first
+            for steps, occ, _, left in rows:
+                d = PrefixedTerm(t.action, FiniteProcess(
+                    comps[:n] + left + comps[n + 1:]))
+                got.append(((n,) + steps, occ, d, _canonical_components(d)))
+        _DELETION_TABLES[t] = got
     return got
 
 
@@ -198,15 +181,16 @@ def _b1_deletions(i: int, guide: Optional[frozenset]):
         dests = spliced.get(t)
         if dests is None:  # t's first copy, at n
             rest = fin[:n] + fin[n + 1:]
-            dests = spliced[t] = [
-                (parts_id(reps, _insert(rest, left)), steps)
-                for steps, occ, left in _finite_deletions(t)
-                if guide is None or occ in guide]
+            dests = spliced[t] = [(parts_id(reps, rest), ())] if (
+                guide is None or t in guide) else []
+            dests += [(parts_id(reps, _insert(rest, left)), steps)
+                      for steps, occ, _, left in _deletion_table(t)
+                      if guide is None or occ in guide]
         for j, steps in dests:
             yield j, "B1", None, (n,) + steps
     for r, t in enumerate(reps):
         rest = reps[:r] + reps[r + 1:]
-        for steps, occ, d in _replicated_deletions(t):
+        for steps, occ, d, _ in _deletion_table(t):
             if guide is None or occ in guide:
                 yield parts_id(_insert(rest, (d,)), fin), "B1", r, steps
 
@@ -368,7 +352,6 @@ class SeedResult:
 
 
 _SEED_CACHE = memo_table()
-_DELETIONS = memo_table()
 _REACH = memo_table()
 _COMPONENT_SEEDS = memo_table()
 
@@ -380,32 +363,17 @@ _COMPONENT_SEEDS = memo_table()
 _PREFILTER_DEPTH = 2
 
 
-def _component_deletions(d: PrefixedTerm) -> tuple:
-    """The deletion graph's edges out of ``!d``, a canonical component.
-
-    B1 edits the body of one replicated component, which stays one
-    component, and B2 needs two; so every deletion from ``!d`` is a B1
-    step to some ``!d'``.  The edges are the distinct pairs (deleted
-    occurrence, d'), read off d's replicated deletion table: a guide
-    keeps those whose occurrence it holds.  The graph of a component is
-    what its edges reach.
-    """
-    edges = _DELETIONS.get(d)
-    if edges is None:
-        edges = _DELETIONS[d] = tuple(dict.fromkeys(
-            (occ, after) for _, occ, after in _replicated_deletions(d)))
-    return edges
-
-
 def _reach(t: PrefixedTerm, guide: frozenset) -> frozenset:
     """The components d such that ``!t`` rewrites to ``!d`` under ``guide``.
 
-    A walk of t's deletion graph over the edges whose occurrence is in
-    ``guide``, or whose action is, for the widest guide: a set of
-    actions standing for every term that carries one (equality is
-    identity, so a term is never equal to an action).  It builds no
-    terms beyond the graph, and each walk logs one ``search_audit``
-    entry.
+    B1 edits the body of one replicated component, which stays one
+    component, and B2 needs two; so every deletion from ``!d`` is a B1
+    step to ``!d'``, d' the third field of a row of d's deletion table.
+    The walk follows the rows whose occurrence is in ``guide``, or whose
+    action is, for the widest guide: a set of actions standing for every
+    term that carries one (equality is identity, so a term is never
+    equal to an action).  It builds no terms beyond the tables, and each
+    walk logs one ``search_audit`` entry.
     """
     key = (t, guide)
     reached = _REACH.get(key)
@@ -413,7 +381,7 @@ def _reach(t: PrefixedTerm, guide: frozenset) -> frozenset:
         seen = {t}
         todo = [t]
         while todo:
-            for occ, d in _component_deletions(todo.pop()):
+            for _, occ, d, _ in _deletion_table(todo.pop()):
                 if d not in seen and (occ in guide or occ.action in guide):
                     seen.add(d)
                     todo.append(d)

@@ -399,3 +399,42 @@ def test_criterion_12_seed_traces_pass_an_independent_check(request, bundle,
         if len(set(step.before.replicated)) == len(step.before.replicated))
     assert "step 0 drops a component with no twin" in check_trace(
         start, (wrong,) + res.trace[1:], res.seed)
+
+
+@pytest.mark.parametrize(
+    "mode, size, alphabet, renamed_alphabet, nontrivial", [
+        ("base", 5, 3, 3, (4500, 4321)),
+        ("sync", 6, 2, 4, (4744, 2515)),
+    ])
+def test_criterion_13_seeds_commute_with_parallel_and_renaming(
+        mode, size, alphabet, renamed_alphabet, nontrivial):
+    # The paper's congruence result, as seed identities: bisimilarity is
+    # closed under parallel composition and under renaming (polarities
+    # kept), so seed(p | r) == seed(seed(p) | r) and
+    # seed(sigma p) == seed(sigma seed(p)), non-injective sigma included.
+    # One r and one sigma per process of the exhaustive corpus.  Renamings
+    # over the one name of a, ~a are identities, so in sync the renaming
+    # check draws its process at random over a, ~a, b, ~b instead.
+    rng = random.Random(13)
+    acts = default_actions(alphabet, mode)
+    renamed_acts = default_actions(renamed_alphabet, mode)
+    names = sorted({a.name for a in renamed_acts})
+
+    def seed(p):
+        return compute_seed(p).seed
+
+    reduced = renamed = 0
+    for p in enumerate_processes(size, acts):
+        r = random_process(rng, rng.randint(0, 3), acts)
+        assert seed(compose(p, r)) == seed(compose(seed(p), r)), render(p)
+        q = p if mode == "base" else random_process(
+            rng, rng.randint(0, size), renamed_acts)
+        sigma = random_substitution(rng, names)
+        assert (seed(apply_substitution(q, sigma))
+                == seed(apply_substitution(seed(q), sigma))), render(q)
+        # non-vacuity: checks whose sides start from different terms, and
+        # renamings that move a name
+        reduced += seed(p) != canonicalize(p)
+        renamed += (seed(q) != canonicalize(q)
+                    and any(sigma[n] != n for n in names))
+    assert (reduced, renamed) == nontrivial

@@ -513,18 +513,18 @@ def test_one_large_sync_component_builds_a_small_deletion_graph(monkeypatch):
     p = parse("!~a.(~a.~b.0 | b.(~b.0 | ~a.(~a.~b.0 | b.(~b.0 | a.b.0)) | "
               "a.(b.0 | ~a.(~a.~b.0 | b.(~b.0 | a.b.0 | ~a.(~a.~b.0 | "
               "b.(~b.0 | a.b.0))))))) | ~a.0", "sync")
-    component_deletions = rewrite._component_deletions
+    deletion_table = rewrite._deletion_table
 
-    def counting(d):
-        if len(rewrite._DELETIONS) > 100:
-            pytest.fail("more than 100 deletion-graph nodes")
-        return component_deletions(d)
+    def counting(t):
+        if len(rewrite._DELETION_TABLES) > 100:
+            pytest.fail("more than 100 deletion tables")
+        return deletion_table(t)
 
-    monkeypatch.setattr(rewrite, "_component_deletions", counting)
+    monkeypatch.setattr(rewrite, "_deletion_table", counting)
     clear_caches()
     assert (render(compute_seed(p).seed)
             == "!~a.(~a.~b.0 | b.(~b.0 | a.b.0)) | ~a.0")
-    assert len(rewrite._DELETIONS) <= 100
+    assert len(rewrite._DELETION_TABLES) <= 100
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
