@@ -12,15 +12,15 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
-from .syntax import (INPUT, OUTPUT, Action, FiniteProcess, Path, PrefixedTerm,
-                     Process, _multiset, check_mode, edit_multiset,
-                     occurrences)
+from .syntax import (INPUT, NIL_FINITE, OUTPUT, Action, FiniteProcess, Path,
+                     PrefixedTerm, Process, _occurrences, check_mode,
+                     edit_multiset)
 
 __all__ = [
     "default_actions", "enumerate_finite", "enumerate_processes",
     "random_finite", "random_process", "random_substitution",
-    "Context", "multiset_slots", "insert_at", "random_context", "compose",
-    "make_redundant",
+    "Context", "multiset_slots", "random_slot", "insert_at", "random_context",
+    "compose", "make_redundant",
 ]
 
 _NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -105,8 +105,10 @@ def random_finite(rng: random.Random, size: int,
     while remaining:
         chunk = rng.randint(1, remaining)
         body_size = rng.randint(0, chunk - 1)
-        comps.append(PrefixedTerm(rng.choice(actions),
-                                  random_finite(rng, body_size, actions)))
+        act = rng.choice(actions)
+        body = (random_finite(rng, body_size, actions) if body_size
+                else NIL_FINITE)
+        comps.append(PrefixedTerm(act, body))
         remaining -= 1 + body_size
     return FiniteProcess(comps)
 
@@ -149,19 +151,33 @@ def insert_at(p: Process, slot: Path, terms: tuple) -> Process:
     return edit_multiset(p, slot, lambda comps: comps.extend(terms))
 
 
-def multiset_slots(p: Process) -> List[Path]:
-    """All insertion slots of p: the top multisets, then every prefix body."""
-    slots = [Path(None, ())]
-    slots += [Path(r, ()) for r in range(len(p.replicated))]
-    slots += [path for path, _occ in occurrences(p)]
+def _slots(p: Process) -> List[tuple]:
+    """(rep_index, steps, multiset) for every insertion slot of p, in
+    ``multiset_slots`` order: a ``Path``'s fields and the multiset it names."""
+    slots = [(None, (), p.finite)]
+    slots += [(r, (), t.body) for r, t in enumerate(p.replicated)]
+    slots += [(r, steps, c.body) for r, steps, c in _occurrences(p)]
     return slots
+
+
+def multiset_slots(p: Process) -> List[Path]:
+    """All insertion slots of p, ``p.size + 1`` of them, in order: the
+    finite part, each replicated component's body by index, then the body
+    of every occurrence in ``occurrences`` order."""
+    return [Path(rep_index, steps) for rep_index, steps, _ in _slots(p)]
+
+
+def random_slot(rng: random.Random, p: Process) -> Path:
+    """One of p's slots, drawn as ``rng.choice(multiset_slots(p))`` is."""
+    rep_index, steps, _ = rng.choice(_slots(p))
+    return Path(rep_index, steps)
 
 
 def random_context(rng: random.Random, size: int, actions: Sequence[Action],
                    finite_only: bool = False) -> Context:
     base = (Process((), random_finite(rng, size, actions)) if finite_only
             else random_process(rng, size, actions))
-    return Context(base, rng.choice(multiset_slots(base)))
+    return Context(base, random_slot(rng, base))
 
 
 def compose(p: Process, q: Process) -> Process:
@@ -188,22 +204,21 @@ def make_redundant(rng: random.Random, p: Process, ops: int = 2) -> Process:
         choice = rng.randrange(3)
         if choice == 0 and q.replicated:
             t = rng.choice(q.replicated)
-            slot = rng.choice(multiset_slots(q))
-            q = insert_at(q, slot, (t,))
+            q = insert_at(q, random_slot(rng, q), (t,))
         elif choice == 1 and q.replicated:
             t = rng.choice(q.replicated)
             q = Process(q.replicated + (t,), q.finite)
         else:
             folds = []
-            for slot in multiset_slots(q):
-                comps = _multiset(q, slot).components
-                for i in range(len(comps) - 1):
-                    if comps[i] == comps[i + 1]:
-                        folds.append((slot, comps[i]))
+            for rep_index, steps, fp in _slots(q):
+                comps = fp.components
+                for i in range(1, len(comps)):
+                    if comps[i - 1] is comps[i]:
+                        folds.append((rep_index, steps, comps[i]))
                         break
             if not folds:
                 continue
-            slot, c = rng.choice(folds)
+            rep_index, steps, c = rng.choice(folds)
 
             def fold(comps: list):
                 comps.remove(c)
@@ -211,5 +226,5 @@ def make_redundant(rng: random.Random, p: Process, ops: int = 2) -> Process:
                 comps.append(PrefixedTerm(
                     c.action, FiniteProcess(c.body.components + (c,))))
 
-            q = edit_multiset(q, slot, fold)
+            q = edit_multiset(q, Path(rep_index, steps), fold)
     return q

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 from bisect import insort
 from typing import Optional
-from weakref import WeakValueDictionary
 
 from .congruence import _PARTS_OF, canonical_id, parts_id, state
-from .syntax import (_KEY, PLAIN, Action, Keyed, Process, check_mode,
-                     memo_table)
+from .syntax import (_GONE, _KEY, PLAIN, Action, InternTable, Keyed, Process,
+                     check_mode, memo_table)
 
 __all__ = [
     "Label", "TAU", "DepthExceeded", "DEFAULT_DEPTH_CAP", "check_depth",
@@ -69,9 +68,9 @@ class Label(Keyed):
     __slots__ = ("action",)
 
     def __new__(cls, action: Optional[Action]):
-        self = _LABELS.get(action)
+        self = _LABELS.get(action, _GONE)()
         if self is None:
-            self = _LABELS[action] = object.__new__(cls)
+            self = _LABELS.add(action, object.__new__(cls))
             self.action = action
             if action is None:
                 self.key = (1, "", 0)
@@ -89,7 +88,7 @@ class Label(Keyed):
         return "tau" if self.action is None else str(self.action)
 
 
-_LABELS = WeakValueDictionary()  # the intern table of labels, by action
+_LABELS = InternTable()  # the intern table of labels, by action
 TAU = Label(None)
 
 

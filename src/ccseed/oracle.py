@@ -555,7 +555,7 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
         if constructive:
             base = corpus.random_process(rng, rng.randint(0, max_size), actions)
             base = Process(base.replicated + (rep_term,), base.finite)
-            ctx = corpus.Context(base, rng.choice(corpus.multiset_slots(base)))
+            ctx = corpus.Context(base, corpus.random_slot(rng, base))
             remainder = list(base.replicated)
             remainder.remove(rep_term)
             partner = Process(remainder, base.finite)

@@ -9,13 +9,15 @@ part of a process and every prefix body are stored as flattened multisets
 therefore already identifies them up to the abelian-monoid laws.
 
 Terms are hash-consed: every constructor returns the one live object of
-its term, found in a weak intern table by its arguments (an action by
-name and polarity, a prefixed term by its action and body objects, a
+its term, found in an intern table by its arguments (an action by name
+and polarity, a prefixed term by its action and body objects, a
 multiset by its sorted component tuple, a process by its replicated
 tuple and finite part).  Structurally equal terms are therefore one
 object, and equality and hashing are by identity, in constant time
-however deep the term.  The tables are weak, so a term no one else holds
-is freed, and they are not memo tables: ``clear_caches`` leaves them.
+however deep the term.  An ``InternTable`` keeps a plain dict from
+construction key to a weak reference to the term, whose callback removes
+the entry when the term dies, so a term no one else holds is freed.  The
+intern tables are not memo tables: ``clear_caches`` leaves them.
 
 Concrete syntax::
 
@@ -38,11 +40,11 @@ import re
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
-from weakref import WeakValueDictionary
+from weakref import ref
 
 __all__ = [
-    "PLAIN", "INPUT", "OUTPUT", "check_mode", "Keyed", "memo_table",
-    "clear_caches",
+    "PLAIN", "INPUT", "OUTPUT", "check_mode", "Keyed", "InternTable",
+    "memo_table", "clear_caches",
     "Action", "PrefixedTerm", "FiniteProcess", "Process", "Path",
     "ParseError", "StructureError",
     "parse", "render", "apply_substitution",
@@ -103,6 +105,47 @@ def clear_caches() -> None:
 
 
 _KEY = attrgetter("key")
+_SIZE = attrgetter("size")
+
+
+class _Entry(ref):
+    """An intern-table entry: a weak reference to a term, and its key."""
+
+    __slots__ = ("key",)
+
+
+class InternTable:
+    """The live term of each construction key, for one term class.
+
+    ``entries`` is a plain dict from construction key to an ``_Entry``.
+    ``get`` is that dict's own ``get``, so ``table.get(key, _GONE)()`` is
+    the live term of ``key`` or None, looked up in C.  ``add(key, term)``
+    stores ``term`` and returns it.  When a term dies, its entry's
+    callback deletes its key, but only while that entry is still the one
+    stored there: a callback that runs after an equal term was interned
+    again leaves the new entry in place.
+    """
+
+    __slots__ = ("entries", "get", "_drop")
+
+    def __init__(self):
+        entries = self.entries = {}
+        self.get = entries.get
+
+        def drop(entry: _Entry) -> None:
+            if entries.get(entry.key) is entry:
+                del entries[entry.key]
+
+        # One callback shared by every entry, not a bound method each.
+        self._drop = drop
+
+    def __len__(self):
+        return len(self.entries)
+
+    def add(self, key, term):
+        entry = self.entries[key] = _Entry(term, self._drop)
+        entry.key = key
+        return term
 
 
 class Keyed:
@@ -110,14 +153,14 @@ class Keyed:
 
     Each subclass builds its objects in ``__new__``, which looks the
     constructor's arguments up (component tuples sorted, subterms by
-    identity) in the class's weak intern table, a ``WeakValueDictionary``,
-    and returns the live object when there is one.  So equal terms are
-    one object, and equality and hashing are the built-in identity ones.
-    ``key``, the structural key set once per object, only orders terms
-    (render order, state order) and is never hashed.  ``__init__`` only
-    accepts the constructor's arguments, and ``__reduce__`` rebuilds
-    through the constructor, so a pickled or copied term comes back as
-    the live one.
+    identity) in the class's ``InternTable``, a plain dict of weak
+    entries, and returns the live object when there is one.  So equal
+    terms are one object, and equality and hashing are the built-in
+    identity ones.  ``key``, the structural key set once per object, only
+    orders terms (render order, state order) and is never hashed.
+    ``__init__`` only accepts the constructor's arguments, and
+    ``__reduce__`` rebuilds through the constructor, so a pickled or
+    copied term comes back as the live one.
     """
 
     __slots__ = ("key", "__weakref__")
@@ -131,6 +174,18 @@ class Keyed:
         return self.key < other.key
 
 
+# The entry of a term that is gone: calling it gives None, as a dead
+# entry does, so ``table.get(key, _GONE)()`` is the live term or None.
+_GONE = _Entry(Keyed())
+
+# The intern tables of the term classes: the live term of each
+# construction key.  Not memo tables, so ``clear_caches`` keeps them.
+_ACTIONS = InternTable()
+_FINITES = InternTable()
+_PREFIXED = InternTable()
+_PROCESSES = InternTable()
+
+
 class Action(Keyed):
     """An action symbol: a name plus a polarity (plain, input or output).
 
@@ -141,7 +196,7 @@ class Action(Keyed):
 
     def __new__(cls, name: str, polarity: int = PLAIN):
         key = (name, polarity)
-        self = _ACTIONS.get(key)
+        self = _ACTIONS.get(key, _GONE)()
         if self is None:
             if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"illegal action name {name!r}")
@@ -150,7 +205,7 @@ class Action(Keyed):
             if name == "tau" and polarity != PLAIN:
                 raise ValueError("the name tau is reserved for the silent "
                                  "label in sync mode")
-            self = _ACTIONS[key] = object.__new__(cls)
+            self = _ACTIONS.add(key, object.__new__(cls))
             self.name = name
             self.polarity = polarity
             self.key = key
@@ -185,12 +240,12 @@ class FiniteProcess(Keyed):
 
     def __new__(cls, components: Iterable["PrefixedTerm"] = ()):
         comps = tuple(sorted(components, key=_KEY))
-        self = _FINITES.get(comps)
+        self = _FINITES.get(comps, _GONE)()
         if self is None:
-            self = _FINITES[comps] = object.__new__(cls)
+            self = _FINITES.add(comps, object.__new__(cls))
             self.components = comps
-            self.size = sum(t.size for t in comps)
-            self.key = tuple(t.key for t in comps)
+            self.size = sum(map(_SIZE, comps))
+            self.key = tuple(map(_KEY, comps))
         return self
 
     def __reduce__(self):
@@ -218,9 +273,9 @@ class PrefixedTerm(Keyed):
         if body is None:
             body = NIL_FINITE
         pair = (action, body)
-        self = _PREFIXED.get(pair)
+        self = _PREFIXED.get(pair, _GONE)()
         if self is None:
-            self = _PREFIXED[pair] = object.__new__(cls)
+            self = _PREFIXED.add(pair, object.__new__(cls))
             self.action = action
             self.body = body
             self.size = 1 + body.size
@@ -252,13 +307,13 @@ class Process(Keyed):
         if not isinstance(finite, FiniteProcess):
             finite = FiniteProcess(finite)
         pair = (reps, finite)
-        self = _PROCESSES.get(pair)
+        self = _PROCESSES.get(pair, _GONE)()
         if self is None:
-            self = _PROCESSES[pair] = object.__new__(cls)
+            self = _PROCESSES.add(pair, object.__new__(cls))
             self.replicated = reps
             self.finite = finite
-            self.size = sum(t.size for t in reps) + finite.size
-            self.key = (tuple(t.key for t in reps), finite.key)
+            self.size = sum(map(_SIZE, reps)) + finite.size
+            self.key = (tuple(map(_KEY, reps)), finite.key)
         return self
 
     def __reduce__(self):
@@ -273,13 +328,6 @@ class Process(Keyed):
     def __repr__(self):
         return f"Process({render(self)!r})"
 
-
-# The intern tables: the live term of each construction key.  Weak, so an
-# entry dies with its term; not memo tables, so ``clear_caches`` keeps them.
-_ACTIONS = WeakValueDictionary()
-_FINITES = WeakValueDictionary()
-_PREFIXED = WeakValueDictionary()
-_PROCESSES = WeakValueDictionary()
 
 NIL_FINITE = FiniteProcess(())
 
@@ -499,28 +547,33 @@ class Path:
         return "finite" if self.rep_index is None else "replicated"
 
 
-def occurrences(p: Process) -> Iterator[tuple]:
-    """Yield (Path, PrefixedTerm) for every addressable occurrence in ``p``."""
+def _occurrences(p: Process) -> Iterator[tuple]:
+    """(rep_index, steps, occurrence) for every occurrence in ``p``, a
+    ``Path``'s fields and the term it addresses, in preorder: the finite
+    part, then each replicated component's body."""
 
     def walk(fp: FiniteProcess, rep_index, prefix: tuple):
         for i, c in enumerate(fp.components):
             steps = prefix + (i,)
-            yield Path(rep_index, steps), c
-            yield from walk(c.body, rep_index, steps)
+            yield rep_index, steps, c
+            if c.body.components:
+                yield from walk(c.body, rep_index, steps)
 
     yield from walk(p.finite, None, ())
     for r, t in enumerate(p.replicated):
         yield from walk(t.body, r, ())
 
 
+def occurrences(p: Process) -> Iterator[tuple]:
+    """Yield (Path, PrefixedTerm) for every addressable occurrence in ``p``."""
+    for rep_index, steps, c in _occurrences(p):
+        yield Path(rep_index, steps), c
+
+
 def _at(items, i: int):
     if not 0 <= i < len(items):
         raise IndexError("path does not match process")
     return items[i]
-
-
-def _top(p: Process, rep_index: Optional[int]) -> FiniteProcess:
-    return p.finite if rep_index is None else _at(p.replicated, rep_index).body
 
 
 def _edit_finite(fp: FiniteProcess, steps: tuple,
@@ -552,16 +605,12 @@ def edit_multiset(p: Process, path: Path,
     return _edit(p, path.rep_index, path.steps, edit)
 
 
-def _multiset(p: Process, path: Path) -> FiniteProcess:
-    """The multiset ``edit_multiset`` would edit; IndexError if none."""
-    return resolve(p, path).body if path.steps else _top(p, path.rep_index)
-
-
 def resolve(p: Process, path: Path) -> PrefixedTerm:
     """The occurrence a path addresses in ``p``; IndexError if none."""
     if not path.steps:
         raise IndexError("path does not match process")
-    fp = _top(p, path.rep_index)
+    fp = (p.finite if path.rep_index is None
+          else _at(p.replicated, path.rep_index).body)
     for i in path.steps:
         t = _at(fp.components, i)
         fp = t.body

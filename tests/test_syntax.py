@@ -203,14 +203,39 @@ def test_a_term_kept_across_clear_caches_is_an_equal_term_built_after():
 def test_a_dropped_term_leaves_no_intern_entry():
     tables = (syntax._ACTIONS, syntax._FINITES, syntax._PREFIXED,
               syntax._PROCESSES, lts._LABELS)
+    text = "!unseen.(once.0 | only.here.0) | twice.(unseen.0 | here.0)"
     gc.collect()
     before = [len(t) for t in tables]
-    p = parse("!unseen.(once.0 | only.here.0) | twice.(unseen.0 | here.0)")
+    p = parse(text)
     label = lts.Label(p.finite.components[0].action)
-    assert all(len(t) > n for t, n in zip(tables, before))
+    built = [len(t) for t in tables]
+    assert all(n > m for n, m in zip(built, before))
     del p, label
     gc.collect()
     assert [len(t) for t in tables] == before
+    # Rebuilt, the text is one live object again, with one entry per table
+    # for each of its terms.
+    p = parse(text)
+    label = lts.Label(p.finite.components[0].action)
+    assert parse(text) is p
+    assert [len(t) for t in tables] == built
+    twice = p.finite.components[0]
+    for table, key, term in (
+            (syntax._ACTIONS, ("twice", PLAIN), twice.action),
+            (syntax._FINITES, (twice,), p.finite),
+            (syntax._PREFIXED, (twice.action, twice.body), twice),
+            (syntax._PROCESSES, (p.replicated, p.finite), p),
+            (lts._LABELS, twice.action, label)):
+        assert table.get(key)() is term
+    # A stale entry's callback, run late, after an equal term was interned
+    # again, finds another entry under its key and leaves it in place.
+    stale = syntax._PROCESSES.get((p.replicated, p.finite))
+    drop = stale.__callback__  # cleared once it has run
+    del p, twice, label, table, key, term
+    assert stale() is None and stale.key not in syntax._PROCESSES.entries
+    p = parse(text)
+    drop(stale)
+    assert syntax._PROCESSES.get(stale.key, syntax._GONE)() is p
 
 
 _SET_ORDER = """
