@@ -136,7 +136,8 @@ class InternTable:
             if entries.get(entry.key) is entry:
                 del entries[entry.key]
 
-        # One callback shared by every entry, not a bound method each.
+        # One callback for every entry: a bound method would cost an
+        # object per live term.
         self._drop = drop
 
     def __len__(self):
