@@ -13,11 +13,16 @@ process and the bodies they spawn are canonical already, so a destination
 is made of them directly and never canonicalized again.
 
 A state fires as its parts, the key-ordered tuples of its components
-that ``congruence`` keeps: a destination is the finite components kept
-plus the components of the body spawned, in key order, next to the
-state's own replicated ones.  ``parts_id`` finds it among every state
-numbered so far, however it was met, or numbers it; firing builds no
-``Process`` and writes no ``congruence`` table.
+that ``congruence`` keeps, in two halves.  ``_firers`` lists its
+firings: the finite positions consumed, the label and the components
+spawned, with the handshakes in sync mode.  ``_destinations`` numbers
+the destinations of a list of firings: a destination is the finite
+components kept plus the components of the body spawned, in key order,
+next to the state's own replicated ones, and ``parts_id`` finds it among
+every state numbered so far, however it was met, or numbers it.
+``_fire`` applies the two to all of a state's firings, and the witness
+search of ``oracle`` to one label's.  Firing builds no ``Process`` and
+writes no ``congruence`` table.
 
 States are the ids of ``congruence``'s table of canonical states, and
 labels are small int ids too, handed out as labels are first met; this
@@ -28,7 +33,8 @@ as sorted ids, a canonical order that the game compares.  Keyed by ints
 only, a moves dict is not tracked by the garbage collector.
 ``successors`` and ``unfold`` are views of them: they build the labels and
 states they return, through ``_LABEL_OF`` and ``congruence.state``, and
-list each label's destinations in key order.  ``bounded_class`` and the
+list each label's destinations in key order, read off their parts
+(``_state_key``) with no state built.  ``bounded_class`` and the
 bounded game and witness search of ``oracle`` read them by id.
 """
 
@@ -142,37 +148,53 @@ def successors(p: Process, mode: str = "base") -> tuple:
 
 
 def _state_key(j: int) -> tuple:
-    return state(j).key
+    """State j's sort key: its parts.  Terms are equal only when identical
+    and tuples of them compare by ``Keyed.__lt__``, so this orders states
+    as ``state(j).key`` does, with no ``Process`` built."""
+    return _PARTS_OF[j]
 
 
 def _fire(i: int, mode: str) -> dict:
-    """The moves of state i, fired on its parts; nothing is built."""
-    reps, fin = _PARTS_OF[i]
+    """The moves of state i: its firings, numbered by ``_destinations``."""
+    dests = _destinations(i, _firers(i, mode))
+    return {label: tuple(sorted(dests[label]))
+            for label in sorted(dests, key=_label_key)}
 
-    # (finite positions consumed, label, components spawned) per distinct
-    # component; copies are adjacent in key order
-    firers = [((n,), _label(t.action), t.body.components)
-              for n, t in enumerate(fin) if not n or t is not fin[n - 1]]
-    firers += [((), _label(t.action), t.body.components)
-               for n, t in enumerate(reps) if not n or t is not reps[n - 1]]
-    moves = firers
+
+def _firers(i: int, mode: str) -> list:
+    """State i's firings, read off its parts: (finite positions consumed,
+    label id, components spawned) per distinct component, and in sync mode
+    one more, as a tau, per handshaking pair of them."""
+    reps, fin = _PARTS_OF[i]
+    # copies are adjacent in key order
+    firings = [((n,), _label(t.action), t.body.components)
+               for n, t in enumerate(fin) if not n or t is not fin[n - 1]]
+    firings += [((), _label(t.action), t.body.components)
+                for n, t in enumerate(reps) if not n or t is not reps[n - 1]]
     if mode == "sync":
         tau = _label(None)
-        moves = firers + [(gone + other_gone, tau, body + other)
-                          for n, (gone, label, body) in enumerate(firers)
-                          for other_gone, other_label, other in firers[n + 1:]
-                          if _CO[label] == other_label]
+        firings += [(gone + other_gone, tau, body + other)
+                    for n, (gone, label, body) in enumerate(firings)
+                    for other_gone, other_label, other in firings[n + 1:]
+                    if _CO[label] == other_label]
+    return firings
 
+
+def _destinations(i: int, firings: list) -> dict:
+    """{label id: set of destination ids} of these firings of state i.
+
+    A destination is the finite components kept plus the components
+    spawned, next to i's replicated ones; ``parts_id`` numbers it."""
+    reps, fin = _PARTS_OF[i]
     dests: dict = {}
-    for gone, label, spawned in moves:
+    for gone, label, spawned in firings:
         kept = list(fin)
-        for n in reversed(gone):  # ascending: firers come in fin's order
+        for n in reversed(gone):  # ascending: firings come in fin's order
             del kept[n]
         for t in spawned:
             insort(kept, t, key=_KEY)
         dests.setdefault(label, set()).add(parts_id(reps, tuple(kept)))
-    return {label: tuple(sorted(dests[label]))
-            for label in sorted(dests, key=_label_key)}
+    return dests
 
 
 def unfold(p: Process, depth: int, mode: str = "base") -> tuple:

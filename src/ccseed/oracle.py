@@ -28,8 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import corpus
 from .congruence import (_PARTS_OF, canonical_finite, canonical_id,
                          canonicalize, parts_id, process_of, state)
-from .lts import (Label, TAU, _LABEL_OF, _label, _moves, _state_key,
-                  bounded_class, check_depth, successors)
+from .lts import (Label, TAU, _CO, _LABEL_OF, _destinations, _firers, _label,
+                  _label_key, _moves, _state_key, bounded_class, check_depth,
+                  successors)
 from .rewrite import (_explore, _state_size, compute_seed, convertible,
                       rewrites_to)
 from .syntax import (FiniteProcess, PrefixedTerm, Process,
@@ -140,8 +141,11 @@ class GameResult:
 # The game plays on the state ids of ``congruence``'s table of canonical
 # states and on the moves ``lts`` keeps for them, {label id: destination
 # ids}, so it hashes and compares plain ints only.  Depth 1 compares the
-# visible labels two states can fire, read off their components with
-# nothing fired (``_labels``).  From depth 2 a pair that shares finite
+# labels two states can fire, read off their components with nothing
+# fired (``_labels``), and so does a depth-1 witness (``_witness``),
+# which numbers only its label's successors.  The witness search orders
+# ids by their parts (``lts._state_key``) and builds no state but the
+# ones its moves record.  From depth 2 a pair that shares finite
 # components is first played with them taken out (``_cancels``): a
 # "survives" answer of that smaller pair answers the pair, a
 # "distinguished" one does not, and the pair is then played in full.
@@ -229,12 +233,24 @@ def _cancels(i: int, j: int, d: int, mode: str) -> bool:
     return _labels(a) == _labels(b) and _ids_eq(a, b, d, mode)
 
 
-def _labels(i: int) -> set:
-    """The ids of the visible labels state i can fire, read off its
-    components.  In sync mode it also fires tau exactly when two of them
-    handshake, so states with equal visible labels fire equal labels."""
-    reps, fin = _PARTS_OF[i]
-    return {_label(t.action) for t in reps + fin}
+_LABEL_BITS = memo_table()
+
+
+def _labels(i: int) -> int:
+    """The labels state i fires in sync mode, as a bit set of label ids,
+    read off its components with nothing fired: their visible labels, and
+    tau exactly when two of them handshake.  So states with equal visible
+    labels fire equal labels, in either mode.  In base mode no state fires
+    tau, and ``_witness`` takes it out."""
+    got = _LABEL_BITS.get(i)
+    if got is None:
+        reps, fin = _PARTS_OF[i]
+        ids = {_label(t.action) for t in reps + fin}
+        got = sum(1 << n for n in ids)
+        if any(_CO[n] in ids for n in ids):
+            got |= 1 << _label(None)
+        _LABEL_BITS[i] = got
+    return got
 
 
 def _covers(xs: tuple, ys: tuple, d: int, mode: str) -> bool:
@@ -255,7 +271,12 @@ def _witness(single: int, others: tuple, d: int, single_side: str,
     """Moves forcing every state in ``others`` stuck within d rounds.
 
     The attacker moves on the single side first; against a lone other
-    state it may also move there, with ``single`` as the defender.
+    state it may also move there, with ``single`` as the defender.  At
+    d = 1 it wins with the first label, in key order, that it fires and no
+    defender fires, read off the components (``_labels``), and moves to
+    its least successor on that label, numbered from that label's firings
+    alone: nothing else is fired.  From d = 2 it tries its moves in table
+    order, each label's successors in key order.
     """
     key = (single, others, d, single_side)
     if key in memo:
@@ -265,6 +286,22 @@ def _witness(single: int, others: tuple, d: int, single_side: str,
         other_side = "right" if single_side == "left" else "left"
         attacks.append((others[0], (single,), other_side))
     for attacker, defenders, side in attacks:
+        if d == 1:
+            free = _labels(attacker)
+            for o in defenders:
+                free &= ~_labels(o)
+            if mode == "base":
+                free &= ~(1 << _label(None))
+            if not free:
+                continue
+            lab = min((n for n in range(free.bit_length()) if free >> n & 1),
+                      key=_label_key)
+            succs = _destinations(attacker, [
+                f for f in _firers(attacker, mode) if f[1] == lab])[lab]
+            move = Move(side, _LABEL_OF[lab],
+                        state(min(succs, key=_state_key)))
+            memo[key] = result = (move,)
+            return result
         replies = [_moves(o, mode) for o in defenders]
         for lab, succs in _moves(attacker, mode).items():
             alive = tuple(sorted({y for m in replies for y in m.get(lab, ())}))
@@ -272,7 +309,7 @@ def _witness(single: int, others: tuple, d: int, single_side: str,
             # order in which ids were handed out
             for succ in sorted(succs, key=_state_key):
                 # a defender equal to succ for d-1 rounds outlives any
-                # sub-witness; at d = 1 that is any defender
+                # sub-witness
                 if any(_ids_eq(succ, y, d - 1, mode) for y in alive):
                     continue
                 sub = _witness(succ, alive, d - 1, side, mode,

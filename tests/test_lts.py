@@ -471,6 +471,24 @@ def test_ids_read_back_after_firing_keep_one_id_per_state():
     assert len(congruence._PARTS_OF) == n
 
 
+
+def test_state_key_orders_ids_as_the_keys_of_their_states():
+    # Ids are ordered by their parts, which builds no process: terms are
+    # equal only when identical and compare by key, so that is the order
+    # of the states' own keys.
+    rng = random.Random(35)
+    ids = []
+    for mode in ("base", "sync"):
+        acts = corpus.default_actions(3 if mode == "base" else 4, mode)
+        for _ in range(30):
+            p = corpus.random_process(rng, rng.randint(0, 6), acts)
+            ids += map(canonical_id, unfold(p, 3, mode)[0])
+    rng.shuffle(ids)
+    assert sorted(ids, key=lts._state_key) == sorted(
+        ids, key=lambda j: congruence.state(j).key)
+    assert len(set(ids)) > 150
+
+
 ACTIONS = corpus.default_actions(2, "base")
 SYNC_ACTIONS = corpus.default_actions(2, "sync")
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccseed import clear_caches, corpus, lts, oracle
 from ccseed.congruence import canonical_id, canonicalize, state
-from ccseed.lts import DepthExceeded, bounded_class, unfold
+from ccseed.lts import DepthExceeded, bounded_class, successors, unfold
 from ccseed.oracle import (Distinguisher, GameConfig, _game_eq, bounded_bisim,
                            bounded_partition, dis_check, finite_bisim,
                            finite_partition, lemma_suite, lemma_suite_sharded,
@@ -504,6 +504,114 @@ def test_witness_search_starts_at_the_first_separating_depth(mode,
             assert len(result.distinguisher.moves) == asked[-1]
             firsts.add(first)
     assert firsts == {1, 2, 5, 6}
+
+
+# Pairs whose two sides fire different labels, so the game tells them apart
+# at depth 1.  In base mode the last pair's sides handshake, a and ~a, but
+# fire no tau there.
+DEPTH_ONE_PAIRS = {
+    "base": [("a.0 | b.0", "a.0 | c.0"), ("!a.b.0", "b.a.0"),
+             ("a.b.0 | c.0", "c.b.0"), ("a.0 | ~a.0 | b.0", "a.0 | ~a.0")],
+    "sync": [("a.0 | ~a.0 | b.0", "a.0 | ~a.0 | ~b.0"),
+             ("a.0 | ~a.0", "a.0 | a.0"), ("!b.(a.0 | ~a.0)", "~b.0"),
+             ("b.0 | a.0 | ~a.0", "b.0")],
+}
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_a_pair_told_apart_at_depth_one_fires_nothing(mode):
+    # Depth 1 of the game and of the witness search read the labels off the
+    # components; the one successor numbered is the witness's own.
+    for left, right in DEPTH_ONE_PAIRS[mode]:
+        # terms with outputs are parsed as sync terms, whatever the mode
+        written = "sync" if "~" in left + right else mode
+        p, q = parse(left, written), parse(right, written)
+        clear_caches()
+        result = bounded_bisim(p, q, GameConfig(mode=mode))
+        assert not result.equivalent
+        assert len(result.distinguisher.moves) == 1
+        assert not lts._BASE_MOVES and not lts._SYNC_MOVES, (left, right)
+        assert replay_distinguisher(p, q, result.distinguisher, mode)
+
+
+def _depth_one_reference(single, others, mode):
+    """The first label, in ``successors`` order, that the attacker fires
+    and no defender does, and the attacker's first successor on it; the
+    single side attacks first, then a lone other side."""
+    attacks = [(single, others, "left")]
+    if len(others) == 1:
+        attacks.append((others[0], [single], "right"))
+    for attacker, defenders, side in attacks:
+        fired = {lab for o in defenders for lab, _ in successors(o, mode)}
+        for lab, succ in successors(attacker, mode):
+            if lab not in fired:
+                return side, lab, succ
+    return None
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_depth_one_witness_matches_a_reference_read_off_successors(mode):
+    rng = random.Random(33)
+    # base mode also plays terms over a, ~a, b, ~b, which fire no tau there
+    alphabets = [corpus.default_actions(4, "sync")]
+    if mode == "base":
+        alphabets.append(corpus.default_actions(3))
+    cases = []
+    if mode == "sync":
+        # after b the attacker a.0 | ~a.0 wins by tau against defenders
+        # that fire a and ~a but no tau
+        cases.append((parse("a.0 | ~a.0", mode),
+                      [parse("a.0 | b.~a.0", mode),
+                       parse("~a.0 | b.a.0", mode)]))
+    for _ in range(300):
+        acts = rng.choice(alphabets)
+        single, *others = (
+            corpus.random_process(rng, rng.randint(0, 5), acts)
+            for _ in range(rng.randint(2, 4)))
+        cases.append((single, others))
+    won = set()
+    for single, others in cases:
+        # number labels in a different order for each case
+        clear_caches()
+        i = canonical_id(single)
+        ids = tuple(sorted({canonical_id(o) for o in others}))
+        got = oracle._witness(i, ids, 1, "left", mode, {})
+        expected = _depth_one_reference(
+            canonicalize(single), [state(j) for j in ids], mode)
+        if expected is None:
+            assert got is None
+            continue
+        (move,) = got
+        assert (move.side, move.label, move.successor) == expected
+        won.add((move.side, len(ids), move.label == lts.TAU))
+    assert {(side, n) for side, n, _ in won} >= {
+        ("left", 1), ("right", 1), ("left", 2), ("left", 3)}
+    assert any(tau for _, _, tau in won) == (mode == "sync")
+    # the pair whose distinguisher ends with that tau
+    if mode == "sync":
+        p, q = parse("b.(a.0 | ~a.0)", mode), parse("b.a.0 | b.~a.0", mode)
+        moves = bounded_bisim(p, q, GameConfig(mode=mode)).distinguisher.moves
+        assert [(mv.side, str(mv.label), render(mv.successor))
+                for mv in moves] == [("left", "b", "a.0 | ~a.0"),
+                                     ("left", "tau", "0")]
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_labels_are_the_bit_set_of_the_labels_fired(mode):
+    # _labels reads a state's labels off its components, tau included
+    # when two of them handshake; that is the labels its moves are keyed by.
+    rng = random.Random(34)
+    acts = corpus.default_actions(2 if mode == "base" else 4, mode)
+    ids = {canonical_id(s) for _ in range(40)
+           for s in unfold(corpus.random_process(rng, rng.randint(1, 6),
+                                                 acts), 3, mode)[0]}
+    taus = 0
+    for i in ids:
+        fired = lts._moves(i, mode).keys()
+        assert oracle._labels(i) == sum(1 << lab for lab in fired), render(
+            state(i))
+        taus += lts._label(None) in fired
+    assert len(ids) > 100 and (taus > 0) == (mode == "sync")
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
