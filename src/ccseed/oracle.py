@@ -11,7 +11,10 @@ preserved by parallel composition, so a pair that survives k rounds with
 the finite components it shares taken out survives them with those put
 back.  Only that "survives" answer is used; the converse fails, so a pair
 whose smaller pair is told apart is played in full, and every verdict is
-exact.
+exact.  And it is played up to replication: a state is compared by the
+moves of its absorbed form, without the copies of its replicated
+components (``!t | t ~ !t``) and without its repeated replicated
+components (``!t | !t ~ !t``), which are strongly bisimilar to it.
 ``dis_check`` and ``purg_check`` decide the two finite-process predicates
 the theory leans on.  ``lemma_suite`` fuzzes the lot and reports hypothesis
 hits so vacuous passes are visible.
@@ -152,7 +155,12 @@ class GameResult:
 # Its memo keys an unordered pair of distinct ids by (i, j, mode) with
 # i < j and holds (deepest depth known equal, shallowest depth known
 # distinguished): k-round equivalence only shrinks as k grows, so one entry
-# answers every depth outside that gap.  The smaller pairs share it.
+# answers every depth outside that gap.  The smaller pairs share it.  A
+# pair that neither answers is played up to replication: it survives when
+# its two absorbed forms (``_absorbed``) are one state, and otherwise the
+# moves of those forms are compared.  The witness search and the replay
+# fire the states themselves, so a distinguisher's moves record them as
+# they are, unabsorbed.
 _GAME = memo_table()
 _UNKNOWN = (0, math.inf)
 
@@ -178,8 +186,10 @@ def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
         result = _labels(i) == _labels(j)
     elif _cancels(i, j, d, mode):
         result = True
+    elif _absorbed(i) == _absorbed(j):
+        result = True
     else:
-        gi, gj = _moves(i, mode), _moves(j, mode)
+        gi, gj = _moves(_absorbed(i), mode), _moves(_absorbed(j), mode)
         result = gi.keys() == gj.keys()
         if result:
             for lab, xs in gi.items():
@@ -231,6 +241,43 @@ def _cancels(i: int, j: int, d: int, mode: str) -> bool:
     a, b = parts_id(reps_i, tuple(rest_i)), parts_id(reps_j, tuple(rest_j))
     # labels apart is the depth-1 answer, which needs nothing fired
     return _labels(a) == _labels(b) and _ids_eq(a, b, d, mode)
+
+
+_ABSORBED = memo_table()
+
+
+def _absorbed(i: int) -> int:
+    """State i with what its replicated components absorb taken out: each
+    finite component identical to one of them, and each repeated one.
+
+    ``!t | t | t`` and ``!t | !t`` are strongly bisimilar to ``!t``.  For
+    any X the relation of the pairs (!t | t^n | X, !t | X), with the
+    identity, is a strong bisimulation.  A copy t firing alone, or in a
+    handshake with a component of X, is answered by !t making the same
+    move, and both sides reach the same state; any other move, of !t or
+    of X, alone or in a handshake, is answered by the same move on the
+    other side, and the two results are again in the relation; t and !t
+    fire one action, so they never handshake with each other.  The pairs
+    (!t | !t | X, !t | X) are one by the same argument.
+    Bisimilar states survive the same rounds against any state, so the game
+    may compare the moves of the absorbed forms in place of their own, and
+    each verdict at each depth, and each distinguisher, stays what it was.
+    The components are matched by identity, so no terms are compared.
+    """
+    got = _ABSORBED.get(i)
+    if got is None:
+        got = i
+        reps, fin = _PARTS_OF[i]
+        if reps:
+            # copies are adjacent in key order
+            kept = tuple(t for n, t in enumerate(reps)
+                         if not n or t is not reps[n - 1])
+            absorbing = set(kept)
+            rest = tuple(t for t in fin if t not in absorbing)
+            if len(kept) + len(rest) < len(reps) + len(fin):
+                got = parts_id(kept, rest)
+        _ABSORBED[i] = got
+    return got
 
 
 _LABEL_BITS = memo_table()
@@ -384,7 +431,9 @@ def bounded_partition(procs: Sequence[Process], depth: int,
     Signature refinement stratified by remaining depth (``bounded_class``);
     agrees with ``bounded_bisim`` verdicts pairwise (the suites cross-check
     this against ``_game_eq``, which shares only the state ids and their
-    moves with it).
+    moves with it).  It plays every state as it is: it neither cancels
+    shared components nor absorbs copies of replicated ones, so that
+    cross-check is also a check of both.
     """
     check_depth(depth)
     check_mode(mode)

@@ -467,6 +467,52 @@ def test_game_on_a_pair_sharing_nine_components_fires_few_states(mode):
     assert len(lts._BASE_MOVES) + len(lts._SYNC_MOVES) <= 50
 
 
+@pytest.mark.parametrize("mode,size,absorbing", [("base", 6, 3773),
+                                                 ("sync", 5, 876)])
+def test_absorbed_states_are_bisimilar_at_every_depth(mode, size, absorbing):
+    # The game compares the moves of a state's absorbed form, with the
+    # copies of its replicated components and its repeated replicated
+    # components taken out.  On the canonical processes of an exhaustive
+    # corpus and their states within two moves, in both modes and at every
+    # depth, the absorbed form is in the bounded class of the state, which
+    # knows nothing of absorption.  The count of states with something to
+    # absorb keeps the test from passing with absorption never taken.
+    clear_caches()
+    procs = corpus.enumerate_processes(size, corpus.default_actions(2, mode))
+    ids = frontier = {canonical_id(p) for p in procs}
+    for _ in range(2):
+        frontier = {j for i in frontier
+                    for js in lts._moves(i, mode).values() for j in js} - ids
+        ids = ids | frontier
+    absorbed = 0
+    for i in ids:
+        a = oracle._absorbed(i)
+        assert oracle._absorbed(a) == a, render(state(i))
+        if a == i:
+            continue
+        absorbed += 1
+        for played in ("base", "sync"):
+            for k in range(1, 7):
+                assert bounded_class(state(a), k, played) == bounded_class(
+                    state(i), k, played), (render(state(i)), played, k)
+    assert absorbed == absorbing
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+@pytest.mark.parametrize("left,right,most", [
+    ("!a.b.0 | a.b.0 | a.b.0", "!a.b.0", 0),
+    ("!a.0 | !b.0 | !a.b.0", "!a.0 | !b.0 | !a.a.0 | !a.b.0", 2)],
+    ids=["copies", "spawned"])
+def test_game_on_absorbed_copies_fires_few_states(mode, left, right, most):
+    # The left side of the first pair absorbs to the right side, so the
+    # game fires nothing (it fired 3 states when it played every copy).
+    # In the second pair every a.0 that !a.a.0 spawns is a copy of !a.0's
+    # term (the game once fired 20 states).
+    clear_caches()
+    assert _game_eq(parse(left, mode), parse(right, mode), 6, mode)
+    assert len(lts._BASE_MOVES) + len(lts._SYNC_MOVES) <= most
+
+
 @pytest.mark.parametrize("mode", ["base", "sync"])
 def test_witness_search_starts_at_the_first_separating_depth(mode,
                                                              monkeypatch):
