@@ -156,11 +156,11 @@ class GameResult:
 # i < j and holds (deepest depth known equal, shallowest depth known
 # distinguished): k-round equivalence only shrinks as k grows, so one entry
 # answers every depth outside that gap.  The smaller pairs share it.  A
-# pair that neither answers is played up to replication: it survives when
-# its two absorbed forms (``_absorbed``) are one state, and otherwise the
-# moves of those forms are compared.  The witness search and the replay
-# fire the states themselves, so a distinguisher's moves record them as
-# they are, unabsorbed.
+# pair that neither answers is played up to replication: it survives
+# every depth when its two absorbed forms (``_absorbed``) are one state,
+# and otherwise the moves of those forms are compared.  The witness
+# search and the replay fire the states themselves, so a distinguisher's
+# moves record them as they are, unabsorbed.
 _GAME = memo_table()
 _UNKNOWN = (0, math.inf)
 
@@ -186,8 +186,8 @@ def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
         result = _labels(i) == _labels(j)
     elif _cancels(i, j, d, mode):
         result = True
-    elif _absorbed(i) == _absorbed(j):
-        result = True
+    elif _absorbed(i) == _absorbed(j):  # bisimilar: equal at every depth
+        result, d = True, math.inf
     else:
         gi, gj = _moves(_absorbed(i), mode), _moves(_absorbed(j), mode)
         result = gi.keys() == gj.keys()

@@ -38,10 +38,9 @@ deleted occurrence itself, read off the step's path.
 
 Deletions run on state ids, as firing does in ``lts``.  Each distinct
 component has one memoized deletion table: its body's occurrences in
-preorder, each with its steps, the component with it deleted and that
-term's canonical components.  A deletion in a replicated component
-leaves the third field, one component; in a finite one it leaves the
-fourth, and the component's own deletion, which leaves nothing, comes
+preorder, each with its steps and the component with it deleted.  A
+deletion leaves that term in a replicated component and its canonical
+components in a finite one, whose own deletion, leaving nothing, comes
 first.  A state's deletions splice these tables into its parts
 (``congruence._PARTS_OF``) and number each destination with
 ``parts_id``: no process is rebuilt or canonicalized again, and they
@@ -125,12 +124,12 @@ def _guide_of(replicated) -> frozenset:
 
 
 # A component's deletions, one row per occurrence in its body, in
-# preorder: (steps to it, the occurrence, the component with it deleted,
-# that term's canonical components).  As a replicated component a
-# deletion leaves the third field, whose body is canonical: one
-# component.  As a finite one it leaves the fourth, none or copies of one
-# term, and the component's own deletion, which leaves nothing, is not a
-# row: ``_b1_deletions`` puts it first.
+# preorder: (steps to it, the occurrence, the component with it deleted).
+# As a replicated component a deletion leaves the third field, whose body
+# is canonical: one component.  As a finite one it leaves that term's
+# canonical components, none or copies of one term, and the component's
+# own deletion, which leaves nothing, is not a row: ``_b1_deletions``
+# puts it first.
 _DELETION_TABLES = memo_table()
 
 
@@ -141,11 +140,13 @@ def _deletion_table(t: PrefixedTerm) -> list:
         comps = t.body.components
         got = []  # a loop, not a comprehension: one frame per nesting level
         for n, h in enumerate(comps):
-            rows = [((), h, None, ())] + _deletion_table(h)  # h itself first
-            for steps, occ, _, left in rows:
-                d = PrefixedTerm(t.action, FiniteProcess(
-                    comps[:n] + left + comps[n + 1:]))
-                got.append(((n,) + steps, occ, d, _canonical_components(d)))
+            head, tail = comps[:n], comps[n + 1:]
+            got.append(((n,), h, PrefixedTerm(t.action,
+                                              FiniteProcess(head + tail))))
+            for steps, occ, d in _deletion_table(h):
+                got.append(((n,) + steps, occ, PrefixedTerm(
+                    t.action, FiniteProcess(
+                        head + _canonical_components(d) + tail))))
         _DELETION_TABLES[t] = got
     return got
 
@@ -176,21 +177,20 @@ def _b1_deletions(i: int, guide: Optional[frozenset]):
     if guide is not None and not guide:
         return  # an empty guide justifies nothing: walk no occurrence
     reps, fin = _PARTS_OF[i]
-    spliced = {}  # finite component -> its (destination, steps)
     for n, t in enumerate(fin):
-        dests = spliced.get(t)
-        if dests is None:  # t's first copy, at n
+        if not n or fin[n - 1] is not t:  # copies are adjacent in key order
             rest = fin[:n] + fin[n + 1:]
-            dests = spliced[t] = [(parts_id(reps, rest), ())] if (
+            dests = [(parts_id(reps, rest), ())] if (
                 guide is None or t in guide) else []
-            dests += [(parts_id(reps, _insert(rest, left)), steps)
-                      for steps, occ, _, left in _deletion_table(t)
+            dests += [(parts_id(reps, _insert(rest, _canonical_components(d))),
+                       steps)
+                      for steps, occ, d in _deletion_table(t)
                       if guide is None or occ in guide]
         for j, steps in dests:
             yield j, "B1", None, (n,) + steps
     for r, t in enumerate(reps):
         rest = reps[:r] + reps[r + 1:]
-        for steps, occ, d, _ in _deletion_table(t):
+        for steps, occ, d in _deletion_table(t):
             if guide is None or occ in guide:
                 yield parts_id(_insert(rest, (d,)), fin), "B1", r, steps
 
@@ -368,7 +368,7 @@ def _reach(t: PrefixedTerm, guide: frozenset) -> frozenset:
 
     B1 edits the body of one replicated component, which stays one
     component, and B2 needs two; so every deletion from ``!d`` is a B1
-    step to ``!d'``, d' the third field of a row of d's deletion table.
+    step to ``!d'``, d' the component a row of d's deletion table leaves.
     The walk follows the rows whose occurrence is in ``guide``, or whose
     action is, for the widest guide: a set of actions standing for every
     term that carries one (equality is identity, so a term is never
@@ -381,7 +381,7 @@ def _reach(t: PrefixedTerm, guide: frozenset) -> frozenset:
         seen = {t}
         todo = [t]
         while todo:
-            for _, occ, d, _ in _deletion_table(todo.pop()):
+            for _, occ, d in _deletion_table(todo.pop()):
                 if d not in seen and (occ in guide or occ.action in guide):
                     seen.add(d)
                     todo.append(d)

@@ -514,6 +514,27 @@ def test_game_on_absorbed_copies_fires_few_states(mode, left, right, most):
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
+def test_absorbed_pair_is_memoized_equal_at_every_depth(mode, monkeypatch):
+    # A pair whose absorbed forms are one state is bisimilar, so the memo
+    # holds it equal at every depth: bounded_bisim's deepening answers
+    # depths 3 to 6 from the memo and tries cancellation once, at depth 2
+    # (it tried it at each of depths 2 to 6 when the memo held the depth
+    # asked only).
+    calls = []
+    cancels = oracle._cancels
+
+    def counting(i, j, d, mode):
+        calls.append(d)
+        return cancels(i, j, d, mode)
+
+    monkeypatch.setattr(oracle, "_cancels", counting)
+    clear_caches()
+    assert bounded_bisim(parse("!a.b.0 | a.b.0", mode), parse("!a.b.0", mode),
+                         GameConfig(depth=6, mode=mode)).equivalent
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
 def test_witness_search_starts_at_the_first_separating_depth(mode,
                                                              monkeypatch):
     # No witness is shorter than the first depth that tells a pair apart,

@@ -527,6 +527,25 @@ def test_one_large_sync_component_builds_a_small_deletion_graph(monkeypatch):
     assert len(rewrite._DELETION_TABLES) <= 100
 
 
+@pytest.mark.parametrize("text,seed,most", [
+    ("!a.0 | !a.0 | !a.0 | !a.0 | !b.0 | !b.0 | !c.0 | !c.0 | !b.a.b.0 | "
+     "!c.(b.0 | c.0) | !b.(a.0 | b.0 | c.c.0) | !c.(b.0 | a.c.0 | b.c.0)",
+     "!a.0 | !b.0 | !c.0", 7),
+    ("!b.0 | !b.0 | !c.0 | !b.(a.0 | b.0 | c.0 | c.(a.0 | b.0)) | "
+     "!b.(b.0 | b.0 | c.0 | a.a.0 | b.(a.0 | b.0))",
+     "!b.0 | !c.0 | !b.(a.0 | c.a.0) | !b.(a.0 | a.0 | b.a.0)", 33)],
+    ids=["size25", "size19"])
+def test_deletion_tables_canonicalize_only_what_is_spliced(text, seed, most):
+    # A deletion table row holds the component it leaves, and its
+    # canonical components are read only where a finite splice or an
+    # enclosing table uses them: stage 1 walks replicated rows only, so
+    # it canonicalizes few terms (29 and 70 when every row held them).
+    p = parse(text)
+    clear_caches()
+    assert render(compute_seed(p).seed) == seed
+    assert len(congruence._CANON_COMPS) <= most
+
+
 @pytest.mark.parametrize("mode", ["base", "sync"])
 def test_stage_1_candidates_hold_every_guide_and_every_verified_part(mode):
     # B1 never edits a component's top prefix, so every unguided deletion
