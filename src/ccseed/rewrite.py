@@ -23,12 +23,13 @@ the finite part under that set's guide, one finite component at a time:
 B1 edits one finite component and canonical forms are built per
 component, so what the finite part reaches is the multiset sums of what
 its components reach alone.  A component's reach is a set of processes,
-not of components (``b.b.a.0`` less ``a.0`` is ``b.0 | b.0``), so stage
-2 explores each distinct component instead of walking a graph.  No call
-explores the whole process, an empty part explores nothing, and the
-trace is found on first read.  Stage 1 rests on the seed theorem and the
-cancellation law for replicated parts; this is argued and checked, not
-proved.
+not of components (``b.b.a.0`` less ``a.0`` is ``b.0 | b.0``): a row of
+its deletion table leaves k copies of one term, whose smallest state,
+taken k times, is that row's.  So stage 2 reads each distinct
+component's smallest state off its rows.  ``compute_seed`` explores no
+state, and the trace is found on first read.  Stage 1 rests on the seed
+theorem and the cancellation law for replicated parts; this is argued
+and checked, not proved.
 ``convertible`` compares seeds.
 
 A target's guide is the set of its canonical replicated components that
@@ -47,8 +48,8 @@ first.  A state's deletions splice these tables into its parts
 come out in ``occurrences`` order, with its paths.  ``_explore`` walks
 ids and reads a state and the deletion that discovered it back, through
 ``congruence.state``, only when asked, so a trace reads back only its
-chain and the count of candidates none; stage 1's walks read their
-edges off the same tables.
+chain and the count of candidates none; stage 1's walks and stage 2's
+smallest states read their edges off the same tables.
 """
 
 from __future__ import annotations
@@ -235,8 +236,8 @@ def step_b2(p: Process) -> tuple:
 
 
 # Audit trail for termination checks: one (start size, states visited)
-# entry per guided exploration and per walk of a component's deletion
-# graph; empty it with search_audit.clear().
+# entry per guided exploration (a trace) and per stage-1 walk of a
+# component's deletion graph; empty it with search_audit.clear().
 search_audit: list = []
 
 
@@ -390,15 +391,6 @@ def _reach(t: PrefixedTerm, guide: frozenset) -> frozenset:
     return reached
 
 
-def _smallest(states: list, start: Process) -> Process:
-    """The one smallest of ``states``, else UniquenessError."""
-    size = min((s.size for s in states), default=None)
-    smallest = [s for s in states if s.size == size]
-    if len(smallest) != 1:
-        raise UniquenessError(f"minimal seeds for {start!r}: {smallest!r}")
-    return smallest[0]
-
-
 def _onto(part: frozenset, copies: tuple, reach: dict) -> bool:
     """Whether each copy can be sent to a member of ``part`` it reaches
     (``reach[t]``), every member receiving one: a bipartite matching of
@@ -488,16 +480,63 @@ def _seed_component(c: PrefixedTerm, guide: frozenset,
     """Stage 2 for one finite component: the components of the one
     smallest state that ``c`` alone reaches under ``guide``.
 
-    Memoized on ``(c, guide)``; a tie raises UniquenessError naming
-    ``start``, the input, and is not stored.
+    Read off the deletion rows, with no state explored.  ``c`` reaches
+    itself, nothing when it is in ``guide``, and, through each row whose
+    occurrence is in ``guide``, the sums of k states that d' reaches,
+    where the row leaves d'^k (``_canonical_components``).  So its
+    smallest state is nothing, or the least over those rows of k times
+    the smallest state of d', or ``c`` when no row is in ``guide``.  A
+    tie, two distinct states of the least size or a tied d' at it,
+    raises UniquenessError naming ``start``, the input; a tie above the
+    least size does not.
+
+    ``_COMPONENT_SEEDS`` maps ``(c, guide)`` to (size, components), the
+    components None on a tie.  Rows lead to smaller terms, so the walk
+    keeps its own stack: a chain of rows is as long as ``c`` is large,
+    not as deep as it is nested.  A row that leaves nothing ends a scan,
+    since the empty state is the only one of size 0.
     """
-    key = (c, guide)
-    got = _COMPONENT_SEEDS.get(key)
+    got = _COMPONENT_SEEDS.get((c, guide))
     if got is None:
-        reached = _explore(Process((), (c,)), guide)
-        got = _COMPONENT_SEEDS[key] = _smallest(
-            list(reached), start).finite.components
-    return got
+        stack = [[c, 0, c.size, (c,)]]  # a term, its next row, its least
+        while stack:
+            frame = stack[-1]
+            t, n, least, comps = frame
+            if t in guide:
+                least, comps, rows = 0, (), ()
+            else:
+                rows = _deletion_table(t) if guide else ()
+            pending = None
+            while least and n < len(rows):
+                _, occ, d = rows[n]
+                if occ in guide:
+                    copies = _canonical_components(d)
+                    sub = _COMPONENT_SEEDS.get((copies[0], guide))
+                    if sub is None:  # seed it, then read row n again
+                        pending = copies[0]
+                        break
+                    size = sub[0] * len(copies)
+                    if size <= least:
+                        seed = sub[1]
+                        if seed is not None and len(copies) > 1:
+                            seed = tuple(sorted(seed * len(copies),
+                                                key=_KEY))
+                        if size < least:
+                            least, comps = size, seed
+                        elif seed is None or seed != comps:
+                            comps = None
+                n += 1
+            if pending is None:
+                _COMPONENT_SEEDS[t, guide] = (least, comps)
+                stack.pop()
+            else:
+                frame[1:] = n, least, comps
+                stack.append([pending, 0, pending.size, (pending,)])
+        got = _COMPONENT_SEEDS[c, guide]
+    if got[1] is None:
+        raise UniquenessError(
+            f"minimal seeds for {start!r}: a tie in {c!r}")
+    return got[1]
 
 
 def compute_seed(p: Process) -> SeedResult:
@@ -512,12 +551,13 @@ def compute_seed(p: Process) -> SeedResult:
     step edits one of its components, so the states it reaches are the
     multiset sums of a state reached by each component alone, and its
     smallest state is the sum of the components' smallest states
-    (``_seed_component``), one per component of p, copies included.
-    That sum is the one smallest exactly when each component's smallest
-    is unique: with two tied states for one component, fixing the others
-    gives two sums of equal size.  A replication-free p has no guide and no B2 step, so it is
-    its own seed and neither stage runs.  Each stage raises
-    UniquenessError unless exactly one state is minimal.
+    (``_seed_component``, read off their deletion rows), one per
+    component of p, copies included.  That sum is the one smallest
+    exactly when each component's smallest is unique: with two tied
+    states for one component, fixing the others gives two sums of equal
+    size.  No state is explored.  A replication-free p has no guide and
+    no B2 step, so it is its own seed and neither stage runs.  Each
+    stage raises UniquenessError unless exactly one state is minimal.
     """
     start = canonicalize(p)
     cached = _SEED_CACHE.get(start)

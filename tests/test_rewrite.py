@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,23 +268,44 @@ def test_uniqueness_error_is_an_assertion():
     assert issubclass(UniquenessError, AssertionError)
 
 
+def _plant_rows(monkeypatch, planted: dict):
+    """Give each term of ``planted`` extra deletion rows, read before its
+    own: one to each of its listed terms, as if deleting the occurrence
+    a.b.0 left that term.  The real tables are built first, so no
+    enclosing table takes the extra rows in."""
+    occ = canonicalize(parse("!a.b.0")).replicated[0]
+    extra = {}
+    for part, twins in planted.items():
+        (t,) = canonicalize(parse(part)).finite.components
+        extra[t] = [((0,), occ, u) for twin in twins
+                    for u in canonicalize(parse(twin)).finite.components]
+    deletion_table = rewrite._deletion_table
+    monkeypatch.setattr(rewrite, "_deletion_table",
+                        lambda t: extra.get(t, []) + deletion_table(t))
+
+
 @pytest.mark.parametrize("part, twin, others", [
     pytest.param("!a.b.0", "!a.c.0", "", id="!a.b.0-!a.c.0"),
     pytest.param("c.0", "d.0", "", id="c.0-d.0"),
     pytest.param("b.a.b.0", "d.0", " | a.c.0 | b.a.b.0", id="b.a.b.0-d.0"),
+    # deleting a.b.0 from the last component leaves b.(b.0 | b.0), whose
+    # canonical form is three copies of b.0: b.0's tie is tripled
+    pytest.param("b.0", "d.0", " | b.(a.b.0 | b.0 | b.0)",
+                 id="b.0-d.0-copies"),
 ])
 def test_each_seed_stage_raises_uniqueness_error_on_a_tie(monkeypatch, part,
                                                           twin, others):
     # A replicated component that reaches a second component as small as
-    # itself (stage 1), or an exploration of one finite component that
-    # reaches a second state as small as the minimal one (stage 2), leaves
-    # no unique seed, even when the other finite components have one.
+    # itself (stage 1), or a finite component given a deletion row to a
+    # second state as small as its least one (stage 2), leaves no unique
+    # seed, even when the other finite components have one; so does such
+    # a row in a term that a finite component's least state is copies
+    # of.  Each stage-2 row deletes the guide's a.b.0.
     p = parse("!a.b.0 | c.0" + others)
     compute_seed(p)  # unique without the tie
     start = canonicalize(parse(part))
-    twin = canonicalize(parse(twin))
     if start.replicated:
-        (t,), (u,) = start.replicated, twin.replicated
+        (t,), (u,) = start.replicated, canonicalize(parse(twin)).replicated
         reach = rewrite._reach
 
         def tied(comp, guide):
@@ -291,17 +314,28 @@ def test_each_seed_stage_raises_uniqueness_error_on_a_tie(monkeypatch, part,
 
         monkeypatch.setattr(rewrite, "_reach", tied)
     else:
-        explore = rewrite._explore
-
-        def tied(state, guide):
-            parents = explore(state, guide)
-            return {**parents, twin: None} if state == start else parents
-
-        monkeypatch.setattr(rewrite, "_explore", tied)
+        _plant_rows(monkeypatch, {part: [twin]})
     monkeypatch.setattr(rewrite, "_SEED_CACHE", {})
     monkeypatch.setattr(rewrite, "_COMPONENT_SEEDS", {})
     with pytest.raises(UniquenessError):
         compute_seed(p)
+
+
+def test_a_tie_above_a_components_least_state_is_not_raised(monkeypatch):
+    # b.a.b.0 reaches b.0 by deleting a.b.0.  A planted row, read first,
+    # also takes it to d.e.0, and a second one ties d.e.0 with e.d.0: a
+    # tie of size 2, above b.a.b.0's least state, which stays the seed.
+    p = parse("!a.b.0 | c.0 | b.a.b.0")
+    seed = compute_seed(p).seed
+    assert render(seed) == "!a.b.0 | b.0 | c.0"
+    _plant_rows(monkeypatch, {"b.a.b.0": ["d.e.0"], "d.e.0": ["e.d.0"]})
+    monkeypatch.setattr(rewrite, "_SEED_CACHE", {})
+    monkeypatch.setattr(rewrite, "_COMPONENT_SEEDS", {})
+    assert compute_seed(p).seed is seed
+    (c,) = canonicalize(parse("d.e.0")).finite.components
+    guide = rewrite._guide(seed)
+    with pytest.raises(UniquenessError):  # the planted tie is one
+        rewrite._seed_component(c, guide, p)
 
 
 @pytest.mark.parametrize("text", [
@@ -666,7 +700,7 @@ def _listed_seed_replicated(rep):
             guided[guide] = rewrite._explore(rep, guide)
         if r in guided[guide]:
             verified.append(r)
-    return rewrite._smallest(verified, rep)
+    return _smallest(verified, rep)
 
 
 def _outcome(seed_of, p):
@@ -735,13 +769,22 @@ def test_finite_heavy_sizes_14_to_20_seeds_and_traces_match_recorded_digest():
         "c622aeed1607cd7c3ce1708db7c9a9e2bb5f763683028c4a90566d16953402e6")
 
 
+def _smallest(states: list, start: Process) -> Process:
+    """The one smallest of ``states``, else UniquenessError."""
+    size = min((s.size for s in states), default=None)
+    smallest = [s for s in states if s.size == size]
+    if len(smallest) != 1:
+        raise UniquenessError(f"minimal seeds for {start!r}: {smallest!r}")
+    return smallest[0]
+
+
 def _whole_part_seed(p):
     """compute_seed as it was before stage 2 was seeded one finite
     component at a time: the smallest state of one exploration of the
     whole finite part, under the guide of the replicated part's seed."""
     start = canonicalize(p)
     rep = rewrite._seed_replicated(start.replicated)
-    finite = rewrite._smallest(list(rewrite._explore(
+    finite = _smallest(list(rewrite._explore(
         Process((), start.finite), rewrite._guide_of(rep))), start)
     return Process(rep, finite.finite)
 
@@ -767,11 +810,46 @@ def test_stage_2_matches_the_whole_part_exploration(mode):
     assert checked >= 650
 
 
-def test_each_distinct_finite_component_is_explored_once(monkeypatch):
+def test_row_walk_matches_component_explorations():
+    # Stage 2's walk over deletion rows returns, or raises, exactly what
+    # exploring the component's states and taking the smallest did: on
+    # each distinct finite component of random inputs of sizes 6-16,
+    # beside the replicated part of each input of its batch of 15, under
+    # that part's stage-1 guide; in base mode over 3 and over 2 actions,
+    # and in sync mode over a, ~a, b, ~b.
+    rng = random.Random(2121)
+    checked = 0
+    for acts in (corpus.default_actions(3), corpus.default_actions(2),
+                 corpus.default_actions(4, "sync")):
+        pairs = set()
+        for _ in range(70):
+            batch = [canonicalize(corpus.random_process(
+                rng, rng.randint(6, 16), acts)) for _ in range(15)]
+            guides = set()
+            for p in batch:
+                with contextlib.suppress(UniquenessError):
+                    guides.add(rewrite._guide_of(rewrite._seed_replicated(
+                        p.replicated)))
+            pairs |= {(c, guide) for p in batch for c in p.finite.components
+                      for guide in guides}
+        for c, guide in pairs:
+            start = Process((), (c,))
+            assert (_outcome(lambda s: Process((), rewrite._seed_component(
+                        c, guide, s)), start)
+                    == _outcome(lambda s: _smallest(list(rewrite._explore(
+                        s, guide)), s), start)), render(c)
+        checked += len(pairs)
+    assert checked >= 15000
+
+
+def test_finite_components_are_seeded_off_their_deletion_rows(monkeypatch):
     # 14 distinct finite components, each holding one deletable a.0: one
     # exploration of the finite part visited all 2^14 sums of their
-    # states; each component is explored once, two states each, and an
-    # input sharing them under the same guide explores none again.
+    # states, and exploring each component alone two states each.  Stage
+    # 2 reads each smallest state off the components' deletion rows and
+    # explores none.  On the size-29 input, whose one large finite
+    # component reaches 59,896 states, exploring them built 60,083
+    # deletion tables.
     words = [w for n in (1, 2, 3) for w in itertools.product("bc", repeat=n)]
     p = parse("!a.0 | " + " | ".join(".".join(w) + ".a.0" for w in words))
     assert len(p.finite) == 14
@@ -779,9 +857,8 @@ def test_each_distinct_finite_component_is_explored_once(monkeypatch):
     explore = rewrite._explore
 
     def recording(start, guide):
-        parents = explore(start, guide)
-        starts.append((start, len(parents)))
-        return parents
+        starts.append(start)
+        return explore(start, guide)
 
     monkeypatch.setattr(rewrite, "_explore", recording)
     clear_caches()
@@ -790,11 +867,32 @@ def test_each_distinct_finite_component_is_explored_once(monkeypatch):
         "!a.0 | b.0 | b.0 | b.0 | b.0 | b.0 | b.0 | c.0 | c.0 | c.0 | c.0 | "
         "c.0 | c.0 | b.c.0 | c.b.0 | b.(c.0 | c.0) | b.b.c.0 | b.c.b.0 | "
         "c.(b.0 | b.0) | c.b.c.0 | c.c.b.0")
-    assert sorted(starts) == sorted((Process((), (c,)), 2)
-                                    for c in canonicalize(p).finite)
-    starts.clear()
-    compute_seed(parse("!a.0 | b.b.a.0 | c.a.0 | b.a.0"))
     assert not starts
+    clear_caches()
+    cliff = parse("!a.0 | !b.0 | a.(a.0 | a.0 | b.0 | b.(a.0 | a.0) | "
+                  "b.(a.0 | b.0) | a.(b.0 | b.b.0 | a.(a.0 | b.0) | a.b.a.0 | "
+                  "a.(b.0 | b.0 | a.b.0 | b.b.0)))")
+    assert render(compute_seed(cliff).seed) == "!a.0 | !b.0"
+    assert not starts
+    assert len(rewrite._DELETION_TABLES) <= 50
+
+
+def test_a_long_chain_of_rows_is_walked_without_recursion():
+    # Deleting the 200 copies of b.0 one at a time is a chain of 200 rows,
+    # each to a smaller term; the walk keeps its own stack, so a Python
+    # stack only 100 frames deeper than this test's is enough.
+    p = parse("!b.0 | a.(" + " | ".join(["b.0"] * 200) + ")")
+    clear_caches()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        seed = compute_seed(p).seed
+    finally:
+        sys.setrecursionlimit(limit)
+    assert render(seed) == "!b.0 | a.0"
 
 
 def test_a_trace_reads_back_only_its_chain(monkeypatch):
