@@ -786,7 +786,7 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
         st.probe(True)
         sd = compute_seed(p).seed
         # read back only the descendants no larger than the seed
-        small = (state(i) for i in _explore(canonicalize(p), None).ids()
+        small = (state(i) for i in _explore(canonicalize(p), None)
                  if _state_size(i) <= sd.size)
         rival = next((d for d in small
                       if d != sd and rewrites_to(p, d) is not None), None)

@@ -39,31 +39,31 @@ deleted occurrence itself, read off the step's path.
 
 Deletions run on state ids, as firing does in ``lts``.  Each distinct
 component has one memoized deletion table: its body's occurrences in
-preorder, each with its steps and the component with it deleted.  A
-deletion leaves that term in a replicated component and its canonical
-components in a finite one, whose own deletion, leaving nothing, comes
-first.  A state's deletions splice these tables into its parts
-(``congruence._PARTS_OF``) and number each destination with
-``parts_id``: no process is rebuilt or canonicalized again, and they
-come out in ``occurrences`` order, with its paths.  ``_explore`` walks
-ids and reads a state and the deletion that discovered it back, through
-``congruence.state``, only when asked, so a trace reads back only its
-chain and the count of candidates none; stage 1's walks and stage 2's
-smallest states read their edges off the same tables.
+preorder, each with its steps and the component with it deleted; a copy
+of a body component leaves what the copy before it left, so it takes
+that copy's rows.  A deletion leaves that term in a replicated component
+and its canonical components in a finite one, whose own deletion,
+leaving nothing, comes first.  A state's deletions splice these tables
+into its parts (``congruence._PARTS_OF``) and number each destination
+with ``parts_id``: no process is rebuilt or canonicalized again, and
+they come out in ``occurrences`` order, with its paths.  ``_explore``
+maps the ids it reaches to the deletions that discovered them and reads
+no state back: a trace reads back only its chain, walking back from its
+goal through ``congruence.state``, and the count of candidates none;
+stage 1's walks and stage 2's smallest states read their edges off the
+same tables.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .congruence import (_PARTS_OF, _STATE_IDS, _canonical_components,
-                         canonical_id, canonicalize, parts_id, process_of,
-                         state)
+from .congruence import (_PARTS_OF, _canonical_components, canonical_id,
+                         canonicalize, parts_id, process_of, state)
 from .lts import _class, bounded_class
 from .syntax import (_KEY, FiniteProcess, Path, PrefixedTerm, Process,
                      memo_table, resolve)
@@ -141,6 +141,11 @@ def _deletion_table(t: PrefixedTerm) -> list:
         comps = t.body.components
         got = []  # a loop, not a comprehension: one frame per nesting level
         for n, h in enumerate(comps):
+            if n and comps[n - 1] is h:  # copies are adjacent in key order
+                # a copy leaves what the copy before it left: take its rows
+                got += [((n,) + steps[1:], occ, d) for steps, occ, d
+                        in got[-1 - len(_deletion_table(h)):]]
+                continue
             head, tail = comps[:n], comps[n + 1:]
             got.append(((n,), h, PrefixedTerm(t.action,
                                               FiniteProcess(head + tail))))
@@ -241,17 +246,18 @@ def step_b2(p: Process) -> tuple:
 search_audit: list = []
 
 
-def _explore(start: Process, guide: Optional[frozenset]) -> "_Explored":
+def _explore(start: Process, guide: Optional[frozenset]) -> dict:
     """Breadth-first closure of a canonical state under deletions.
 
-    Maps every state that B1 (guided by ``guide``, unguided when it is
-    None) and B2 reach from ``start`` to the deletion that first
-    discovered it, as ``RewriteStep`` fields; ``start`` maps to None.
-    The walk runs on state ids; a state and its discovering deletion are
-    read back as a process and a path only when asked for.
+    Maps the id of every state that B1 (guided by ``guide``, unguided
+    when it is None) and B2 reach from ``start``, in discovery order, to
+    (source id, the deletion that first discovered it); ``start``'s id
+    maps to None.  No state is read back.  The ids are valid only until the
+    next ``clear_caches()``, which renumbers them: read what is needed
+    (``state`` reads a process) before clearing.
     """
     first = canonical_id(start)
-    found = {first: None}  # state id -> (source id, discovering deletion)
+    found = {first: None}
     frontier = [first]
     while frontier:
         nxt = []
@@ -264,60 +270,23 @@ def _explore(start: Process, guide: Optional[frozenset]) -> "_Explored":
         frontier = nxt
     if guide is not None:
         search_audit.append((start.size, len(found)))
-    return _Explored(found)
-
-
-class _Explored(Mapping):
-    """An exploration's map from states to discovering deletions, over
-    the state ids it found; a state and its deletion are read back
-    through ``state`` on demand, so a trace reads back only its chain.
-    States iterate in discovery order, the (canonical) start first.
-
-    It is valid only until the next ``clear_caches()``, which renumbers
-    state ids: read what is needed from it before clearing.
-    """
-
-    def __init__(self, found: dict):
-        self._found = found
-
-    def __len__(self):
-        return len(self._found)
-
-    def __iter__(self):
-        return map(state, self._found)
-
-    def ids(self):
-        """The state ids found, in discovery order, none read back."""
-        return iter(self._found)
-
-    def __contains__(self, p):
-        i = _STATE_IDS.get(p)
-        return i in self._found and state(i) is p
-
-    def __getitem__(self, p):
-        if p not in self:
-            raise KeyError(p)
-        how = self._found[_STATE_IDS[p]]
-        return None if how is None else _step_fields(state(how[0]), how[1])
-
-
-def _trace(parents: Mapping, goal: Process) -> Optional[tuple]:
-    """The steps from an exploration's start to ``goal``, or None."""
-    if goal not in parents:
-        return None
-    trace = []
-    how = parents[goal]
-    while how is not None:
-        step = RewriteStep(*how)
-        trace.append(step)
-        how = parents[step.before]
-    return tuple(reversed(trace))
+    return found
 
 
 def rewrites_to(p: Process, target: Process) -> Optional[tuple]:
-    """A guided rewrite trace from p to target, or None if unreachable."""
+    """A guided rewrite trace from p to target, or None if unreachable:
+    read back from target along the deletions that discovered each state,
+    so only the chain's states are built."""
     goal = canonicalize(target)
-    return _trace(_explore(canonicalize(p), _guide(goal)), goal)
+    found = _explore(canonicalize(p), _guide(goal))
+    i = canonical_id(goal)
+    if i not in found:
+        return None
+    trace = []
+    while found[i] is not None:
+        i, deletion = found[i]
+        trace.append(RewriteStep(*_step_fields(state(i), deletion)))
+    return tuple(reversed(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +316,7 @@ class SeedResult:
         """Deletion descendants of the input, at most the seed's size, that
         pass the prefilter: the candidates an exhaustive search checks."""
         pcls = bounded_class(self.start, _PREFILTER_DEPTH)
-        return sum(1 for i in _explore(self.start, None).ids()
+        return sum(1 for i in _explore(self.start, None)
                    if _state_size(i) <= self.seed.size
                    and _class(i, _PREFILTER_DEPTH, "base") == pcls)
 

@@ -13,7 +13,7 @@ import pytest
 from ccseed import clear_caches
 from ccseed.cli import main
 from ccseed.congruence import (canonical_finite, canonicalize, congruent,
-                               process_of)
+                               process_of, state)
 from ccseed.corpus import (compose, default_actions, enumerate_finite,
                            enumerate_processes, make_redundant,
                            random_context, random_finite, random_process,
@@ -199,7 +199,7 @@ def test_criterion_5_seed_is_the_only_small_descendant_reached(base_bundle):
     for i in picks:
         p, seed = corpus[i], seeds[i].seed
         assert rewrites_to(p, seed) is not None
-        for d in _explore(canonicalize(p), None):
+        for d in map(state, _explore(canonicalize(p), None)):
             if d.size <= seed.size and d != seed:
                 assert rewrites_to(p, d) is None, (render(p), render(d))
 

@@ -16,11 +16,16 @@ from ccseed import rewrite
 from ccseed.rewrite import (RewriteStep, UniquenessError, compute_seed,
                             convertible, rewrites_to, search_audit, step_b1,
                             step_b2)
-from ccseed.syntax import (Process, delete_at, occurrences, parse,
-                           render)
+from ccseed.syntax import (FiniteProcess, Process, delete_at, occurrences,
+                           parse, render)
 
 P1 = "!a.(b.0|a.c.0) | !a.(c.0|a.b.0)"
 P2 = "!a.b.0 | !a.c.0"
+
+
+def _explored(start, guide):
+    """The states ``_explore`` finds, read back, in discovery order."""
+    return [congruence.state(i) for i in rewrite._explore(start, guide)]
 
 
 def test_rewrite_step_validates_size_decrease():
@@ -240,7 +245,7 @@ def test_guided_steps_and_traces_match_recorded_digest():
             p = corpus.random_process(rng, rng.randint(1, 8), acts)
             seed = compute_seed(p).seed
             targets = (p, seed, corpus.make_redundant(rng, p, 1))
-            descendants = list(rewrite._explore(canonicalize(p), None))
+            descendants = _explored(canonicalize(p), None)
             goals = [rng.choice(descendants) for _ in range(3)]
             traces = [rewrites_to(p, d) for d in goals]
             line = [mode, render(p), render(seed),
@@ -598,16 +603,16 @@ def test_stage_1_candidates_hold_every_guide_and_every_verified_part(mode):
         widest = {t: rewrite._reach(t, tops) for t in rep.replicated}
         for t in rep.replicated:
             graph = {s.replicated[0]
-                     for s in rewrite._explore(Process((t,)), None)}
+                     for s in _explored(Process((t,)), None)}
             assert widest[t] <= graph, render(t)
             pruned += widest[t] < graph
         candidates = frozenset().union(*widest.values())
-        for r in rewrite._explore(rep, None):
+        for r in _explored(rep, None):
             guide = rewrite._guide(r)
             assert all(g.action in tops for g in guide), render(r)
             assert all(rewrite._reach(t, guide) <= reached
                        for t, reached in widest.items()), render(r)
-            if r in rewrite._explore(rep, guide):
+            if r in _explored(rep, guide):
                 verified += 1
                 assert set(r.replicated) <= candidates, render(r)
     assert verified > len(parts) and pruned
@@ -622,11 +627,11 @@ def test_guided_exploration_is_the_product_of_its_parts(mode):
     for p in _mixed_processes(rng, 30, acts):
         start = canonicalize(p)
         guide = rewrite._guide(compute_seed(start).seed)
-        reps = rewrite._explore(Process(start.replicated), guide)
-        finites = rewrite._explore(Process((), start.finite), guide)
+        reps = _explored(Process(start.replicated), guide)
+        finites = _explored(Process((), start.finite), guide)
         product = {Process(r.replicated, f.finite)
                    for r in reps for f in finites}
-        assert set(rewrite._explore(start, guide)) == product, render(start)
+        assert set(_explored(start, guide)) == product, render(start)
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
@@ -642,12 +647,12 @@ def test_finite_exploration_is_the_product_of_its_components(mode):
     for p in _mixed_processes(rng, 30, acts):
         start = canonicalize(p)
         guide = rewrite._guide(compute_seed(start).seed)
-        reaches = [rewrite._explore(Process((), (c,)), guide)
+        reaches = [_explored(Process((), (c,)), guide)
                    for c in start.finite.components]
         sums = {Process((), [d for state in states
                              for d in state.finite.components])
                 for states in itertools.product(*reaches)}
-        assert (set(rewrite._explore(Process((), start.finite), guide))
+        assert (set(_explored(Process((), start.finite), guide))
                 == sums), render(start)
         split += any(len(state.finite) > 1 for reach in reaches
                      for state in reach)
@@ -687,9 +692,8 @@ def _listed_seed_replicated(rep):
     states of rep's exploration under the bound B, taken smallest first,
     each verified by an exploration of rep under its own guide."""
     bound = frozenset().union(*(rewrite._guide(d) for t in rep.replicated
-                                for d in rewrite._explore(Process((t,)),
-                                                          None)))
-    candidates = rewrite._explore(rep, bound)
+                                for d in _explored(Process((t,)), None)))
+    candidates = _explored(rep, bound)
     guided = {bound: candidates}
     verified = []
     for r in sorted(candidates, key=lambda c: c.size):
@@ -697,7 +701,7 @@ def _listed_seed_replicated(rep):
             break
         guide = rewrite._guide(r)
         if guide not in guided:
-            guided[guide] = rewrite._explore(rep, guide)
+            guided[guide] = _explored(rep, guide)
         if r in guided[guide]:
             verified.append(r)
     return _smallest(verified, rep)
@@ -784,8 +788,8 @@ def _whole_part_seed(p):
     whole finite part, under the guide of the replicated part's seed."""
     start = canonicalize(p)
     rep = rewrite._seed_replicated(start.replicated)
-    finite = _smallest(list(rewrite._explore(
-        Process((), start.finite), rewrite._guide_of(rep))), start)
+    finite = _smallest(_explored(Process((), start.finite),
+                                 rewrite._guide_of(rep)), start)
     return Process(rep, finite.finite)
 
 
@@ -836,8 +840,8 @@ def test_row_walk_matches_component_explorations():
             start = Process((), (c,))
             assert (_outcome(lambda s: Process((), rewrite._seed_component(
                         c, guide, s)), start)
-                    == _outcome(lambda s: _smallest(list(rewrite._explore(
-                        s, guide)), s), start)), render(c)
+                    == _outcome(lambda s: _smallest(_explored(s, guide), s),
+                                start)), render(c)
         checked += len(pairs)
     assert checked >= 15000
 
@@ -893,6 +897,25 @@ def test_a_long_chain_of_rows_is_walked_without_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert render(seed) == "!b.0 | a.0"
+
+
+def test_copies_of_a_body_component_share_their_rows(monkeypatch):
+    # A copy of a body component leaves what the copy before it left, so
+    # its rows are the earlier copy's with the top index moved: the 45,150
+    # rows of the chain of a.(b.0 | ... 300 copies) build about two bodies
+    # per term.  Rebuilding each copy's rows made 45,452 bodies.
+    p = parse("!b.0 | a.(" + " | ".join(["b.0"] * 300) + ")")
+    clear_caches()
+    built = []
+    init = FiniteProcess.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(FiniteProcess, "__init__", counting)
+    assert render(compute_seed(p).seed) == "!b.0 | a.0"
+    assert len(built) <= 900
 
 
 def test_a_trace_reads_back_only_its_chain(monkeypatch):
@@ -1024,5 +1047,5 @@ def test_deleting_onto_numbered_destinations_builds_no_process(monkeypatch):
     assert len(built) == numbered - 1
     built.clear()
     assert [rewrite._step_fields(c, d) for d in deletions] == steps
-    assert set(rewrite._explore(c, None)) > {s[2] for s in steps}
+    assert set(_explored(c, None)) > {s[2] for s in steps}
     assert built and all(s.size < p.size - 1 for s in built)
