@@ -12,9 +12,10 @@ the finite components it shares taken out survives them with those put
 back.  Only that "survives" answer is used; the converse fails, so a pair
 whose smaller pair is told apart is played in full, and every verdict is
 exact.  And it is played up to replication: a state is compared by the
-moves of its absorbed form, without the copies of its replicated
-components (``!t | t ~ !t``) and without its repeated replicated
-components (``!t | !t ~ !t``), which are strongly bisimilar to it.
+moves of its absorbed form, without the occurrences of its replicated
+terms at any depth (``!t | C[t] ~ !t | C[0]``) and without its repeated
+replicated components (``!t | !t ~ !t``), which are strongly bisimilar to
+it.
 ``dis_check`` and ``purg_check`` decide the two finite-process predicates
 the theory leans on.  ``lemma_suite`` fuzzes the lot and reports hypothesis
 hits so vacuous passes are visible.
@@ -26,17 +27,19 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import corpus
-from .congruence import (_PARTS_OF, canonical_finite, canonical_id,
+from .congruence import (_PARTS_OF, _canonical_components, _canonical_finite,
+                         _with_body, canonical_finite, canonical_id,
                          canonicalize, parts_id, process_of, state)
 from .lts import (Label, TAU, _CO, _LABEL_OF, _destinations, _firers, _label,
                   _label_key, _moves, _state_key, bounded_class, check_depth,
                   successors)
 from .rewrite import (_explore, _state_size, compute_seed, convertible,
                       rewrites_to)
-from .syntax import (FiniteProcess, PrefixedTerm, Process,
+from .syntax import (_KEY, FiniteProcess, PrefixedTerm, Process,
                      apply_substitution, check_mode, memo_table, render)
 
 __all__ = [
@@ -244,39 +247,73 @@ def _cancels(i: int, j: int, d: int, mode: str) -> bool:
 
 
 _ABSORBED = memo_table()
+_STRIPPED = memo_table()
 
 
 def _absorbed(i: int) -> int:
     """State i with what its replicated components absorb taken out: each
-    finite component identical to one of them, and each repeated one.
+    occurrence of one of their terms, at any depth (in a finite component,
+    as one, or in a replicated body), and each repeated replicated one.
 
-    ``!t | t | t`` and ``!t | !t`` are strongly bisimilar to ``!t``.  For
-    any X the relation of the pairs (!t | t^n | X, !t | X), with the
-    identity, is a strong bisimulation.  A copy t firing alone, or in a
-    handshake with a component of X, is answered by !t making the same
-    move, and both sides reach the same state; any other move, of !t or
-    of X, alone or in a handshake, is answered by the same move on the
-    other side, and the two results are again in the relation; t and !t
-    fire one action, so they never handshake with each other.  The pairs
-    (!t | !t | X, !t | X) are one by the same argument.
-    Bisimilar states survive the same rounds against any state, so the game
-    may compare the moves of the absorbed forms in place of their own, and
+    ``!t | C[t]`` is strongly bisimilar to ``!t | C[0]`` for any context C
+    of the state's other components, its hole at any depth.  For any X the
+    relation of the pairs (!t | X, !t | X'), X' being X with some of the
+    occurrences of t in it deleted, is a strong bisimulation.  A deleted
+    occurrence that fires, alone or in a handshake, is a component of X
+    and is answered by !t making the same move; any other move, of !t or
+    of a component of X, alone or in a handshake, is answered by the same
+    move of the same component, edited, on the other side.  Both sides
+    then reach a pair again in the relation (an edited body spawns the
+    body edited), or the same state; t and !t fire one action, so they
+    never handshake with each other.  The pairs (!t | !t | X, !t | X) are
+    one by the same argument.
+
+    One pass deletes the occurrences of all the state's replicated terms
+    at once, matched by identity in the state as it is, and so do the
+    deletions taken one term at a time, the largest first: each t then
+    goes while !t is unedited, since t's own body holds only smaller
+    terms, which go later.  So a pass is a sequence of such bisimilar
+    steps.  Its result is canonicalized and numbered, and passes repeat
+    until one changes nothing; each change drops the size.  Bisimilar
+    states survive the same rounds against any state, so the game may
+    compare the moves of the absorbed forms in place of their own, and
     each verdict at each depth, and each distinguisher, stays what it was.
-    The components are matched by identity, so no terms are compared.
     """
     got = _ABSORBED.get(i)
     if got is None:
         got = i
-        reps, fin = _PARTS_OF[i]
-        if reps:
-            # copies are adjacent in key order
-            kept = tuple(t for n, t in enumerate(reps)
-                         if not n or t is not reps[n - 1])
-            absorbing = set(kept)
-            rest = tuple(t for t in fin if t not in absorbing)
-            if len(kept) + len(rest) < len(reps) + len(fin):
-                got = parts_id(kept, rest)
+        while True:
+            reps, fin = _PARTS_OF[got]
+            if not reps:
+                break
+            absorbing = frozenset(reps)
+            kept = {_with_body(s, _canonical_finite(s.body))
+                    for s in (_stripped(t, absorbing) for t in absorbing)}
+            rest = [c for t in fin if t not in absorbing
+                    for c in _canonical_components(_stripped(t, absorbing))]
+            # sorted by key, so set order never leaks out
+            new = parts_id(tuple(sorted(kept, key=_KEY)),
+                           tuple(sorted(rest, key=_KEY)))
+            if new == got:
+                break
+            got = new
         _ABSORBED[i] = got
+    return got
+
+
+def _stripped(t: PrefixedTerm, absorbing: frozenset) -> PrefixedTerm:
+    """t with every occurrence of an absorbing term in its body deleted, at
+    any depth, matched by identity; t itself when there is none."""
+    key = (t, absorbing)
+    got = _STRIPPED.get(key)
+    if got is None:
+        body = t.body.components
+        kept = [_stripped(c, absorbing) for c in body if c not in absorbing]
+        if len(kept) == len(body) and all(map(is_, kept, body)):
+            got = t
+        else:
+            got = PrefixedTerm(t.action, FiniteProcess(kept))
+        _STRIPPED[key] = got
     return got
 
 
