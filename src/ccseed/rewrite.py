@@ -18,7 +18,9 @@ Each component's deletions form one graph, walked per guide.  Stage 1
 lists each component's descendants with one walk under the widest guide
 a seed can have (every term carrying a component's top action, which B1
 never deletes), matches sets of them instead of exploring the part, and
-returns the seed's replicated part as a set.  Stage 2 seeds
+returns the seed's replicated part as a set, memoized with its guide per
+canonical replicated part: inputs that share one run stage 1 once, and
+their stage 2s share one guide object.  Stage 2 seeds
 the finite part under that set's guide, one finite component at a time:
 B1 edits one finite component and canonical forms are built per
 component, so what the finite part reaches is the multiset sums of what
@@ -323,6 +325,7 @@ class SeedResult:
 
 _SEED_CACHE = memo_table()
 _REACH = memo_table()
+_REPLICATED_SEEDS = memo_table()
 _COMPONENT_SEEDS = memo_table()
 
 # A descendant whose behaviour already differs from p at this depth cannot
@@ -463,7 +466,9 @@ def _seed_component(c: PrefixedTerm, guide: frozenset,
     components None on a tie.  Rows lead to smaller terms, so the walk
     keeps its own stack: a chain of rows is as long as ``c`` is large,
     not as deep as it is nested.  A row that leaves nothing ends a scan,
-    since the empty state is the only one of size 0.
+    since the empty state is the only one of size 0, and a row with the
+    occurrence and the term of the row before it, a copy's, is skipped:
+    it offers the same state at the same size.
     """
     got = _COMPONENT_SEEDS.get((c, guide))
     if got is None:
@@ -478,7 +483,8 @@ def _seed_component(c: PrefixedTerm, guide: frozenset,
             pending = None
             while least and n < len(rows):
                 _, occ, d = rows[n]
-                if occ in guide:
+                if occ in guide and not (n and rows[n - 1][2] is d
+                                         and rows[n - 1][1] is occ):
                     copies = _canonical_components(d)
                     sub = _COMPONENT_SEEDS.get((copies[0], guide))
                     if sub is None:  # seed it, then read row n again
@@ -512,7 +518,9 @@ def compute_seed(p: Process) -> SeedResult:
     """The minimal process p rewrites to under its own guidance.
 
     Stage 1 (``_seed_replicated``) seeds p's replicated part alone, as a
-    set.  Stage 2 seeds p's finite part under that set's guide, and the
+    set, which depends on nothing else: ``_REPLICATED_SEEDS`` keeps it
+    and its guide per canonical replicated part, and a tie stores
+    nothing.  Stage 2 seeds p's finite part under that set's guide, and the
     seed, the one process built, is the set beside the result.  Under a
     fixed guide every deletion touches one part only and ``canonicalize``
     works per component, so exploring p would give exactly the pairs of
@@ -535,8 +543,14 @@ def compute_seed(p: Process) -> SeedResult:
 
     seed = start
     if start.replicated:
-        part = _seed_replicated(start.replicated)
-        guide = _guide_of(part)
+        got = _REPLICATED_SEEDS.get(start.replicated)
+        if got is None:  # a tie raises here and stores nothing
+            part = _seed_replicated(start.replicated)
+            guide = _guide_of(part)
+            if guide == part:  # most parts: keep one object, not two
+                guide = part
+            got = _REPLICATED_SEEDS[start.replicated] = part, guide
+        part, guide = got
         seed = Process(part, [d for c in start.finite.components
                               for d in _seed_component(c, guide, start)])
     result = SeedResult(seed, start)

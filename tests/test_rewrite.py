@@ -321,6 +321,7 @@ def test_each_seed_stage_raises_uniqueness_error_on_a_tie(monkeypatch, part,
     else:
         _plant_rows(monkeypatch, {part: [twin]})
     monkeypatch.setattr(rewrite, "_SEED_CACHE", {})
+    monkeypatch.setattr(rewrite, "_REPLICATED_SEEDS", {})
     monkeypatch.setattr(rewrite, "_COMPONENT_SEEDS", {})
     with pytest.raises(UniquenessError):
         compute_seed(p)
@@ -341,6 +342,51 @@ def test_a_tie_above_a_components_least_state_is_not_raised(monkeypatch):
     guide = rewrite._guide(seed)
     with pytest.raises(UniquenessError):  # the planted tie is one
         rewrite._seed_component(c, guide, p)
+
+
+def test_stage_1_runs_once_per_replicated_part(monkeypatch):
+    # Stage 1 seeds the replicated part alone, so inputs that share it
+    # but not their finite parts run it once: the second reads the part
+    # and its guide from _REPLICATED_SEEDS.  Each seed is the one its
+    # input gets from cold caches.
+    texts = ["!a.0 | !b.a.0 | c.0", "!a.0 | !b.a.0 | c.b.a.0"]
+    cold = []
+    for text in texts:
+        clear_caches()
+        cold.append(compute_seed(parse(text)).seed)
+    calls = []
+    seed_replicated = rewrite._seed_replicated
+
+    def counting(copies):
+        calls.append(copies)
+        return seed_replicated(copies)
+
+    monkeypatch.setattr(rewrite, "_seed_replicated", counting)
+    clear_caches()
+    assert [compute_seed(parse(text)).seed for text in texts] == cold
+    assert len(calls) == 1
+    assert [render(s) for s in cold] == ["!a.0 | !b.0 | c.0"] * 2
+
+
+def test_a_stage_1_tie_is_not_memoized(monkeypatch):
+    # A tie in stage 1 raises UniquenessError and stores no part, so the
+    # input raises again once its seed cache is emptied.
+    p = parse("!a.b.0 | c.0")
+    (t,) = canonicalize(parse("!a.b.0")).replicated
+    (u,) = canonicalize(parse("!a.c.0")).replicated
+    reach = rewrite._reach
+
+    def tied(comp, guide):
+        reached = reach(comp, guide)
+        return reached | {u} if comp is t else reached
+
+    monkeypatch.setattr(rewrite, "_reach", tied)
+    clear_caches()
+    for _ in range(2):
+        monkeypatch.setattr(rewrite, "_SEED_CACHE", {})
+        with pytest.raises(UniquenessError):
+            compute_seed(p)
+    assert (t,) not in rewrite._REPLICATED_SEEDS
 
 
 @pytest.mark.parametrize("text", [
