@@ -39,21 +39,22 @@ stay one component: B1 deletes an occurrence exactly when it is in the
 guide.  So a B1 step's justification, ``RewriteStep.matched``, is the
 deleted occurrence itself, read off the step's path.
 
-Deletions run on state ids, as firing does in ``lts``.  Each distinct
-component has one memoized deletion table: its body's occurrences in
-preorder, each with its steps and the component with it deleted; a copy
-of a body component leaves what the copy before it left, so it takes
-that copy's rows.  A deletion leaves that term in a replicated component
-and its canonical components in a finite one, whose own deletion,
-leaving nothing, comes first.  A state's deletions splice these tables
-into its parts (``congruence._PARTS_OF``) and number each destination
-with ``parts_id``: no process is rebuilt or canonicalized again, and
-they come out in ``occurrences`` order, with its paths.  ``_explore``
-maps the ids it reaches to the deletions that discovered them and reads
-no state back: a trace reads back only its chain, walking back from its
-goal through ``congruence.state``, and the count of candidates none;
-stage 1's walks and stage 2's smallest states read their edges off the
-same tables.
+Deletions run on state ids, as firing does in ``lts``: a deletion is
+its destination's id.  Each distinct component has one memoized
+deletion table: its body's occurrences in preorder, each beside the
+component with it deleted; a copy of a body component leaves what the
+copy before it left, so it takes that copy's row objects.  A deletion
+leaves that term in a replicated component and its canonical components
+in a finite one, whose own deletion, leaving nothing, comes first.  A
+state's deletions splice these tables into its parts
+(``congruence._PARTS_OF``) and number each destination with
+``parts_id``: no process is rebuilt or canonicalized again, and they
+come out in ``occurrences`` order, so a step, built only where it is
+read, takes its path from there.  ``_explore`` maps each id it reaches
+to the id it was first reached from and reads no state back: a trace
+reads back only its chain, through ``congruence.state``, and the count
+of candidates none; stage 1's walks and stage 2's smallest states read
+their edges off the same tables.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .congruence import (_PARTS_OF, _canonical_components, canonical_id,
                          canonicalize, parts_id, process_of, state)
 from .lts import _class, bounded_class
 from .syntax import (_KEY, FiniteProcess, Path, PrefixedTerm, Process,
-                     memo_table, resolve)
+                     memo_table, occurrences, resolve)
 
 __all__ = [
     "RewriteStep", "SeedResult", "ConvertibilityResult", "UniquenessError",
@@ -127,10 +128,10 @@ def _guide_of(replicated) -> frozenset:
 
 
 # A component's deletions, one row per occurrence in its body, in
-# preorder: (steps to it, the occurrence, the component with it deleted).
-# As a replicated component a deletion leaves the third field, whose body
-# is canonical: one component.  As a finite one it leaves that term's
-# canonical components, none or copies of one term, and the component's
+# preorder: (the occurrence, the component with it deleted).  As a
+# replicated component a deletion leaves the second field, whose body is
+# canonical: one component.  As a finite one it leaves that term's
+# canonical components, one or copies of one term, and the component's
 # own deletion, which leaves nothing, is not a row: ``_b1_deletions``
 # puts it first.
 _DELETION_TABLES = memo_table()
@@ -145,16 +146,13 @@ def _deletion_table(t: PrefixedTerm) -> list:
         for n, h in enumerate(comps):
             if n and comps[n - 1] is h:  # copies are adjacent in key order
                 # a copy leaves what the copy before it left: take its rows
-                got += [((n,) + steps[1:], occ, d) for steps, occ, d
-                        in got[-1 - len(_deletion_table(h)):]]
+                got += got[-1 - len(_deletion_table(h)):]
                 continue
             head, tail = comps[:n], comps[n + 1:]
-            got.append(((n,), h, PrefixedTerm(t.action,
-                                              FiniteProcess(head + tail))))
-            for steps, occ, d in _deletion_table(h):
-                got.append(((n,) + steps, occ, PrefixedTerm(
-                    t.action, FiniteProcess(
-                        head + _canonical_components(d) + tail))))
+            got.append((h, PrefixedTerm(t.action, FiniteProcess(head + tail))))
+            for occ, d in _deletion_table(h):
+                got.append((occ, PrefixedTerm(t.action, FiniteProcess(
+                    head + _canonical_components(d) + tail))))
         _DELETION_TABLES[t] = got
     return got
 
@@ -166,21 +164,19 @@ def _state_size(i: int) -> int:
 
 
 def _insert(rest: tuple, left: tuple) -> tuple:
-    """rest, key-ordered, with ``left`` put in: none or copies of one
+    """rest, key-ordered, with ``left`` put in: one or copies of one
     term.  Positions and keys only: ``==`` between terms is slow."""
-    if not left:
-        return rest
     at = bisect_left(rest, left[0].key, key=_KEY)
     return rest[:at] + left + rest[at:]
 
 
 def _b1_deletions(i: int, guide: Optional[frozenset]):
-    """Every B1 deletion from state i, in ``occurrences`` order.
+    """The destination id of every B1 deletion from state i, one per
+    guided occurrence, in ``occurrences`` order.
 
-    Yields (destination id, "B1", rep index or None, steps), a ``Path``'s
-    fields.  Each component's table is spliced into i's parts and the
-    destination numbered by ``parts_id``: nothing is built.  ``guide`` is
-    a ``_guide``; ``None`` deletes every occurrence unguided.
+    Each component's table is spliced into i's parts and the destination
+    numbered by ``parts_id``: nothing is built.  ``guide`` is a
+    ``_guide``; ``None`` deletes every occurrence unguided.
     """
     if guide is not None and not guide:
         return  # an empty guide justifies nothing: walk no occurrence
@@ -188,58 +184,56 @@ def _b1_deletions(i: int, guide: Optional[frozenset]):
     for n, t in enumerate(fin):
         if not n or fin[n - 1] is not t:  # copies are adjacent in key order
             rest = fin[:n] + fin[n + 1:]
-            dests = [(parts_id(reps, rest), ())] if (
+            dests = [parts_id(reps, rest)] if (
                 guide is None or t in guide) else []
-            dests += [(parts_id(reps, _insert(rest, _canonical_components(d))),
-                       steps)
-                      for steps, occ, d in _deletion_table(t)
+            dests += [parts_id(reps, _insert(rest, _canonical_components(d)))
+                      for occ, d in _deletion_table(t)
                       if guide is None or occ in guide]
-        for j, steps in dests:
-            yield j, "B1", None, (n,) + steps
+        yield from dests
     for r, t in enumerate(reps):
         rest = reps[:r] + reps[r + 1:]
-        for steps, occ, d in _deletion_table(t):
+        for occ, d in _deletion_table(t):
             if guide is None or occ in guide:
-                yield parts_id(_insert(rest, (d,)), fin), "B1", r, steps
+                yield parts_id(_insert(rest, (d,)), fin)
 
 
 def _b2_deletions(i: int):
-    """Every B2 deletion from state i: (destination id, "B2", dropped
-    component, None), one per duplicated replicated component."""
+    """Every B2 deletion from state i: (destination id, dropped
+    component), one per duplicated replicated component."""
     reps, fin = _PARTS_OF[i]
     for n, t in enumerate(reps[:-1]):
         # copies are adjacent in key order
         if reps[n + 1] is t and (not n or reps[n - 1] is not t):
-            yield parts_id(reps[:n] + reps[n + 1:], fin), "B2", t, None
+            yield parts_id(reps[:n] + reps[n + 1:], fin), t
 
 
 def _deletions(i: int, guide: Optional[frozenset]):
-    """Every B1, then every B2 deletion from state i."""
+    """Every B1, then every B2 deletion from state i: destination ids."""
     yield from _b1_deletions(i, guide)
-    yield from _b2_deletions(i)
+    for j, _ in _b2_deletions(i):
+        yield j
 
 
-def _step_fields(before: Process, deletion: tuple) -> tuple:
-    """A deletion from ``before`` as ``RewriteStep`` fields, its
-    destination read through ``state``."""
-    j, axiom, where, steps = deletion
-    if axiom == "B1":
-        return ("B1", before, state(j), Path(where, steps), None)
-    return ("B2", before, state(j), None, where)
+def _b1_paths(i: int, guide: Optional[frozenset]):
+    """Each B1 deletion from state i beside its path: the guided
+    occurrences of ``state(i)``, which come in the same order."""
+    return zip(_b1_deletions(i, guide),
+               (path for path, occ in occurrences(state(i))
+                if guide is None or occ in guide), strict=True)
 
 
 def step_b1(p: Process, target: Process) -> tuple:
     """All single B1 steps from p guided by target."""
     i = canonical_id(p)
-    return tuple(RewriteStep(*_step_fields(state(i), d))
-                 for d in _b1_deletions(i, _guide(target)))
+    return tuple(RewriteStep("B1", state(i), state(j), path)
+                 for j, path in _b1_paths(i, _guide(target)))
 
 
 def step_b2(p: Process) -> tuple:
     """All single B2 steps from p (one per duplicated replicated component)."""
     i = canonical_id(p)
-    return tuple(RewriteStep(*_step_fields(state(i), d))
-                 for d in _b2_deletions(i))
+    return tuple(RewriteStep("B2", state(i), state(j), dropped=t)
+                 for j, t in _b2_deletions(i))
 
 
 # Audit trail for termination checks: one (start size, states visited)
@@ -253,9 +247,9 @@ def _explore(start: Process, guide: Optional[frozenset]) -> dict:
 
     Maps the id of every state that B1 (guided by ``guide``, unguided
     when it is None) and B2 reach from ``start``, in discovery order, to
-    (source id, the deletion that first discovered it); ``start``'s id
-    maps to None.  No state is read back.  The ids are valid only until the
-    next ``clear_caches()``, which renumbers them: read what is needed
+    the id it was first reached from; ``start``'s id maps to None.  No
+    state is read back.  The ids are valid only until the next
+    ``clear_caches()``, which renumbers them: read what is needed
     (``state`` reads a process) before clearing.
     """
     first = canonical_id(start)
@@ -264,10 +258,9 @@ def _explore(start: Process, guide: Optional[frozenset]) -> dict:
     while frontier:
         nxt = []
         for i in frontier:
-            for deletion in _deletions(i, guide):
-                j = deletion[0]
+            for j in _deletions(i, guide):
                 if j not in found:
-                    found[j] = (i, deletion)
+                    found[j] = i
                     nxt.append(j)
         frontier = nxt
     if guide is not None:
@@ -276,18 +269,27 @@ def _explore(start: Process, guide: Optional[frozenset]) -> dict:
 
 
 def rewrites_to(p: Process, target: Process) -> Optional[tuple]:
-    """A guided rewrite trace from p to target, or None if unreachable:
-    read back from target along the deletions that discovered each state,
-    so only the chain's states are built."""
+    """A guided rewrite trace from p to target, or None if unreachable.
+
+    Read back from target along the ids each state was first reached
+    from: each link i -> j is the first deletion from i to j, the one
+    ``_explore`` took, so only the chain's states are built.
+    """
     goal = canonicalize(target)
-    found = _explore(canonicalize(p), _guide(goal))
-    i = canonical_id(goal)
-    if i not in found:
+    guide = _guide(goal)
+    found = _explore(canonicalize(p), guide)
+    j = canonical_id(goal)
+    if j not in found:
         return None
     trace = []
-    while found[i] is not None:
-        i, deletion = found[i]
-        trace.append(RewriteStep(*_step_fields(state(i), deletion)))
+    while found[j] is not None:
+        i = found[j]
+        step = next((RewriteStep("B1", state(i), state(j), path)
+                     for k, path in _b1_paths(i, guide) if k == j), None)
+        trace.append(step or next(
+            RewriteStep("B2", state(i), state(j), dropped=t)
+            for k, t in _b2_deletions(i) if k == j))
+        j = i
     return tuple(reversed(trace))
 
 
@@ -354,7 +356,7 @@ def _reach(t: PrefixedTerm, guide: frozenset) -> frozenset:
         seen = {t}
         todo = [t]
         while todo:
-            for _, occ, d in _deletion_table(todo.pop()):
+            for occ, d in _deletion_table(todo.pop()):
                 if d not in seen and (occ in guide or occ.action in guide):
                     seen.add(d)
                     todo.append(d)
@@ -466,9 +468,8 @@ def _seed_component(c: PrefixedTerm, guide: frozenset,
     components None on a tie.  Rows lead to smaller terms, so the walk
     keeps its own stack: a chain of rows is as long as ``c`` is large,
     not as deep as it is nested.  A row that leaves nothing ends a scan,
-    since the empty state is the only one of size 0, and a row with the
-    occurrence and the term of the row before it, a copy's, is skipped:
-    it offers the same state at the same size.
+    since the empty state is the only one of size 0, and a row that is
+    the row before it, a copy's, is skipped: it offers the same state.
     """
     got = _COMPONENT_SEEDS.get((c, guide))
     if got is None:
@@ -482,9 +483,8 @@ def _seed_component(c: PrefixedTerm, guide: frozenset,
                 rows = _deletion_table(t) if guide else ()
             pending = None
             while least and n < len(rows):
-                _, occ, d = rows[n]
-                if occ in guide and not (n and rows[n - 1][2] is d
-                                         and rows[n - 1][1] is occ):
+                occ, d = rows[n]
+                if occ in guide and not (n and rows[n - 1] is rows[n]):
                     copies = _canonical_components(d)
                     sub = _COMPONENT_SEEDS.get((copies[0], guide))
                     if sub is None:  # seed it, then read row n again

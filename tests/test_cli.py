@@ -200,6 +200,20 @@ def test_fuzz_json(capsys):
         assert stats["counterexamples"] == []
 
 
+def test_fuzz_counterexample_exits_1(capsys, monkeypatch):
+    # with the game saying no finite pair is bisimilar, each folded pair
+    # the seeds call equivalent is a counterexample
+    monkeypatch.setattr(oracle, "finite_bisim", lambda *args: False)
+    argv = ("fuzz", "--rounds", "20", "--shards", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "    counterexample: " in out
+    assert out.splitlines()[-1] == "COUNTEREXAMPLES FOUND"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
 def test_fuzz_max_size_cap(capsys):
     code, _out, err = run(capsys, "fuzz", "--max-size", "9")
     assert code == 2

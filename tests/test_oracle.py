@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
@@ -182,6 +183,19 @@ def test_replay_rejects_bogus_witness():
     bogus = bounded_bisim(parse("a.b.0"), parse("a.0"),
                           GameConfig(depth=4)).distinguisher
     assert not replay_distinguisher(p, q, bogus)
+    # left a, left b, right c wins; after the first move the right side
+    # has 2 defenders, a.0 | b.0 | c.0 and a.(b.0 | c.0)
+    p, q = parse("a.b.0 | a.c.0"), parse("a.(b.0 | c.0) | a.0")
+    moves = bounded_bisim(p, q, GameConfig(depth=6)).distinguisher.moves
+    assert [(m.side, str(m.label)) for m in moves] == [
+        ("left", "a"), ("left", "b"), ("right", "c")]
+    assert replay_distinguisher(p, q, Distinguisher(moves))
+    # the moves run out while a defender is alive
+    assert not replay_distinguisher(p, q, Distinguisher(moves[:-1]))
+    # switching sides needs a single defender to attack from
+    flipped = dataclasses.replace(moves[1], side="right")
+    assert not replay_distinguisher(
+        p, q, Distinguisher((moves[0], flipped, moves[2])))
 
 
 PARTITION_TERMS = {

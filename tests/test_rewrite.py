@@ -282,7 +282,7 @@ def _plant_rows(monkeypatch, planted: dict):
     extra = {}
     for part, twins in planted.items():
         (t,) = canonicalize(parse(part)).finite.components
-        extra[t] = [((0,), occ, u) for twin in twins
+        extra[t] = [(occ, u) for twin in twins
                     for u in canonicalize(parse(twin)).finite.components]
     deletion_table = rewrite._deletion_table
     monkeypatch.setattr(rewrite, "_deletion_table",
@@ -947,9 +947,10 @@ def test_a_long_chain_of_rows_is_walked_without_recursion():
 
 def test_copies_of_a_body_component_share_their_rows(monkeypatch):
     # A copy of a body component leaves what the copy before it left, so
-    # its rows are the earlier copy's with the top index moved: the 45,150
-    # rows of the chain of a.(b.0 | ... 300 copies) build about two bodies
-    # per term.  Rebuilding each copy's rows made 45,452 bodies.
+    # its rows are the earlier copy's row objects: the 45,150 rows of the
+    # chain of a.(b.0 | ... 300 copies) build about two bodies per term,
+    # and the top term's 300 rows are one object.  Rebuilding each copy's
+    # rows made 45,452 bodies.
     p = parse("!b.0 | a.(" + " | ".join(["b.0"] * 300) + ")")
     clear_caches()
     built = []
@@ -962,6 +963,8 @@ def test_copies_of_a_body_component_share_their_rows(monkeypatch):
     monkeypatch.setattr(FiniteProcess, "__init__", counting)
     assert render(compute_seed(p).seed) == "!b.0 | a.0"
     assert len(built) <= 900
+    rows = rewrite._deletion_table(canonicalize(p).finite.components[0])
+    assert len(rows) == 300 and len(set(map(id, rows))) == 1
 
 
 def test_a_trace_reads_back_only_its_chain(monkeypatch):
@@ -1010,6 +1013,18 @@ def _rebuilt_deletions(c, guide):
     return out
 
 
+def _spliced_deletions(c, guide):
+    """The deletions from canonical c as ``RewriteStep`` fields, read off
+    the spliced tables: each B1 destination id beside its path
+    (``rewrite._b1_paths``), then each B2 destination id beside its
+    dropped component."""
+    i = congruence.canonical_id(c)
+    return ([("B1", c, congruence.state(j), path, None)
+             for j, path in rewrite._b1_paths(i, guide)]
+            + [("B2", c, congruence.state(j), None, t)
+               for j, t in rewrite._b2_deletions(i)])
+
+
 def _deletion_states(source):
     """Canonical states: the exhaustive corpora of size 5 (base over three
     actions, sync over ``a, ~a``), or 300 random fattened states with
@@ -1046,13 +1061,13 @@ def test_spliced_deletions_match_whole_rebuilt_deletions(source):
                            if n % 2)
         for guide in (others, rewrite._guide(c), frozenset(), None):
             deletions = list(rewrite._deletions(i, guide))
-            spliced = [rewrite._step_fields(c, d) for d in deletions]
+            spliced = _spliced_deletions(c, guide)
             assert spliced == _rebuilt_deletions(c, guide), render(c)
             # each destination id has the parts its process has: replicated
             # and finite components in key order, so one id per state
-            assert all(congruence._PARTS_OF[d[0]] == (
+            assert all(congruence._PARTS_OF[j] == (
                 s[2].replicated, s[2].finite.components)
-                for d, s in zip(deletions, spliced)), render(c)
+                for j, s in zip(deletions, spliced, strict=True)), render(c)
         comps = c.finite.components
         dup_fin += len(set(comps)) < len(comps)
         dup_rep += len(set(c.replicated)) < len(c.replicated)
@@ -1088,10 +1103,10 @@ def test_deleting_onto_numbered_destinations_builds_no_process(monkeypatch):
     assert built == [] and numbered > 1 and len(deletions) == 16
     assert list(rewrite._deletions(i, None)) == deletions
     assert built == [] and len(congruence._PARTS_OF) == numbered
-    steps = [rewrite._step_fields(c, d) for d in deletions]
+    steps = _spliced_deletions(c, None)
     assert sorted(map(id, built)) == sorted({id(s[2]) for s in steps})
     assert len(built) == numbered - 1
     built.clear()
-    assert [rewrite._step_fields(c, d) for d in deletions] == steps
+    assert _spliced_deletions(c, None) == steps
     assert set(_explored(c, None)) > {s[2] for s in steps}
     assert built and all(s.size < p.size - 1 for s in built)
