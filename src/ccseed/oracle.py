@@ -156,9 +156,12 @@ class GameResult:
 # "survives" answer of that smaller pair answers the pair, a
 # "distinguished" one does not, and the pair is then played in full.
 # Its memo keys an unordered pair of distinct ids by (i, j, mode) with
-# i < j and holds (deepest depth known equal, shallowest depth known
-# distinguished): k-round equivalence only shrinks as k grows, so one entry
-# answers every depth outside that gap.  The smaller pairs share it.  A
+# i < j (``_key``) and holds (deepest depth known equal, shallowest depth
+# known distinguished): k-round equivalence only shrinks as k grows, so
+# one entry answers every depth outside that gap.  The smaller pairs share
+# it, and a pair their "survives" answers is held equal as deep as its
+# smaller pair is known to be (``_known_equal``), which may be deeper than
+# the depth asked.  A
 # pair that neither answers is played up to replication: it survives
 # every depth when its two absorbed forms (``_absorbed``) are one state,
 # and otherwise the moves of those forms are compared.  The witness
@@ -173,13 +176,21 @@ def _game_eq(p: Process, q: Process, d: int, mode: str) -> bool:
     return _ids_eq(canonical_id(p), canonical_id(q), d, mode)
 
 
+def _key(i: int, j: int, mode: str) -> tuple:
+    """The memo key of the distinct states i and j."""
+    return (i, j, mode) if i < j else (j, i, mode)
+
+
+def _known_equal(i: int, j: int, mode: str) -> Union[int, float]:
+    """The deepest depth the memo knows states i and j equal to."""
+    return math.inf if i == j else _GAME.get(_key(i, j, mode), _UNKNOWN)[0]
+
+
 def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
     """States i and j survive d rounds."""
     if i == j or d == 0:
         return True
-    if i > j:
-        i, j = j, i
-    key = (i, j, mode)
+    i, j, _ = key = _key(i, j, mode)  # the smaller id is fired first
     equal_to, apart_from = _GAME.get(key, _UNKNOWN)
     if d <= equal_to:
         return True
@@ -187,8 +198,8 @@ def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
         return False
     if d == 1:
         result = _labels(i) == _labels(j)
-    elif _cancels(i, j, d, mode):
-        result = True
+    elif known := _cancels(i, j, d, mode):  # equal as deep as the smaller pair
+        result, d = True, known
     elif _absorbed(i) == _absorbed(j):  # bisimilar: equal at every depth
         result, d = True, math.inf
     else:
@@ -210,20 +221,22 @@ def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
     return result
 
 
-def _cancels(i: int, j: int, d: int, mode: str) -> bool:
-    """States i and j survive d rounds with the finite components they
-    share taken out; False also when they share none.
+def _cancels(i: int, j: int, d: int, mode: str) -> Union[int, float]:
+    """The depth, at least d, to which states i and j are known to survive
+    with the finite components they share taken out: the smaller pair's
+    known depth once it survives d rounds; 0 when it does not, or when
+    they share none.
 
     Each move of a shared component, alone or in a handshake, is answered
-    by the same move on the other side, so a pair that survives d rounds
-    still does with the same components put back on both sides.  The
-    converse fails (a.0 | a.0 and a.0 at depth 1), so only a True is an
-    answer for i and j.
+    by the same move on the other side, so a pair that survives k rounds
+    still does with the same components put back on both sides, for every
+    k.  The converse fails (a.0 | a.0 and a.0 at depth 1), so only a
+    nonzero depth is an answer for i and j.
     """
     reps_i, fin_i = _PARTS_OF[i]
     reps_j, fin_j = _PARTS_OF[j]
     if set(fin_i).isdisjoint(fin_j):
-        return False
+        return 0
     # merge the two key-ordered parts, by identity and key: ``==``
     # between terms is slow
     rest_i, rest_j = [], []
@@ -243,7 +256,9 @@ def _cancels(i: int, j: int, d: int, mode: str) -> bool:
     rest_j += fin_j[n:]
     a, b = parts_id(reps_i, tuple(rest_i)), parts_id(reps_j, tuple(rest_j))
     # labels apart is the depth-1 answer, which needs nothing fired
-    return _labels(a) == _labels(b) and _ids_eq(a, b, d, mode)
+    if _labels(a) == _labels(b) and _ids_eq(a, b, d, mode):
+        return _known_equal(a, b, mode)
+    return 0
 
 
 _ABSORBED = memo_table()
@@ -374,14 +389,17 @@ def _witness(single: int, others: tuple, d: int, single_side: str,
             free = _labels(attacker)
             for o in defenders:
                 free &= ~_labels(o)
+            tau = _label(None)
             if mode == "base":
-                free &= ~(1 << _label(None))
+                free &= ~(1 << tau)
             if not free:
                 continue
             lab = min((n for n in range(free.bit_length()) if free >> n & 1),
                       key=_label_key)
+            # sync mode adds only the handshakes, which fire tau
+            firings = _firers(attacker, mode if lab == tau else "base")
             succs = _destinations(attacker, [
-                f for f in _firers(attacker, mode) if f[1] == lab])[lab]
+                f for f in firings if f[1] == lab])[lab]
             move = Move(side, _LABEL_OF[lab],
                         state(min(succs, key=_state_key)))
             memo[key] = result = (move,)
@@ -420,10 +438,12 @@ def bounded_bisim(p: Process, q: Process,
     check_depth(cfg.depth)
     check_mode(cfg.mode)
     i, j = (canonical_id(process_of(x)) for x in (p, q))
-    # apart at some depth is apart at every deeper one
-    first = next((d for d in range(1, cfg.depth + 1)
-                  if not _ids_eq(i, j, d, cfg.mode)), None)
-    if first is None:
+    # apart at some depth is apart at every deeper one, and equal at some
+    # depth is equal at every shallower one
+    first = 1
+    while first <= cfg.depth and _ids_eq(i, j, first, cfg.mode):
+        first = _known_equal(i, j, cfg.mode) + 1
+    if first > cfg.depth:
         return GameResult(True)
     memo: dict = {}
     for d in range(first, cfg.depth + 1):

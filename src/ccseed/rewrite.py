@@ -372,17 +372,20 @@ def _onto(part: frozenset, copies: tuple, reach: dict) -> bool:
     if any(reach[t].isdisjoint(part) for t in copies):
         return False
     held = [None] * len(copies)  # the member matched to each copy
+    return all(_place(d, copies, reach, held, set()) for d in part)
 
-    def place(d, tried: set) -> bool:
-        for i, t in enumerate(copies):
-            if i not in tried and d in reach[t]:
-                tried.add(i)
-                if held[i] is None or place(held[i], tried):
-                    held[i] = d
-                    return True
-        return False
 
-    return all(place(d, set()) for d in part)
+def _place(d, copies: tuple, reach: dict, held: list, tried: set) -> bool:
+    """Match member d to a copy that reaches it and is not in ``tried``,
+    moving the member ``held`` there along an augmenting path."""
+    for i, t in enumerate(copies):
+        if i not in tried and d in reach[t]:
+            tried.add(i)
+            if held[i] is None or _place(held[i], copies, reach, held,
+                                         tried):
+                held[i] = d
+                return True
+    return False
 
 
 def _seed_replicated(copies: tuple) -> frozenset:

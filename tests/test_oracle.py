@@ -358,14 +358,16 @@ def _shared_context_pairs(rng, mode, count):
     return pairs
 
 
-@pytest.mark.parametrize("mode,cancelled", [("base", 152), ("sync", 151)])
+@pytest.mark.parametrize("mode,cancelled", [("base", 64), ("sync", 63)])
 def test_game_cancelling_shared_components_matches_bounded_classes(
         mode, cancelled, monkeypatch):
     # The game plays a pair that shares finite components without them
     # first, and takes only a "survives" answer of the smaller pair.  At
     # every depth its verdict is the bounded classes', which know nothing
     # of cancellation; the recorded count of root pairs decided by it keeps
-    # the test from passing with cancellation never taken.
+    # the test from passing with cancellation never taken.  A pair decided
+    # so is held equal as deep as its smaller pair is known to be, so it
+    # answers deeper depths from the memo and counts once for them all.
     decided = set()
     cancels = oracle._cancels
 
@@ -561,6 +563,28 @@ def test_absorbed_pair_is_memoized_equal_at_every_depth(mode, monkeypatch):
     assert bounded_bisim(parse("!a.b.0 | a.b.0", mode), parse("!a.b.0", mode),
                          GameConfig(depth=6, mode=mode)).equivalent
     assert calls == [2]
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_cancelled_pair_inherits_its_smaller_pairs_depth(mode, monkeypatch):
+    # Taking the shared c.0 out leaves a pair whose absorbed forms are one
+    # state, equal at every depth, and so the pair is too: bounded_bisim's
+    # deepening skips depths 3 to 6, and cancellation runs at depth 2 only,
+    # for the pair and for its smaller pair (it ran at each of depths 2 to
+    # 6 when the pair was held equal to the depth asked only).
+    calls = []
+    cancels = oracle._cancels
+
+    def counting(i, j, d, mode):
+        calls.append(d)
+        return cancels(i, j, d, mode)
+
+    monkeypatch.setattr(oracle, "_cancels", counting)
+    clear_caches()
+    assert bounded_bisim(parse("!a.b.0 | a.b.0 | c.0", mode),
+                         parse("!a.b.0 | c.0", mode),
+                         GameConfig(depth=6, mode=mode)).equivalent
+    assert calls == [2, 2]
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
