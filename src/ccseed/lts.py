@@ -19,7 +19,8 @@ spawned, with the handshakes in sync mode.  ``_destinations`` numbers
 the destinations of a list of firings: a destination is the finite
 components kept plus the components of the body spawned, in key order,
 next to the state's own replicated ones, and ``parts_id`` finds it among
-every state numbered so far, however it was met, or numbers it.
+every state numbered so far, however it was met, or numbers it; each
+label's destinations come out in key order.
 ``_fire`` applies the two to all of a state's firings, and the witness
 search of ``oracle`` to one label's.  Firing builds no ``Process`` and
 writes no ``congruence`` table.
@@ -29,13 +30,13 @@ labels are small int ids too, handed out as labels are first met; this
 module keeps the labels and the moves, one table per mode.  A state's
 moves in a mode are fired once and kept as {label id: destination ids},
 labels in the key order of their ``Label`` and each label's destinations
-as sorted ids, a canonical order that the game compares.  Keyed by ints
-only, a moves dict is not tracked by the garbage collector.
+in the key order of their states, read off their parts (``_state_key``)
+with no state built: one canonical order, which the game compares.
+Keyed by ints only, a moves dict is not tracked by the garbage collector.
 ``successors`` and ``unfold`` are views of them: they build the labels and
-states they return, through ``_LABEL_OF`` and ``congruence.state``, and
-list each label's destinations in key order, read off their parts
-(``_state_key``) with no state built.  ``bounded_class`` and the
-bounded game and witness search of ``oracle`` read them by id.
+states they return, through ``_LABEL_OF`` and ``congruence.state``, in
+the order the moves hold.  ``bounded_class`` and the bounded game and
+witness search of ``oracle`` read them by id.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def successors(p: Process, mode: str = "base") -> tuple:
     check_mode(mode)
     moves = _moves(canonical_id(p), mode)
     return tuple((_LABEL_OF[lab], state(j)) for lab, ids in moves.items()
-                 for j in sorted(ids, key=_state_key))
+                 for j in ids)
 
 
 def _state_key(j: int) -> tuple:
@@ -155,10 +156,10 @@ def _state_key(j: int) -> tuple:
 
 
 def _fire(i: int, mode: str) -> dict:
-    """The moves of state i: its firings, numbered by ``_destinations``."""
+    """The moves of state i: its firings, numbered by ``_destinations``,
+    labels in key order and each label's destinations as listed there."""
     dests = _destinations(i, _firers(i, mode))
-    return {label: tuple(sorted(dests[label]))
-            for label in sorted(dests, key=_label_key)}
+    return {label: dests[label] for label in sorted(dests, key=_label_key)}
 
 
 def _firers(i: int, mode: str) -> list:
@@ -181,10 +182,15 @@ def _firers(i: int, mode: str) -> list:
 
 
 def _destinations(i: int, firings: list) -> dict:
-    """{label id: set of destination ids} of these firings of state i.
+    """{label id: tuple of destination ids} of these firings of state i,
+    each label's ids distinct and in the key order of their states.
 
     A destination is the finite components kept plus the components
-    spawned, next to i's replicated ones; ``parts_id`` numbers it."""
+    spawned, next to i's replicated ones; ``parts_id`` numbers it.  Key
+    order (``_state_key``) is the one order of a label's destinations:
+    the game compares them as they are, and the readers and the witness
+    search list them so, which does not depend on the order in which
+    ids were handed out."""
     reps, fin = _PARTS_OF[i]
     dests: dict = {}
     for gone, label, spawned in firings:
@@ -194,7 +200,8 @@ def _destinations(i: int, firings: list) -> dict:
         for t in spawned:
             insort(kept, t, key=_KEY)
         dests.setdefault(label, set()).add(parts_id(reps, tuple(kept)))
-    return dests
+    return {label: tuple(sorted(ids, key=_state_key))
+            for label, ids in dests.items()}
 
 
 def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
@@ -215,7 +222,7 @@ def unfold(p: Process, depth: int, mode: str = "base") -> tuple:
         nxt = []
         for i in frontier:
             for label, ids in _moves(i, mode).items():
-                for j in sorted(ids, key=_state_key):
+                for j in ids:
                     edges.append((i, label, j))
                     if j not in seen:
                         seen.add(j)

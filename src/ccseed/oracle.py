@@ -35,8 +35,7 @@ from .congruence import (_PARTS_OF, _canonical_components, _canonical_finite,
                          _with_body, canonical_finite, canonical_id,
                          canonicalize, parts_id, process_of, state)
 from .lts import (Label, TAU, _CO, _LABEL_OF, _destinations, _firers, _label,
-                  _label_key, _moves, _state_key, bounded_class, check_depth,
-                  successors)
+                  _label_key, _moves, bounded_class, check_depth, successors)
 from .rewrite import (_explore, _state_size, compute_seed, convertible,
                       rewrites_to)
 from .syntax import (_KEY, FiniteProcess, PrefixedTerm, Process,
@@ -146,22 +145,25 @@ class GameResult:
 
 # The game plays on the state ids of ``congruence``'s table of canonical
 # states and on the moves ``lts`` keeps for them, {label id: destination
-# ids}, so it hashes and compares plain ints only.  Depth 1 compares the
-# labels two states can fire, read off their components with nothing
-# fired (``_labels``), and so does a depth-1 witness (``_witness``),
-# which numbers only its label's successors.  The witness search orders
-# ids by their parts (``lts._state_key``) and builds no state but the
-# ones its moves record.  From depth 2 a pair that shares finite
+# ids in key order}, so it hashes and compares plain ints only.  Depth 1
+# is decided in one place, the top of ``_ids_eq``, whatever the depth
+# asked: it compares the labels two states can fire, read off their
+# components with nothing fired (``_labels``).  Labels apart are apart at
+# every depth, and equal labels are equal at depth 1; neither answer is
+# stored.  A depth-1 witness (``_witness``) reads the labels too and
+# numbers only its label's successors.  The witness search takes each
+# label's successors in the order ``lts`` keeps them and builds no state
+# but the ones its moves record.  From depth 2 a pair that shares finite
 # components is first played with them taken out (``_cancels``): a
 # "survives" answer of that smaller pair answers the pair, a
 # "distinguished" one does not, and the pair is then played in full.
 # Its memo keys an unordered pair of distinct ids by (i, j, mode) with
 # i < j (``_key``) and holds (deepest depth known equal, shallowest depth
-# known distinguished): k-round equivalence only shrinks as k grows, so
-# one entry answers every depth outside that gap.  The smaller pairs share
-# it, and a pair their "survives" answers is held equal as deep as its
-# smaller pair is known to be (``_known_equal``), which may be deeper than
-# the depth asked.  A
+# known distinguished), facts of depth 2 and deeper only: k-round
+# equivalence only shrinks as k grows, so one entry answers every depth
+# outside that gap.  The smaller pairs share it, and a pair their
+# "survives" answers is held equal as deep as its smaller pair is known to
+# be (``_known_equal``), which may be deeper than the depth asked.  A
 # pair that neither answers is played up to replication: it survives
 # every depth when its two absorbed forms (``_absorbed``) are one state,
 # and otherwise the moves of those forms are compared.  The witness
@@ -190,15 +192,18 @@ def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
     """States i and j survive d rounds."""
     if i == j or d == 0:
         return True
+    # depth 1, never stored: labels apart are apart at every depth
+    if _labels(i) != _labels(j):
+        return False
+    if d == 1:
+        return True
     i, j, _ = key = _key(i, j, mode)  # the smaller id is fired first
     equal_to, apart_from = _GAME.get(key, _UNKNOWN)
     if d <= equal_to:
         return True
     if d >= apart_from:
         return False
-    if d == 1:
-        result = _labels(i) == _labels(j)
-    elif known := _cancels(i, j, d, mode):  # equal as deep as the smaller pair
+    if known := _cancels(i, j, d, mode):  # equal as deep as the smaller pair
         result, d = True, known
     elif _absorbed(i) == _absorbed(j):  # bisimilar: equal at every depth
         result, d = True, math.inf
@@ -231,7 +236,8 @@ def _cancels(i: int, j: int, d: int, mode: str) -> Union[int, float]:
     by the same move on the other side, so a pair that survives k rounds
     still does with the same components put back on both sides, for every
     k.  The converse fails (a.0 | a.0 and a.0 at depth 1), so only a
-    nonzero depth is an answer for i and j.
+    nonzero depth is an answer for i and j.  A smaller pair whose labels
+    differ is told apart by ``_ids_eq``'s depth-1 test, with nothing fired.
     """
     reps_i, fin_i = _PARTS_OF[i]
     reps_j, fin_j = _PARTS_OF[j]
@@ -255,10 +261,7 @@ def _cancels(i: int, j: int, d: int, mode: str) -> Union[int, float]:
     rest_i += fin_i[m:]
     rest_j += fin_j[n:]
     a, b = parts_id(reps_i, tuple(rest_i)), parts_id(reps_j, tuple(rest_j))
-    # labels apart is the depth-1 answer, which needs nothing fired
-    if _labels(a) == _labels(b) and _ids_eq(a, b, d, mode):
-        return _known_equal(a, b, mode)
-    return 0
+    return _known_equal(a, b, mode) if _ids_eq(a, b, d, mode) else 0
 
 
 _ABSORBED = memo_table()
@@ -373,9 +376,10 @@ def _witness(single: int, others: tuple, d: int, single_side: str,
     state it may also move there, with ``single`` as the defender.  At
     d = 1 it wins with the first label, in key order, that it fires and no
     defender fires, read off the components (``_labels``), and moves to
-    its least successor on that label, numbered from that label's firings
+    its first successor on that label, numbered from that label's firings
     alone: nothing else is fired.  From d = 2 it tries its moves in table
-    order, each label's successors in key order.
+    order.  Either way a label's successors come in the key order in which
+    ``lts._destinations`` lists them.
     """
     key = (single, others, d, single_side)
     if key in memo:
@@ -400,16 +404,15 @@ def _witness(single: int, others: tuple, d: int, single_side: str,
             firings = _firers(attacker, mode if lab == tau else "base")
             succs = _destinations(attacker, [
                 f for f in firings if f[1] == lab])[lab]
-            move = Move(side, _LABEL_OF[lab],
-                        state(min(succs, key=_state_key)))
+            move = Move(side, _LABEL_OF[lab], state(succs[0]))
             memo[key] = result = (move,)
             return result
         replies = [_moves(o, mode) for o in defenders]
         for lab, succs in _moves(attacker, mode).items():
+            # a set of ids, sorted only to key the memo: no result reads
+            # its order
             alive = tuple(sorted({y for m in replies for y in m.get(lab, ())}))
-            # in key order, so the witness found does not depend on the
-            # order in which ids were handed out
-            for succ in sorted(succs, key=_state_key):
+            for succ in succs:
                 # a defender equal to succ for d-1 rounds outlives any
                 # sub-witness
                 if any(_ids_eq(succ, y, d - 1, mode) for y in alive):
@@ -442,7 +445,8 @@ def bounded_bisim(p: Process, q: Process,
     # depth is equal at every shallower one
     first = 1
     while first <= cfg.depth and _ids_eq(i, j, first, cfg.mode):
-        first = _known_equal(i, j, cfg.mode) + 1
+        # a pair equal only at depth 1 has no memo entry
+        first = max(first, _known_equal(i, j, cfg.mode)) + 1
     if first > cfg.depth:
         return GameResult(True)
     memo: dict = {}

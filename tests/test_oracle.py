@@ -57,6 +57,13 @@ def test_finite_bisim_sync_handshake_counted():
 def test_finite_bisim_rejects_replicated_arguments():
     with pytest.raises(ValueError):
         finite_bisim(parse("!a.0"), fin("a.0"))
+    # a replication-free Process stands for its finite part
+    assert finite_bisim(parse("a.0 | b.0"), parse("b.0 | a.0"))
+    assert purg_check(parse("!a.b.0"), parse("b.0"))
+    with pytest.raises(TypeError):
+        finite_bisim("a.0", parse("a.0"))
+    with pytest.raises(TypeError):
+        purg_check(parse("!a.b.0"), "b.0")
 
 
 def test_finite_partition_groups_equivalent_terms():
@@ -652,6 +659,21 @@ def test_a_pair_told_apart_at_depth_one_fires_nothing(mode):
         assert len(result.distinguisher.moves) == 1
         assert not lts._BASE_MOVES and not lts._SYNC_MOVES, (left, right)
         assert replay_distinguisher(p, q, result.distinguisher, mode)
+
+
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_depth_one_answers_leave_no_memo_entry(mode):
+    # Depth 1 is read off the labels and never stored: a pair apart at
+    # depth 1 leaves the memo empty, and a pair apart at depth 2 leaves its
+    # own entry only, none for b.0 against c.0 or for itself at depth 1.
+    clear_caches()
+    assert not bounded_bisim(A0, B0, GameConfig(mode=mode)).equivalent
+    assert oracle._GAME == {}
+    clear_caches()
+    p, q = parse("a.b.0"), parse("a.c.0")
+    assert not bounded_bisim(p, q, GameConfig(mode=mode)).equivalent
+    key = oracle._key(canonical_id(p), canonical_id(q), mode)
+    assert oracle._GAME == {key: (0, 2)}
 
 
 def _depth_one_reference(single, others, mode):
