@@ -12,10 +12,11 @@ the finite components it shares taken out survives them with those put
 back.  Only that "survives" answer is used; the converse fails, so a pair
 whose smaller pair is told apart is played in full, and every verdict is
 exact.  And it is played up to replication: a state is compared by the
-moves of its absorbed form, without the occurrences of its replicated
-terms at any depth (``!t | C[t] ~ !t | C[0]``) and without its repeated
-replicated components (``!t | !t ~ !t``), which are strongly bisimilar to
-it.
+moves of its absorbed form, which is strongly bisimilar to it.  There each
+replicated component !u plays as !t when deleting the copies of t from
+u's body leaves t (``!b.~b.~b.b.~b.~b.0 ~ !b.~b.~b.0``), and the
+occurrences of those terms at any depth (``!t | C[t] ~ !t | C[0]``) and
+the repeated replicated components (``!t | !t ~ !t``) are taken out.
 ``dis_check`` and ``purg_check`` decide the two finite-process predicates
 the theory leans on.  ``lemma_suite`` fuzzes the lot and reports hypothesis
 hits so vacuous passes are visible.
@@ -165,10 +166,12 @@ class GameResult:
 # "survives" answers is held equal as deep as its smaller pair is known to
 # be (``_known_equal``), which may be deeper than the depth asked.  A
 # pair that neither answers is played up to replication: it survives
-# every depth when its two absorbed forms (``_absorbed``) are one state,
-# and otherwise the moves of those forms are compared.  The witness
-# search and the replay fire the states themselves, so a distinguisher's
-# moves record them as they are, unabsorbed.
+# every depth when its two absorbed forms (``_absorbed``: each replicated
+# component replaced by its root, ``_root``, and what the roots absorb
+# taken out) are one state, and otherwise the moves of those forms are
+# compared.  The witness search and the replay fire the states
+# themselves, so a distinguisher's moves record them as they are,
+# unabsorbed.
 _GAME = memo_table()
 _UNKNOWN = (0, math.inf)
 
@@ -266,36 +269,45 @@ def _cancels(i: int, j: int, d: int, mode: str) -> Union[int, float]:
 
 _ABSORBED = memo_table()
 _STRIPPED = memo_table()
+_ROOTS = memo_table()
 
 
 def _absorbed(i: int) -> int:
-    """State i with what its replicated components absorb taken out: each
-    occurrence of one of their terms, at any depth (in a finite component,
-    as one, or in a replicated body), and each repeated replicated one.
+    """State i with each replicated component u replaced by its root
+    (``_root``), and with what the roots absorb taken out: each occurrence
+    of one of them, at any depth (in a finite component, as one, or in a
+    replicated body), and each repeated replicated component.
 
-    ``!t | C[t]`` is strongly bisimilar to ``!t | C[0]`` for any context C
-    of the state's other components, its hole at any depth.  For any X the
-    relation of the pairs (!t | X, !t | X'), X' being X with some of the
-    occurrences of t in it deleted, is a strong bisimulation.  A deleted
-    occurrence that fires, alone or in a handshake, is a component of X
-    and is answered by !t making the same move; any other move, of !t or
-    of a component of X, alone or in a handshake, is answered by the same
-    move of the same component, edited, on the other side.  Both sides
-    then reach a pair again in the relation (an edited body spawns the
-    body edited), or the same state; t and !t fire one action, so they
-    never handshake with each other.  The pairs (!t | !t | X, !t | X) are
-    one by the same argument.
+    Say u ↠_T u' when u' comes from u by deleting, at any depth in a
+    body, occurrences that are exactly some t in T.  For any terms with
+    u_k ↠_T t_k, T = {t_1, ..., t_n}, and any X ↠_T Y, the relation of
+    the pairs (!u_1 | ... | !u_n | X, !t_1 | ... | !t_n | Y) is a strong
+    bisimulation, in both modes.  A component of X whose image in Y
+    survives is answered by that image, and the bodies they leave are
+    related again.  A component of X deleted as some t_k fires t_k's
+    action and is answered by !t_k.  !u_k answers !t_k and the reverse,
+    spawning bodies related again, since u_k ↠_T t_k.  Two sides of a
+    handshake are answered move by move: a deleted t_k never handshakes
+    with !u_k or with another t_k, because they share one action, so no
+    answer needs !t_k twice.  Both sides then reach a pair again in the
+    relation, or the same state.  With u_k = t_k this is ``!t | C[t] ~
+    !t | C[0]``, for any context C of the state's other components, its
+    hole at any depth; the pairs (!t | !t | X, !t | X) are one by the
+    same argument.  Canonicalizing is a congruence and a bisimulation, so
+    the relation holds up to it.
 
-    One pass deletes the occurrences of all the state's replicated terms
-    at once, matched by identity in the state as it is, and so do the
-    deletions taken one term at a time, the largest first: each t then
-    goes while !t is unedited, since t's own body holds only smaller
-    terms, which go later.  So a pass is a sequence of such bisimilar
-    steps.  Its result is canonicalized and numbered, and passes repeat
-    until one changes nothing; each change drops the size.  Bisimilar
-    states survive the same rounds against any state, so the game may
-    compare the moves of the absorbed forms in place of their own, and
-    each verdict at each depth, and each distinguisher, stays what it was.
+    Replacing each u by its root is a chain of such steps, one per link
+    of the chain ``_root`` follows, each with T = {t} and X = Y.  One pass
+    then deletes the occurrences of all the roots at once, matched by
+    identity in the state as it is, and so do the deletions taken one
+    root at a time, the largest first: each t then goes while !t is
+    unedited, since t's own body holds only smaller terms, which go
+    later.  So a pass is a sequence of such bisimilar steps.  Its result
+    is canonicalized and numbered, and passes repeat until one changes
+    nothing; each change drops the size.  Bisimilar states survive the
+    same rounds against any state, so the game may compare the moves of
+    the absorbed forms in place of their own, and each verdict at each
+    depth, and each distinguisher, stays what it was.
     """
     got = _ABSORBED.get(i)
     if got is None:
@@ -304,7 +316,7 @@ def _absorbed(i: int) -> int:
             reps, fin = _PARTS_OF[got]
             if not reps:
                 break
-            absorbing = frozenset(reps)
+            absorbing = frozenset(map(_root, reps))
             kept = {_with_body(s, _canonical_finite(s.body))
                     for s in (_stripped(t, absorbing) for t in absorbing)}
             rest = [c for t in fin if t not in absorbing
@@ -332,6 +344,45 @@ def _stripped(t: PrefixedTerm, absorbing: frozenset) -> PrefixedTerm:
         else:
             got = PrefixedTerm(t.action, FiniteProcess(kept))
         _STRIPPED[key] = got
+    return got
+
+
+def _root(u: PrefixedTerm) -> PrefixedTerm:
+    """The first term t that the canonical replicated component u reduces
+    to, u ↠_{t} t, taken in turn to its own root; u itself when none does.
+
+    The candidates are the distinct subterms of u's body, at any depth,
+    that carry u's action and whose size divides u's: each deletion takes
+    t.size symbols, and canonicalizing keeps the size.  They are tried
+    smallest first, ties by key, so set order never leaks out.  For each,
+    the occurrences of t are deleted from u's body and the result
+    canonicalized (``_stripped``, as ``_absorbed`` does) until nothing
+    changes; t is the root when what is left is t.
+    """
+    got = _ROOTS.get(u)
+    if got is None:
+        got = u
+        subterms: set = set()
+        todo = [u.body]
+        while todo:
+            for c in todo.pop().components:
+                if c not in subterms:
+                    subterms.add(c)
+                    todo.append(c.body)
+        for t in sorted((t for t in subterms if t.action is u.action
+                         and u.size % t.size == 0), key=_KEY):
+            only = frozenset((t,))
+            x = u
+            while True:
+                s = _stripped(x, only)
+                y = _with_body(s, _canonical_finite(s.body))
+                if y is x:
+                    break
+                x = y
+            if x is t:
+                got = _root(t)
+                break
+        _ROOTS[u] = got
     return got
 
 
