@@ -6,13 +6,8 @@ never consults the congruence machinery, so it can sit on the other side of
 a cross-check.  ``bounded_bisim`` plays the k-round bisimulation game on
 arbitrary processes (states identified up to the congruence, a sound up-to
 technique here) and produces a replayable distinguisher on failure.  The
-game is also played up to parallel context: k-round bisimilarity is
-preserved by parallel composition, so a pair that survives k rounds with
-the finite components it shares taken out survives them with those put
-back.  Only that "survives" answer is used; the converse fails, so a pair
-whose smaller pair is told apart is played in full, and every verdict is
-exact.  And it is played up to replication: a state is compared by the
-moves of its absorbed form, which is strongly bisimilar to it.  There each
+game is also played up to replication: a state is compared by the moves
+of its absorbed form, which is strongly bisimilar to it.  There each
 replicated component !u plays as !t when deleting the copies of t from
 u's body leaves t (``!b.~b.~b.b.~b.~b.0 ~ !b.~b.~b.0``), and the
 occurrences of those terms at any depth (``!t | C[t] ~ !t | C[0]``) and
@@ -154,24 +149,19 @@ class GameResult:
 # stored.  A depth-1 witness (``_witness``) reads the labels too and
 # numbers only its label's successors.  The witness search takes each
 # label's successors in the order ``lts`` keeps them and builds no state
-# but the ones its moves record.  From depth 2 a pair that shares finite
-# components is first played with them taken out (``_cancels``): a
-# "survives" answer of that smaller pair answers the pair, a
-# "distinguished" one does not, and the pair is then played in full.
-# Its memo keys an unordered pair of distinct ids by (i, j, mode) with
-# i < j (``_key``) and holds (deepest depth known equal, shallowest depth
-# known distinguished), facts of depth 2 and deeper only: k-round
-# equivalence only shrinks as k grows, so one entry answers every depth
-# outside that gap.  The smaller pairs share it, and a pair their
-# "survives" answers is held equal as deep as its smaller pair is known to
-# be (``_known_equal``), which may be deeper than the depth asked.  A
-# pair that neither answers is played up to replication: it survives
-# every depth when its two absorbed forms (``_absorbed``: each replicated
-# component replaced by its root, ``_root``, and what the roots absorb
-# taken out) are one state, and otherwise the moves of those forms are
-# compared.  The witness search and the replay fire the states
-# themselves, so a distinguisher's moves record them as they are,
-# unabsorbed.
+# but the ones its moves record.  From depth 2 the game plays up to
+# replication: it reads each state as its absorbed form (``_absorbed``:
+# each replicated component replaced by its root, ``_root``, and what the
+# roots absorb taken out), which is strongly bisimilar to it.  A pair
+# whose two absorbed forms are one state survives every depth, and
+# otherwise the moves of those forms are compared.  The memo keys an
+# unordered pair of distinct absorbed ids by (i, j, mode) with i < j
+# (``_key``) and holds (deepest depth known equal, shallowest depth known
+# distinguished), facts of depth 2 and deeper only: k-round equivalence
+# only shrinks as k grows, so one entry answers every depth outside that
+# gap, and ``_known_equal`` reads the first of them.  The witness search
+# and the replay fire the states themselves, so a distinguisher's moves
+# record them as they are, unabsorbed.
 _GAME = memo_table()
 _UNKNOWN = (0, math.inf)
 
@@ -188,6 +178,7 @@ def _key(i: int, j: int, mode: str) -> tuple:
 
 def _known_equal(i: int, j: int, mode: str) -> Union[int, float]:
     """The deepest depth the memo knows states i and j equal to."""
+    i, j = _absorbed(i), _absorbed(j)
     return math.inf if i == j else _GAME.get(_key(i, j, mode), _UNKNOWN)[0]
 
 
@@ -200,71 +191,31 @@ def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
         return False
     if d == 1:
         return True
+    i, j = _absorbed(i), _absorbed(j)
+    if i == j:  # bisimilar: equal at every depth
+        return True
     i, j, _ = key = _key(i, j, mode)  # the smaller id is fired first
     equal_to, apart_from = _GAME.get(key, _UNKNOWN)
     if d <= equal_to:
         return True
     if d >= apart_from:
         return False
-    if known := _cancels(i, j, d, mode):  # equal as deep as the smaller pair
-        result, d = True, known
-    elif _absorbed(i) == _absorbed(j):  # bisimilar: equal at every depth
-        result, d = True, math.inf
-    else:
-        gi, gj = _moves(_absorbed(i), mode), _moves(_absorbed(j), mode)
-        result = gi.keys() == gj.keys()
-        if result:
-            for lab, xs in gi.items():
-                ys = gj[lab]
-                if xs == ys:
-                    continue
-                if not (_covers(xs, ys, d - 1, mode)
-                        and _covers(ys, xs, d - 1, mode)):
-                    result = False
-                    break
+    gi, gj = _moves(i, mode), _moves(j, mode)
+    result = gi.keys() == gj.keys()
+    if result:
+        for lab, xs in gi.items():
+            ys = gj[lab]
+            if xs == ys:
+                continue
+            if not (_covers(xs, ys, d - 1, mode)
+                    and _covers(ys, xs, d - 1, mode)):
+                result = False
+                break
     # the recursion may have stored a bound for this pair meanwhile
     equal_to, apart_from = _GAME.get(key, _UNKNOWN)
     _GAME[key] = ((max(equal_to, d), apart_from) if result
                   else (equal_to, min(apart_from, d)))
     return result
-
-
-def _cancels(i: int, j: int, d: int, mode: str) -> Union[int, float]:
-    """The depth, at least d, to which states i and j are known to survive
-    with the finite components they share taken out: the smaller pair's
-    known depth once it survives d rounds; 0 when it does not, or when
-    they share none.
-
-    Each move of a shared component, alone or in a handshake, is answered
-    by the same move on the other side, so a pair that survives k rounds
-    still does with the same components put back on both sides, for every
-    k.  The converse fails (a.0 | a.0 and a.0 at depth 1), so only a
-    nonzero depth is an answer for i and j.  A smaller pair whose labels
-    differ is told apart by ``_ids_eq``'s depth-1 test, with nothing fired.
-    """
-    reps_i, fin_i = _PARTS_OF[i]
-    reps_j, fin_j = _PARTS_OF[j]
-    if set(fin_i).isdisjoint(fin_j):
-        return 0
-    # merge the two key-ordered parts, by identity and key: ``==``
-    # between terms is slow
-    rest_i, rest_j = [], []
-    m = n = 0
-    while m < len(fin_i) and n < len(fin_j):
-        x, y = fin_i[m], fin_j[n]
-        if x is y:
-            m += 1
-            n += 1
-        elif x.key < y.key:
-            rest_i.append(x)
-            m += 1
-        else:
-            rest_j.append(y)
-            n += 1
-    rest_i += fin_i[m:]
-    rest_j += fin_j[n:]
-    a, b = parts_id(reps_i, tuple(rest_i)), parts_id(reps_j, tuple(rest_j))
-    return _known_equal(a, b, mode) if _ids_eq(a, b, d, mode) else 0
 
 
 _ABSORBED = memo_table()
@@ -303,19 +254,18 @@ def _absorbed(i: int) -> int:
     root at a time, the largest first: each t then goes while !t is
     unedited, since t's own body holds only smaller terms, which go
     later.  So a pass is a sequence of such bisimilar steps.  Its result
-    is canonicalized and numbered, and passes repeat until one changes
-    nothing; each change drops the size.  Bisimilar states survive the
-    same rounds against any state, so the game may compare the moves of
-    the absorbed forms in place of their own, and each verdict at each
-    depth, and each distinguisher, stays what it was.
+    is canonicalized and numbered, and absorbed in turn, with its own memo
+    entry, unless the pass changed nothing; each change drops the size,
+    so this ends.  Bisimilar states survive the same rounds against any
+    state, so the game may compare the moves of the absorbed forms in
+    place of their own, and each verdict at each depth, and each
+    distinguisher, stays what it was.
     """
     got = _ABSORBED.get(i)
     if got is None:
         got = i
-        while True:
-            reps, fin = _PARTS_OF[got]
-            if not reps:
-                break
+        reps, fin = _PARTS_OF[i]
+        if reps:
             absorbing = frozenset(map(_root, reps))
             kept = {_with_body(s, _canonical_finite(s.body))
                     for s in (_stripped(t, absorbing) for t in absorbing)}
@@ -324,9 +274,8 @@ def _absorbed(i: int) -> int:
             # sorted by key, so set order never leaks out
             new = parts_id(tuple(sorted(kept, key=_KEY)),
                            tuple(sorted(rest, key=_KEY)))
-            if new == got:
-                break
-            got = new
+            if new != i:
+                got = _absorbed(new)
         _ABSORBED[i] = got
     return got
 
@@ -543,9 +492,9 @@ def bounded_partition(procs: Sequence[Process], depth: int,
     Signature refinement stratified by remaining depth (``bounded_class``);
     agrees with ``bounded_bisim`` verdicts pairwise (the suites cross-check
     this against ``_game_eq``, which shares only the state ids and their
-    moves with it).  It plays every state as it is: it neither cancels
-    shared components nor absorbs copies of replicated ones, so that
-    cross-check is also a check of both.
+    moves with it).  It plays every state as it is, without absorbing
+    copies of replicated components, so that cross-check is also a check
+    of the game's absorption.
     """
     check_depth(depth)
     check_mode(mode)

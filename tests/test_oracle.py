@@ -365,38 +365,34 @@ def _shared_context_pairs(rng, mode, count):
     return pairs
 
 
-@pytest.mark.parametrize("mode,cancelled", [("base", 36), ("sync", 35)],
+@pytest.mark.parametrize("mode,compared", [("base", 80), ("sync", 77)],
                          ids=["base", "sync"])
-def test_game_cancelling_shared_components_matches_bounded_classes(
-        mode, cancelled, monkeypatch):
-    # The game plays a pair that shares finite components without them
-    # first, and takes only a "survives" answer of the smaller pair.  At
-    # every depth its verdict is the bounded classes', which know nothing
-    # of cancellation; the recorded count of root pairs decided by it keeps
-    # the test from passing with cancellation never taken.  A pair decided
-    # so is held equal as deep as its smaller pair is known to be, so it
-    # answers deeper depths from the memo and counts once for them all.
-    decided = set()
-    cancels = oracle._cancels
+def test_absorbing_game_on_shared_context_pairs_matches_bounded_classes(
+        mode, compared, monkeypatch):
+    # Pairs that share finite components, played at every depth: the
+    # game's verdict is the bounded classes', which play every state as it
+    # is.  The recorded count of (pair, depth) games that reach the move
+    # comparison keeps the test from passing with the pairs answered before
+    # it.
+    fired = []
+    moves = oracle._moves
 
-    def recording(i, j, d, mode):
-        held = cancels(i, j, d, mode)
-        if held:
-            decided.add((i, j, d))
-        return held
+    def recording(i, mode):
+        fired.append(i)
+        return moves(i, mode)
 
-    monkeypatch.setattr(oracle, "_cancels", recording)
+    monkeypatch.setattr(oracle, "_moves", recording)
     clear_caches()
-    by_cancellation = 0
+    reached = 0
     for p, q in _shared_context_pairs(random.Random(26), mode, 150):
-        i, j = sorted((canonical_id(p), canonical_id(q)))
         for depth in range(1, 7):
+            fired.clear()
             assert _game_eq(p, q, depth, mode) == (
                 bounded_class(p, depth, mode)
                 == bounded_class(q, depth, mode)), (render(p), render(q),
                                                     depth)
-            by_cancellation += (i, j, depth) in decided
-    assert by_cancellation == cancelled
+            reached += bool(fired)
+    assert reached == compared
 
 
 def _handshakes(r, p) -> bool:
@@ -409,9 +405,10 @@ def _handshakes(r, p) -> bool:
 @pytest.mark.parametrize("mode,expected", [("base", (201, 0)),
                                            ("sync", (214, 175))])
 def test_bounded_classes_survive_a_finite_parallel_context(mode, expected):
-    # The law the game's cancellation rests on, on bounded classes alone:
-    # p and q equal at depth k stay equal at k beside a finite r, also
-    # when r handshakes with them.
+    # Bounded classes are preserved by a finite parallel context: p and q
+    # equal at depth k stay equal at k beside a finite r, also when r
+    # handshakes with them.  No game code rests on this law; it checks
+    # bounded_class on its own.
     rng = random.Random(27)
     acts = corpus.default_actions(2 if mode == "base" else 4, mode)
     procs = [corpus.random_process(rng, rng.randint(1, 5), acts)
@@ -447,9 +444,9 @@ def test_bounded_classes_survive_a_finite_parallel_context(mode, expected):
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
 def test_a_shared_context_does_not_cancel_from_equal_bounded_classes(mode):
-    # The converse of the law fails: a.0 | a.0 and a.0 agree at depth 1,
-    # a.0 and 0 do not.  So the game never takes a "distinguished" answer
-    # of a pair with its shared components taken out.
+    # The converse of that law fails: a.0 | a.0 and a.0 agree at depth 1,
+    # a.0 and 0 do not, so a shared component cannot be taken out of a
+    # pair told apart.  The game and the bounded classes agree on both.
     two, one, nil = (parse(t, mode) for t in ("a.0 | a.0", "a.0", "0"))
     assert bounded_class(two, 1, mode) == bounded_class(one, 1, mode)
     assert bounded_class(one, 1, mode) != bounded_class(nil, 1, mode)
@@ -629,46 +626,38 @@ def test_absorbed_self_insertions_are_bisimilar_at_every_depth(mode):
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
-def test_absorbed_pair_is_memoized_equal_at_every_depth(mode, monkeypatch):
-    # A pair whose absorbed forms are one state is bisimilar, so the memo
-    # holds it equal at every depth: bounded_bisim's deepening answers
-    # depths 3 to 6 from the memo and tries cancellation once, at depth 2
-    # (it tried it at each of depths 2 to 6 when the memo held the depth
-    # asked only).
-    calls = []
-    cancels = oracle._cancels
-
-    def counting(i, j, d, mode):
-        calls.append(d)
-        return cancels(i, j, d, mode)
-
-    monkeypatch.setattr(oracle, "_cancels", counting)
+@pytest.mark.parametrize("left,right", [
+    ("!a.b.0 | a.b.0", "!a.b.0"),
+    ("!a.b.0 | a.b.0 | c.0", "!a.b.0 | c.0")], ids=["copy", "beside"])
+def test_absorbed_pair_fires_nothing_and_leaves_no_memo_entry(mode, left,
+                                                              right):
+    # Both sides absorb to one state, so the pair is bisimilar and the game
+    # answers it at every depth before the memo: bounded_bisim's deepening
+    # fires no state and stores nothing.  A memo keyed by the pairs as they
+    # are stored the pair, and the second pair's smaller pair without c.0.
     clear_caches()
-    assert bounded_bisim(parse("!a.b.0 | a.b.0", mode), parse("!a.b.0", mode),
+    assert bounded_bisim(parse(left, mode), parse(right, mode),
                          GameConfig(depth=6, mode=mode)).equivalent
-    assert calls == [2]
+    assert not lts._BASE_MOVES and not lts._SYNC_MOVES
+    assert oracle._GAME == {}
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
-def test_cancelled_pair_inherits_its_smaller_pairs_depth(mode, monkeypatch):
-    # Taking the shared c.0 out leaves a pair whose absorbed forms are one
-    # state, equal at every depth, and so the pair is too: bounded_bisim's
-    # deepening skips depths 3 to 6, and cancellation runs at depth 2 only,
-    # for the pair and for its smaller pair (it ran at each of depths 2 to
-    # 6 when the pair was held equal to the depth asked only).
-    calls = []
-    cancels = oracle._cancels
-
-    def counting(i, j, d, mode):
-        calls.append(d)
-        return cancels(i, j, d, mode)
-
-    monkeypatch.setattr(oracle, "_cancels", counting)
+def test_game_memo_keys_absorbed_pairs_only(mode):
+    # The game reads each state as its absorbed form once it has passed
+    # depth 1, so every memo key is a pair of absorbed ids.  The floors on
+    # the keys and on the played states that absorb to another keep the
+    # test from passing with the memo or absorption never used.
     clear_caches()
-    assert bounded_bisim(parse("!a.b.0 | a.b.0 | c.0", mode),
-                         parse("!a.b.0 | c.0", mode),
-                         GameConfig(depth=6, mode=mode)).equivalent
-    assert calls == [2, 2]
+    rooted = 0
+    for p, q in _shared_context_pairs(random.Random(45), mode, 200):
+        _game_eq(p, q, 6, mode)
+        rooted += sum(oracle._absorbed(i) != i
+                      for i in (canonical_id(p), canonical_id(q)))
+    for i, j, played in oracle._GAME:
+        assert played == mode
+        assert (oracle._absorbed(i), oracle._absorbed(j)) == (i, j)
+    assert len(oracle._GAME) >= 150 and rooted >= 200
 
 
 @pytest.mark.parametrize("mode", ["base", "sync"])
