@@ -4,8 +4,9 @@ Verbs: check, seed, normalize, lts, fuzz.  Exit codes are a function of the
 verdict alone: 0 for bisimilar / success, 1 for not bisimilar (or a fuzz
 counterexample), 2 for usage, parse, or bound errors, 3 for an internal
 error (a bug, never a verdict); a term nested too deeply to process is a
-bound error.  Output is deterministic: byte-identical across runs for the
-same inputs and flags.
+bound error, and a reader that closes stdout early is no error.  Output
+is deterministic: byte-identical across runs for the same inputs and
+flags.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -73,11 +75,19 @@ def _distinguisher_json(dist: Distinguisher) -> dict:
 
 
 def _emit(doc: dict, as_json: bool, text_lines: List[str]) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=False))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if as_json:
+            print(json.dumps(doc, indent=2, sort_keys=False))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``ccs lts ... | head``): what is left
+        # unwritten goes nowhere, and the verb keeps its exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_check(args, stdin_lines: List[str]) -> int:

@@ -13,17 +13,17 @@ process and the bodies they spawn are canonical already, so a destination
 is made of them directly and never canonicalized again.
 
 A state fires as its parts, the key-ordered tuples of its components
-that ``congruence`` keeps, in two halves.  ``_firers`` lists its
-firings: the finite positions consumed, the label and the components
-spawned, with the handshakes in sync mode.  ``_destinations`` numbers
-the destinations of a list of firings: a destination is the finite
-components kept plus the components of the body spawned, in key order,
-next to the state's own replicated ones, and ``parts_id`` finds it among
-every state numbered so far, however it was met, or numbers it; each
-label's destinations come out in key order.
-``_fire`` applies the two to all of a state's firings, and the witness
-search of ``oracle`` to one label's.  Firing builds no ``Process`` and
-writes no ``congruence`` table.
+that ``congruence`` keeps, in one routine, ``_fire``.  Each distinct
+component fires its label and the components of its body, a finite one
+consumed, and in sync mode each handshaking pair of them fires once more,
+as a tau.  A destination is the finite components kept plus the
+components spawned, in key order, next to the state's own replicated
+ones, and ``parts_id`` finds it among every state numbered so far,
+however it was met, or numbers it.  ``_moves`` keeps all of a state's
+firings; the depth-1 witness search of ``oracle`` asks ``_fire`` for one
+label's destinations alone.  ``_labels`` reads the labels a state fires
+off its components, with nothing fired.  Firing builds no ``Process``
+and writes no ``congruence`` table.
 
 States are the ids of ``congruence``'s table of canonical states, and
 labels are small int ids too, handed out as labels are first met; this
@@ -155,53 +155,62 @@ def _state_key(j: int) -> tuple:
     return _PARTS_OF[j]
 
 
-def _fire(i: int, mode: str) -> dict:
-    """The moves of state i: its firings, numbered by ``_destinations``,
-    labels in key order and each label's destinations as listed there."""
-    dests = _destinations(i, _firers(i, mode))
-    return {label: dests[label] for label in sorted(dests, key=_label_key)}
+def _fire(i: int, mode: str, only: Optional[int] = None) -> dict:
+    """{label id: destination ids} of state i's firings, read off its
+    parts: labels in key order, and each label's ids distinct and in the
+    key order of their states.  Given a label id ``only``, that label's
+    destinations alone; the handshakes fire only when it is tau.
 
-
-def _firers(i: int, mode: str) -> list:
-    """State i's firings, read off its parts: (finite positions consumed,
-    label id, components spawned) per distinct component, and in sync mode
-    one more, as a tau, per handshaking pair of them."""
+    Key order (``_state_key``) is the one order of a label's
+    destinations: the game compares them as they are, and the readers and
+    the witness search list them so, which does not depend on the order
+    in which ids were handed out."""
     reps, fin = _PARTS_OF[i]
-    # copies are adjacent in key order
+    # (finite positions consumed, label id, components spawned) per
+    # distinct component; copies are adjacent in key order
     firings = [((n,), _label(t.action), t.body.components)
                for n, t in enumerate(fin) if not n or t is not fin[n - 1]]
     firings += [((), _label(t.action), t.body.components)
                 for n, t in enumerate(reps) if not n or t is not reps[n - 1]]
     if mode == "sync":
         tau = _label(None)
-        firings += [(gone + other_gone, tau, body + other)
-                    for n, (gone, label, body) in enumerate(firings)
-                    for other_gone, other_label, other in firings[n + 1:]
-                    if _CO[label] == other_label]
-    return firings
-
-
-def _destinations(i: int, firings: list) -> dict:
-    """{label id: tuple of destination ids} of these firings of state i,
-    each label's ids distinct and in the key order of their states.
-
-    A destination is the finite components kept plus the components
-    spawned, next to i's replicated ones; ``parts_id`` numbers it.  Key
-    order (``_state_key``) is the one order of a label's destinations:
-    the game compares them as they are, and the readers and the witness
-    search list them so, which does not depend on the order in which
-    ids were handed out."""
-    reps, fin = _PARTS_OF[i]
+        if only in (None, tau):
+            firings += [(gone + other_gone, tau, body + other)
+                        for n, (gone, label, body) in enumerate(firings)
+                        for other_gone, other_label, other in firings[n + 1:]
+                        if _CO[label] == other_label]
     dests: dict = {}
     for gone, label, spawned in firings:
+        if only is not None and label != only:
+            continue
         kept = list(fin)
         for n in reversed(gone):  # ascending: firings come in fin's order
             del kept[n]
         for t in spawned:
             insort(kept, t, key=_KEY)
         dests.setdefault(label, set()).add(parts_id(reps, tuple(kept)))
-    return {label: tuple(sorted(ids, key=_state_key))
-            for label, ids in dests.items()}
+    return {label: tuple(sorted(dests[label], key=_state_key))
+            for label in sorted(dests, key=_label_key)}
+
+
+_LABEL_BITS = memo_table()
+
+
+def _labels(i: int) -> int:
+    """The labels state i fires in sync mode, as a bit set of label ids,
+    read off its components with nothing fired: their visible labels, and
+    tau exactly when two of them handshake.  So states with equal visible
+    labels fire equal labels, in either mode.  In base mode no state fires
+    tau, and the witness search of ``oracle`` takes it out."""
+    got = _LABEL_BITS.get(i)
+    if got is None:
+        reps, fin = _PARTS_OF[i]
+        ids = {_label(t.action) for t in reps + fin}
+        got = sum(1 << n for n in ids)
+        if any(_CO[n] in ids for n in ids):
+            got |= 1 << _label(None)
+        _LABEL_BITS[i] = got
+    return got
 
 
 def unfold(p: Process, depth: int, mode: str = "base") -> tuple:

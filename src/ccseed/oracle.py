@@ -30,8 +30,8 @@ from . import corpus
 from .congruence import (_PARTS_OF, _canonical_components, _canonical_finite,
                          _with_body, canonical_finite, canonical_id,
                          canonicalize, parts_id, process_of, state)
-from .lts import (Label, TAU, _CO, _LABEL_OF, _destinations, _firers, _label,
-                  _label_key, _moves, bounded_class, check_depth, successors)
+from .lts import (Label, TAU, _LABEL_OF, _fire, _label, _label_key, _labels,
+                  _moves, bounded_class, check_depth, successors)
 from .rewrite import (_explore, _state_size, compute_seed, convertible,
                       rewrites_to)
 from .syntax import (_KEY, FiniteProcess, PrefixedTerm, Process,
@@ -201,16 +201,17 @@ def _ids_eq(i: int, j: int, d: int, mode: str) -> bool:
     if d >= apart_from:
         return False
     gi, gj = _moves(i, mode), _moves(j, mode)
-    result = gi.keys() == gj.keys()
-    if result:
-        for lab, xs in gi.items():
-            ys = gj[lab]
-            if xs == ys:
-                continue
-            if not (_covers(xs, ys, d - 1, mode)
-                    and _covers(ys, xs, d - 1, mode)):
-                result = False
-                break
+    result = True
+    # gi and gj fire the same labels: the two states' labels are equal, and
+    # each absorbed form is bisimilar to its state
+    for lab, xs in gi.items():
+        ys = gj[lab]
+        if xs == ys:
+            continue
+        if not (_covers(xs, ys, d - 1, mode)
+                and _covers(ys, xs, d - 1, mode)):
+            result = False
+            break
     # the recursion may have stored a bound for this pair meanwhile
     equal_to, apart_from = _GAME.get(key, _UNKNOWN)
     _GAME[key] = ((max(equal_to, d), apart_from) if result
@@ -335,26 +336,6 @@ def _root(u: PrefixedTerm) -> PrefixedTerm:
     return got
 
 
-_LABEL_BITS = memo_table()
-
-
-def _labels(i: int) -> int:
-    """The labels state i fires in sync mode, as a bit set of label ids,
-    read off its components with nothing fired: their visible labels, and
-    tau exactly when two of them handshake.  So states with equal visible
-    labels fire equal labels, in either mode.  In base mode no state fires
-    tau, and ``_witness`` takes it out."""
-    got = _LABEL_BITS.get(i)
-    if got is None:
-        reps, fin = _PARTS_OF[i]
-        ids = {_label(t.action) for t in reps + fin}
-        got = sum(1 << n for n in ids)
-        if any(_CO[n] in ids for n in ids):
-            got |= 1 << _label(None)
-        _LABEL_BITS[i] = got
-    return got
-
-
 def _covers(xs: tuple, ys: tuple, d: int, mode: str) -> bool:
     """Every state in xs is in ys or survives d rounds against one there."""
     for x in xs:
@@ -379,7 +360,7 @@ def _witness(single: int, others: tuple, d: int, single_side: str,
     its first successor on that label, numbered from that label's firings
     alone: nothing else is fired.  From d = 2 it tries its moves in table
     order.  Either way a label's successors come in the key order in which
-    ``lts._destinations`` lists them.
+    ``lts._fire`` lists them.
     """
     key = (single, others, d, single_side)
     if key in memo:
@@ -400,10 +381,7 @@ def _witness(single: int, others: tuple, d: int, single_side: str,
                 continue
             lab = min((n for n in range(free.bit_length()) if free >> n & 1),
                       key=_label_key)
-            # sync mode adds only the handshakes, which fire tau
-            firings = _firers(attacker, mode if lab == tau else "base")
-            succs = _destinations(attacker, [
-                f for f in firings if f[1] == lab])[lab]
+            succs = _fire(attacker, mode, lab)[lab]
             move = Move(side, _LABEL_OF[lab], state(succs[0]))
             memo[key] = result = (move,)
             return result

@@ -706,6 +706,22 @@ def _fresh_process(argv):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_a_reader_gone_before_the_output_is_not_an_internal_error():
+    # ``ccs lts ... | head -n 1``: the reader may close the pipe before
+    # ccs has written its 52 kB; here it is closed before ccs writes at
+    # all, so every write meets a broken pipe.  That is no bug: the verb
+    # keeps its exit code and prints no error.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ccseed.cli", "lts",
+         "!a.(b.0|c.0)|b.c.a.0|c.b.0", "--depth", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
 @pytest.mark.parametrize("calls", [
     [["check", "--sync", "!a.0|~a.a.0", "!a.0|~a.0"],
      ["check", "--json", "a.0|b.0", "a.b.0"]],

@@ -505,6 +505,33 @@ def test_moves_list_each_labels_destinations_in_state_key_order(mode):
     assert labels - id_ordered == {"base": 18, "sync": 22}[mode]
 
 
+@pytest.mark.parametrize("mode", ["base", "sync"])
+def test_depth_one_firing_of_one_label_matches_the_moves_table(mode):
+    # The depth-1 witness fires one label of a state alone: that gives the
+    # label's destinations as the full firing keeps them, tau included,
+    # and nothing for a label the state does not fire.  Base mode fires
+    # no tau, and sync mode fires tau in 640 of these states.
+    clear_caches()
+    ids = {canonical_id(p)
+           for acts in (corpus.default_actions(2),
+                        corpus.default_actions(2, "sync"))
+           for p in corpus.enumerate_processes(5, acts)}
+    # the sync-mode b fires in neither corpus, so every state answers {}
+    labels = [lts._label(a) for a in [None] + corpus.default_actions(2)
+              + corpus.default_actions(3, "sync")]
+    fired = taus = 0
+    for i in sorted(ids):
+        moves = lts._moves(i, mode)
+        for lab in labels:
+            one = lts._fire(i, mode, lab)
+            assert one == ({lab: moves[lab]} if lab in moves else {}), (
+                render(congruence.state(i)), str(lts._LABEL_OF[lab]))
+            fired += lab in moves
+            taus += lab == lts._label(None) and lab in moves
+    assert len(ids) == 2697
+    assert (fired, taus) == {"base": (3976, 0), "sync": (4616, 640)}[mode]
+
+
 ACTIONS = corpus.default_actions(2, "base")
 SYNC_ACTIONS = corpus.default_actions(2, "sync")
 
