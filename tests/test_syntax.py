@@ -109,6 +109,58 @@ def test_parse_errors(bad):
         parse(bad)
 
 
+_SPLICES = ("(", "!", "a.", "|", ")", "tau.")
+
+# The ten ways a parse can fail, by the start of the exception's text.
+_PARSE_FAILURES = (
+    "empty input", "unexpected end of input", "expected an action name",
+    "expected '.'", "expected ')'", "trailing input",
+    "replication is only allowed at the top level",
+    "replication applies only to a prefixed term",
+    "output action ~ requires sync mode", "the name tau is reserved",
+)
+
+
+def _mangle(rng: random.Random, text: str) -> str:
+    """One random truncation, insertion, deletion or splice of ``text``."""
+    kind = rng.randrange(4)
+    at = rng.randint(0, len(text))
+    if kind == 0:
+        return text[:at]
+    if kind == 1:
+        return text[:at] + rng.choice("()|!.0~ab ") + text[at:]
+    if kind == 2:
+        return text[:at] + text[at + 1:]
+    return text[:at] + rng.choice(_SPLICES) + text[at:]
+
+
+def test_parse_outcomes_match_recorded_digest():
+    # Recorded before the parser read every term with one rule: per mode,
+    # 800 random processes, each as rendered, without spaces, in
+    # parentheses and in six mangled forms; per input the rendered parse
+    # or the exception's type and text, which carries the position.
+    digest = hashlib.sha256()
+    failures = set()
+    for mode, seed, count in (("base", 4901, 3), ("sync", 4902, 4)):
+        rng = random.Random(seed)
+        acts = corpus.default_actions(count, mode)
+        for _ in range(800):
+            text = render(corpus.random_process(rng, rng.randint(0, 12), acts))
+            inputs = [text, text.replace(" ", ""), f"({text})"]
+            inputs += [_mangle(rng, text) for _ in range(6)]
+            for source in inputs:
+                try:
+                    line = render(parse(source, mode))
+                except (ParseError, StructureError) as exc:
+                    line = f"{type(exc).__name__}: {exc}"
+                    failures.update(f for f in _PARSE_FAILURES
+                                    if str(exc).startswith(f))
+                digest.update(f"{mode}\t{source}\t{line}\n".encode())
+    assert failures == set(_PARSE_FAILURES)
+    assert digest.hexdigest() == (
+        "67bec8626245fe544d8a3acd03db69e8b74225302c604e2e033f86bdefc7be02")
+
+
 @pytest.mark.parametrize("nested", [
     "a.!b.0", "a.(b.0|!c.0)", "(!a.0).0",
 ])
