@@ -22,16 +22,19 @@ intern tables are not memo tables: ``clear_caches`` leaves them.
 Concrete syntax::
 
     process := term ("|" term)*
-    term    := "0" | "!"? act "." atom | "(" process ")"
-    atom    := "0" | act "." atom | "(" process ")"
+    term    := "0" | "!"? act "." term | "(" process ")"
     act     := "~"? name          # "~" marks an output, sync mode only
     name    := [a-z][a-z0-9_]*    # but not "tau" in sync mode
 
-Whitespace is insignificant.  Parentheses are grouping only: a group under
-a prefix is a finite process (no "!"), while a group at the top level may
-contain replicated components, since top-level composition is a flat
-multiset either way.  ``parse`` reads base-mode terms (all actions plain)
-or sync-mode terms (every action an input ``a`` or an output ``~a``).
+A "!" appears only at the top level, never in a prefix's body (inside
+parentheses there or not); one anywhere else raises ``StructureError``.
+Whitespace is insignificant.  Parentheses are grouping only, so a group at
+the top level may contain replicated components, since top-level
+composition is a flat multiset either way.  ``parse`` reads every term,
+wherever it appears, with the one ``term`` rule, appending each component
+to two lists, and builds one ``Process`` from them.  It reads base-mode
+terms (all actions plain) or sync-mode terms (every action an input ``a``
+or an output ``~a``).
 """
 
 from __future__ import annotations
@@ -378,32 +381,29 @@ class _Parser:
         self.pos = m.end()
         return act
 
-    def process(self, top_level: bool) -> Process:
-        replicated = []
-        finite = []
+    def terms(self, top_level: bool, replicated: list, finite: list) -> None:
+        """Read ``term ("|" term)*`` into the caller's two lists."""
         while True:
+            self.skip_ws()
+            if self.peek() == "":
+                raise self.error("unexpected end of input")
             self.term(top_level, replicated, finite)
             self.skip_ws()
-            if self.peek() == "|":
-                self.pos += 1
-            else:
-                break
-        return Process(replicated, finite)
+            if self.peek() != "|":
+                return
+            self.pos += 1
 
     def term(self, top_level: bool, replicated: list, finite: list) -> None:
+        """Read one term, appending its prefixed components to the lists."""
         self.skip_ws()
         ch = self.peek()
-        if ch == "":
-            raise self.error("unexpected end of input")
         if ch == "0":
             self.pos += 1
             return
         if ch == "(":
             self.pos += 1
-            group = self.process(top_level)
+            self.terms(top_level, replicated, finite)
             self.eat(")")
-            replicated.extend(group.replicated)
-            finite.extend(group.finite.components)
             return
         if ch == "!":
             if not top_level:
@@ -414,32 +414,13 @@ class _Parser:
             if self.peek() in ("0", "(", "!", "|", ""):
                 raise StructureError(
                     "replication applies only to a prefixed term", self.pos)
-            act = self.action()
-            self.eat(".")
-            body = self.atom()
-            replicated.append(PrefixedTerm(act, body))
-            return
         act = self.action()
         self.eat(".")
-        finite.append(PrefixedTerm(act, self.atom()))
-
-    def atom(self) -> FiniteProcess:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "0":
-            self.pos += 1
-            return NIL_FINITE
-        if ch == "(":
-            self.pos += 1
-            inner = self.process(top_level=False)
-            self.eat(")")
-            return inner.finite
-        if ch == "!":
-            raise StructureError(
-                "replication is only allowed at the top level", self.pos)
-        act = self.action()
-        self.eat(".")
-        return FiniteProcess((PrefixedTerm(act, self.atom()),))
+        # A body is below the top level, so it fills only its finite list.
+        body = []
+        self.term(False, body, body)
+        (replicated if ch == "!" else finite).append(
+            PrefixedTerm(act, FiniteProcess(body) if body else NIL_FINITE))
 
 
 def parse(text: str, mode: str = "base") -> Process:
@@ -455,14 +436,16 @@ def parse(text: str, mode: str = "base") -> Process:
     p.skip_ws()
     if p.peek() == "":
         raise p.error("empty input")
+    replicated = []
+    finite = []
     try:
-        result = p.process(top_level=True)
-    except RecursionError:  # the parser recurses once per nesting level
+        p.terms(True, replicated, finite)
+    except RecursionError:  # a frame per prefix, two per parenthesised group
         raise StructureError("term nested too deeply") from None
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input")
-    return result
+    return Process(replicated, finite)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,22 @@ def test_parens_at_top_level_preserve_replication():
         parse("a.(b.0|!c.0)")
 
 
+def test_a_parse_builds_one_process(monkeypatch):
+    # Groups append their components to the enclosing lists, so the only
+    # Process is the result, and the only multisets are the non-empty
+    # bodies and the top-level finite part (a 0 body is NIL_FINITE).
+    built = []
+    for cls in (Process, FiniteProcess):
+        def counting(self, *args, _init=cls.__init__):
+            built.append(type(self).__name__)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    p = parse("(a.0 | !b.(c.0 | d.0)) | e.(f.0 | (g.0 | h.0))")
+    assert render(p) == "!b.(c.0 | d.0) | a.0 | e.(f.0 | g.0 | h.0)"
+    assert (built.count("Process"), built.count("FiniteProcess")) == (1, 3)
+
+
 @pytest.mark.parametrize("deep", [
     "a." * 2000 + "0", "(" * 600 + "0" + ")" * 600,
     "!a.(" + "b.(" * 600 + "0" + ")" * 601,
