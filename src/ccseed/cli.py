@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rounds", type=int, default=120, metavar="N",
                     help="suite rounds (default 120)")
     sp.add_argument("--shards", type=int, default=4, metavar="N",
-                    help="worker shards (default 4)")
+                    help="suite shards (default 4)")
     sp.add_argument("--max-size", type=int, default=5, metavar="N",
                     help="largest generated process (default 5, cap 8)")
     sp.add_argument("--alphabet", type=int, default=2, metavar="N",

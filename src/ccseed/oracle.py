@@ -20,7 +20,6 @@ hits so vacuous passes are visible.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from operator import is_
@@ -868,40 +867,24 @@ def lemma_suite(seed: int = 0, rounds: int = 120, max_size: int = 5,
     return SuiteReport(seed, mode, props)
 
 
-def _suite_shard(args: tuple) -> SuiteReport:
-    return lemma_suite(*args)
-
-
 def lemma_suite_sharded(seed: int = 0, rounds: int = 120, shards: int = 4,
                         max_size: int = 5, action_count: int = 2,
                         mode: str = "base") -> SuiteReport:
-    """Split the suite across worker processes and merge the reports.
+    """Split the suite into shards, run them in turn and merge the reports.
 
-    Each shard draws from its own stream derived from ``seed``, every check
-    is a pure function, and the merge is a shard-ordered sum, so the result
-    is identical whether shards run in parallel or, where no worker process
-    can be started, sequentially.
+    Each shard draws from its own stream derived from ``seed`` and runs in
+    the calling process; the merge is a shard-ordered sum.
     """
-    corpus.default_actions(action_count, mode)  # fail here, not in a worker
+    corpus.default_actions(action_count, mode)  # its error is reported first
     if shards < 1:
         raise ValueError("shards must be positive")
     if rounds < 0:
         raise ValueError("rounds must not be negative")
     shards = min(shards, rounds) or 1
     base, extra = divmod(rounds, shards)
-    shard_args = [(seed * 1000003 + i, base + (1 if i < extra else 0),
-                   max_size, action_count, mode)
-                  for i in range(shards)]
-    reports = map(_suite_shard, shard_args)  # lazily, in this process
-    if shards > 1:
-        import concurrent.futures
-        try:
-            # every worker is forked at once, so never more than the CPUs
-            workers = min(shards, os.cpu_count() or 1)
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                reports = list(pool.map(_suite_shard, shard_args))
-        except OSError:
-            pass  # no worker process can start: run the shards here
+    reports = [lemma_suite(seed * 1000003 + i, base + (1 if i < extra else 0),
+                           max_size, action_count, mode)
+               for i in range(shards)]
     merged: Dict[str, PropertyStats] = {}
     for rep in reports:
         for name, st in rep.properties.items():

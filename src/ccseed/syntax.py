@@ -572,21 +572,17 @@ def _edit_finite(fp: FiniteProcess, steps: tuple,
     return FiniteProcess(comps)
 
 
-def _edit(p: Process, rep_index: Optional[int], steps: tuple,
-          edit: Callable[[list], None]) -> Process:
-    if rep_index is None:
-        return Process(p.replicated, _edit_finite(p.finite, steps, edit))
-    reps = list(p.replicated)
-    t = _at(reps, rep_index)
-    reps[rep_index] = PrefixedTerm(t.action, _edit_finite(t.body, steps, edit))
-    return Process(reps, p.finite)
-
-
 def edit_multiset(p: Process, path: Path,
                   edit: Callable[[list], None]) -> Process:
     """Rebuild p after ``edit`` mutates the component list of the multiset
     ``path`` names; IndexError if none matches."""
-    return _edit(p, path.rep_index, path.steps, edit)
+    if path.rep_index is None:
+        return Process(p.replicated, _edit_finite(p.finite, path.steps, edit))
+    reps = list(p.replicated)
+    t = _at(reps, path.rep_index)
+    reps[path.rep_index] = PrefixedTerm(t.action,
+                                        _edit_finite(t.body, path.steps, edit))
+    return Process(reps, p.finite)
 
 
 def resolve(p: Process, path: Path) -> PrefixedTerm:
@@ -611,4 +607,4 @@ def delete_at(p: Process, path: Path) -> Process:
         _at(comps, i)
         del comps[i]
 
-    return _edit(p, path.rep_index, path.steps[:-1], drop)
+    return edit_multiset(p, Path(path.rep_index, path.steps[:-1]), drop)

@@ -653,7 +653,7 @@ options:
   --json        emit a JSON document instead of text
   --seed N      random seed (default 0)
   --rounds N    suite rounds (default 120)
-  --shards N    worker shards (default 4)
+  --shards N    suite shards (default 4)
   --max-size N  largest generated process (default 5, cap 8)
   --alphabet N  action alphabet size (default 2)
 """,

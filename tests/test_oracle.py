@@ -1,8 +1,7 @@
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
-import os
+import multiprocessing.process
 import random
 
 import pytest
@@ -950,46 +949,36 @@ def test_lemma_suite_rejects_alphabet_out_of_range(suite, count, mode, names):
         corpus.default_actions(count, mode)
 
 
-def _fallback_suite(monkeypatch, **kwargs) -> dict:
-    """The sharded suite as run where no worker process can be started."""
-    def no_pool(*args):
-        raise OSError("no worker processes")
+@pytest.mark.parametrize("seed,rounds,shards,mode", [
+    (2, 24, 3, "base"), (5, 7, 4, "sync"), (0, 3, 5, "base")])
+def test_sharded_suite_merges_shards_in_order(monkeypatch, seed, rounds,
+                                              shards, mode):
+    # a game that never agrees makes every shard report counterexamples
+    monkeypatch.setattr(oracle, "finite_bisim", lambda *args: False)
+    used = min(shards, rounds)
+    base, extra = divmod(rounds, used)
+    merged = {}
+    for i in range(used):
+        shard = lemma_suite(seed * 1000003 + i, base + (i < extra), 5, 2,
+                            mode)
+        for name, st in shard.properties.items():
+            acc = merged.setdefault(name, oracle.PropertyStats())
+            acc.instances += st.instances
+            acc.hits += st.hits
+            acc.counterexamples += st.counterexamples
+    report = lemma_suite_sharded(seed, rounds, shards, mode=mode)
+    assert list(report.properties) == list(merged)
+    assert report == oracle.SuiteReport(seed, mode, merged)
+    assert not report.ok
 
-    with monkeypatch.context() as m:
-        m.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        return lemma_suite_sharded(**kwargs).to_dict()
 
+def test_sharded_suite_starts_no_process(monkeypatch):
+    def no_start(self):
+        raise AssertionError("the suite started a process")
 
-def test_sharded_suite_merges_deterministically(monkeypatch):
-    pooled = lemma_suite_sharded(seed=2, rounds=24, shards=3)
-    assert pooled.to_dict() == _fallback_suite(monkeypatch, seed=2, rounds=24,
-                                               shards=3)
-    assert pooled.ok
-
-
-def test_sharded_suite_forks_at_most_one_worker_per_cpu(monkeypatch):
-    opened = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    fallback = _fallback_suite(monkeypatch, seed=2, rounds=6, shards=6)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    report = lemma_suite_sharded(seed=2, rounds=6, shards=6)
-    assert opened == [2]
-    assert report.to_dict() == fallback
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        no_start)
+    assert lemma_suite_sharded(seed=2, rounds=24, shards=3).ok
 
 
 def test_sharded_suite_validates_shards():
